@@ -10,7 +10,8 @@ from .sparsity import (Ordering, OrderingError, PatternError, SparsityPattern,
                        load_matrix_market, load_ordering, nnz_sym,
                        write_matrix_market, write_ordering)
 from .symbolic import (EliminationError, EliminationGraph, EliminationTrace,
-                       fill_path_oracle, init_env, symbolic_factorize)
+                       eliminate_all, fill_path_oracle, init_env,
+                       symbolic_factorize)
 from .features import NodeFeatures, compute_features, normalize_features
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
                          build_propagation, backward, forward,
@@ -31,7 +32,7 @@ __all__ = [
     "load_matrix_market", "load_ordering", "nnz_sym", "write_matrix_market",
     "write_ordering",
     "EliminationError", "EliminationGraph", "EliminationTrace",
-    "fill_path_oracle", "init_env", "symbolic_factorize",
+    "eliminate_all", "fill_path_oracle", "init_env", "symbolic_factorize",
     "NodeFeatures", "compute_features", "normalize_features",
     "NetConfig", "NetworkError", "PolicyValueNet", "build_propagation",
     "backward", "forward", "load_checkpoint", "save_checkpoint",

@@ -3,7 +3,8 @@
 The measurement model is symbolic: orderings are scored by the Cholesky
 pattern of the symmetrized matrix, so the factor nonzero count is
 nnz(L + L^T off-diagonal) + n = nnz_sym(A) + 2 * fill, and
-FIR = 2 * fill / nnz_sym(A).
+FIR = 2 * fill / nnz_sym(A). FIR is 0.0 when nnz_sym(A) = 0, which happens
+only for n = 0: there is no fill and there are no entries.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ METHODS = ("natural", "random", "mindeg", "gpo")
 CSV_HEADER = ["matrix", "method", "n", "nnz", "fill", "fir"]
 
 
+def _fir(fill: int, nnz: int) -> float:
+    return 2.0 * fill / nnz if nnz else 0.0
+
+
 def fill_in_ratio(p: SparsityPattern, ordering: Ordering | Sequence[int]) -> float:
-    """Extra factor nonzeros divided by the original nonzeros."""
+    """Extra factor nonzeros divided by the original nonzeros; 0.0 for n = 0."""
     fill, _, _ = symbolic_factorize(p, ordering)
-    return 2.0 * len(fill) / nnz_sym(p)
+    return _fir(len(fill), nnz_sym(p))
 
 
 def gpo_order(net: PolicyValueNet, p: SparsityPattern) -> Ordering:
@@ -65,7 +70,6 @@ class EvalRow:
     n: int = 0
     nnz: int = 0
     fill: int = 0
-    nnz_factor: int = 0   # nnz(L + U - I) under the symbolic model
     fir: float = 0.0
     error: str | None = None
 
@@ -107,12 +111,8 @@ class EvalReport:
         return buf.getvalue()
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
-        fh, needs_close = _open_text(target, "w")
-        try:
+        with _open_text(target, "w") as fh:
             fh.write(self.to_csv())
-        finally:
-            if needs_close:
-                fh.close()
 
 
 def _entry_rng(seed: int, matrix_name: str) -> np.random.Generator:
@@ -159,10 +159,10 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
                 ordering = compute_ordering(method, pattern, model,
                                             _entry_rng(seed, name))
                 fill, _, _ = symbolic_factorize(pattern, ordering)
+                nnz = nnz_sym(pattern)
+                row = EvalRow(name, method, pattern.n, nnz, len(fill),
+                              _fir(len(fill), nnz))
             except Exception as exc:
-                rows.append(EvalRow(name, method, error=str(exc)))
-                continue
-            nnz = nnz_sym(pattern)
-            rows.append(EvalRow(name, method, pattern.n, nnz, len(fill),
-                                nnz + 2 * len(fill), 2.0 * len(fill) / nnz))
+                row = EvalRow(name, method, error=str(exc))
+            rows.append(row)
     return EvalReport(rows)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .sparsity import Ordering, SparsityPattern
-from .symbolic import EliminationGraph
+from .symbolic import eliminate_all
 
 
 def natural_order(p: SparsityPattern) -> Ordering:
@@ -25,10 +25,5 @@ def min_degree_order(p: SparsityPattern) -> Ordering:
     eliminates a live node of minimum current degree, ties broken by lowest
     index. Quadratic scan per step; fine at desk scale.
     """
-    g = EliminationGraph(p)
-    perm = []
-    for _ in range(p.n):
-        v = min(g.live, key=lambda u: (len(g.adj[u]), u))
-        g.eliminate(v)
-        perm.append(v)
-    return Ordering(perm)
+    trace = eliminate_all(p, lambda g: min(g.live, key=lambda u: (len(g.adj[u]), u)))
+    return Ordering(trace.nodes)

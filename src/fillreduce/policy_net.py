@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -112,14 +111,8 @@ class PolicyValueNet:
             bound = 1.0 / np.sqrt(_fan_in(name, shape, self.config))
             self.params[name] = rng.uniform(-bound, bound, size=shape)
 
-    def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self.params.items())
-
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
-
-    def num_parameters(self) -> int:
-        return sum(arr.size for arr in self.params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +129,6 @@ class Propagation:
 
     nodes: list[int]
     base: np.ndarray
-    hops: tuple[int, ...]
 
     def apply(self, hop: int, x: np.ndarray) -> np.ndarray:
         for _ in range(hop):
@@ -170,7 +162,7 @@ def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> P
         base = a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
     else:
         base = a / deg[:, None]
-    return Propagation(nodes, base, config.hops)
+    return Propagation(nodes, base)
 
 
 # ---------------------------------------------------------------------------

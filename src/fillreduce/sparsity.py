@@ -8,8 +8,9 @@ pattern always describes an undirected graph.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 
 class PatternError(ValueError):
@@ -67,9 +68,6 @@ class SparsityPattern:
 
     def __repr__(self) -> str:
         return f"SparsityPattern(n={self.n}, edges={len(self.edges)})"
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def adjacency(self) -> list[set[int]]:
         """Adjacency sets indexed by node."""
@@ -136,11 +134,15 @@ _SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 _ENTRY_WIDTH = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}
 
 
-def _open_text(source: str | Path | IO[str], mode: str):
-    """Return (file object, needs_close) for a path or pass through a file object."""
+@contextmanager
+def _open_text(source: str | Path | IO[str], mode: str) -> Iterator[IO[str]]:
+    """Open a path for the block and close it after; pass a file object
+    through and leave it open."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8"), True
-    return source, False
+        with open(source, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield source
 
 
 def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
@@ -151,8 +153,7 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     symmetrized as A + A^T; symmetric-family headers expand the stored
     triangle. Raises PatternError on malformed input.
     """
-    fh, needs_close = _open_text(source, "r")
-    try:
+    with _open_text(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise PatternError("empty file: missing MatrixMarket header")
@@ -222,15 +223,11 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
         if seen != count:
             raise PatternError(f"declared {count} entries but found {seen}")
         return SparsityPattern(rows, edges, diagonal)
-    finally:
-        if needs_close:
-            fh.close()
 
 
 def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> None:
     """Write a pattern as a symmetric coordinate Matrix Market file (lower triangle)."""
-    fh, needs_close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         entries = len(p.edges) + len(p.diagonal)
         fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
         fh.write(f"{p.n} {p.n} {entries}\n")
@@ -238,9 +235,6 @@ def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> Non
         lines.extend((j, i) for i, j in p.edges)  # row >= col
         for r, c in sorted(lines):
             fh.write(f"{r + 1} {c + 1}\n")
-    finally:
-        if needs_close:
-            fh.close()
 
 
 def dumps_matrix_market(p: SparsityPattern) -> str:
@@ -254,8 +248,7 @@ def dumps_matrix_market(p: SparsityPattern) -> str:
 # ---------------------------------------------------------------------------
 
 def load_ordering(source: str | Path | IO[str]) -> Ordering:
-    fh, needs_close = _open_text(source, "r")
-    try:
+    with _open_text(source, "r") as fh:
         perm = []
         for line in fh:
             stripped = line.strip()
@@ -266,16 +259,9 @@ def load_ordering(source: str | Path | IO[str]) -> Ordering:
             except ValueError as exc:
                 raise OrderingError(f"malformed ordering line: {stripped!r}") from exc
         return Ordering(perm)
-    finally:
-        if needs_close:
-            fh.close()
 
 
 def write_ordering(ordering: Ordering, target: str | Path | IO[str]) -> None:
-    fh, needs_close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         for v in ordering:
             fh.write(f"{v}\n")
-    finally:
-        if needs_close:
-            fh.close()

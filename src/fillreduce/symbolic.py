@@ -3,7 +3,9 @@
 Eliminating a node removes it and connects its remaining neighbors into a
 clique; the newly created edges are the fill of that step. Running all n
 steps of an ordering predicts the factor's sparsity pattern without any
-numeric work. A slow fill-path checker is included as an independent test
+numeric work. ``eliminate_all`` is the one loop that does this: a chooser
+picks each next node, so fixed orderings, minimum degree and the learned
+policy share it. A slow fill-path checker is included as an independent test
 oracle: a pair (i, j) fills iff some path joins i and j whose internal nodes
 are all eliminated before both endpoints.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .sparsity import Ordering, SparsityPattern, _open_text
 
@@ -26,28 +28,18 @@ class EliminationGraph:
     """Mutable graph state during elimination.
 
     ``adj`` only references live nodes and stays symmetric; ``num_edges``
-    tracks the current undirected edge count. Mutation is in place: callers
-    that need branching search must ``copy()`` first.
+    tracks the current undirected edge count. Mutation is in place.
     """
 
-    __slots__ = ("n_original", "live", "adj", "num_edges")
+    __slots__ = ("live", "adj", "num_edges")
 
     def __init__(self, pattern: SparsityPattern):
-        self.n_original = pattern.n
         self.live = set(range(pattern.n))
         self.adj: dict[int, set[int]] = {v: set() for v in range(pattern.n)}
         for i, j in pattern.edges:
             self.adj[i].add(j)
             self.adj[j].add(i)
         self.num_edges = len(pattern.edges)
-
-    def copy(self) -> "EliminationGraph":
-        dup = object.__new__(EliminationGraph)
-        dup.n_original = self.n_original
-        dup.live = set(self.live)
-        dup.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
-        dup.num_edges = self.num_edges
-        return dup
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -90,24 +82,26 @@ def init_env(pattern: SparsityPattern) -> EliminationGraph:
 class EliminationTrace:
     """Per-step records of one full elimination episode.
 
-    All lists share length n. Rewards are the negative fill counts, and
-    ``edges_before[t]`` is the edge count of the graph the step-t decision
-    was taken in.
+    All lists share length n, and ``edges_before[t]`` is the edge count of
+    the graph the step-t decision was taken in.
     """
 
     nodes: list[int] = field(default_factory=list)
     fill_sets: list[list[tuple[int, int]]] = field(default_factory=list)
     edges_before: list[int] = field(default_factory=list)
-    rewards: list[int] = field(default_factory=list)
 
     def append(self, node: int, fill: list[tuple[int, int]], edges_before: int) -> None:
         self.nodes.append(node)
         self.fill_sets.append(fill)
         self.edges_before.append(edges_before)
-        self.rewards.append(-len(fill))
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @property
+    def rewards(self) -> list[int]:
+        """Per-step reward: the negative fill count."""
+        return [-len(f) for f in self.fill_sets]
 
     @property
     def total_fill(self) -> int:
@@ -115,13 +109,24 @@ class EliminationTrace:
 
     def write(self, target: str | Path | IO[str]) -> None:
         """Dump as line-oriented text: ``step,node,fill_count,edges_before``."""
-        fh, needs_close = _open_text(target, "w")
-        try:
+        with _open_text(target, "w") as fh:
             for t, node in enumerate(self.nodes):
                 fh.write(f"{t},{node},{len(self.fill_sets[t])},{self.edges_before[t]}\n")
-        finally:
-            if needs_close:
-                fh.close()
+
+
+def eliminate_all(pattern: SparsityPattern,
+                  choose: Callable[[EliminationGraph], int]) -> EliminationTrace:
+    """Eliminate all n nodes, each step the live node ``choose(g)`` returns.
+
+    The chooser sees the graph before the step and must not mutate it.
+    """
+    g = EliminationGraph(pattern)
+    trace = EliminationTrace()
+    for _ in range(pattern.n):
+        v = choose(g)
+        edges_before = g.num_edges
+        trace.append(v, g.eliminate(v), edges_before)
+    return trace
 
 
 def _as_ordering(ordering: Ordering | Sequence[int], n: int) -> Ordering:
@@ -141,15 +146,9 @@ def symbolic_factorize(
     The filled pattern's edge set is the original edges plus all fill, i.e.
     the predicted structure of L + L^T off the diagonal.
     """
-    ordering = _as_ordering(ordering, pattern.n)
-    g = EliminationGraph(pattern)
-    trace = EliminationTrace()
-    fill_all: set[tuple[int, int]] = set()
-    for v in ordering:
-        edges_before = g.num_edges
-        f = g.eliminate(v)
-        trace.append(v, f, edges_before)
-        fill_all.update(f)
+    steps = iter(_as_ordering(ordering, pattern.n))
+    trace = eliminate_all(pattern, lambda g: next(steps))
+    fill_all: set[tuple[int, int]] = set().union(*trace.fill_sets)
     filled = SparsityPattern(pattern.n, pattern.edges | fill_all, pattern.diagonal)
     return fill_all, filled, trace
 

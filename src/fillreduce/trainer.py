@@ -21,7 +21,7 @@ from .features import compute_features, normalize_features
 from .policy_net import (ForwardTape, NetConfig, PolicyValueNet, backward,
                          forward, save_checkpoint)
 from .sparsity import Ordering, SparsityPattern, _open_text
-from .symbolic import init_env
+from .symbolic import EliminationGraph, EliminationTrace, eliminate_all
 
 REWARD_VARIANTS = ("asr", "raw")
 
@@ -57,21 +57,22 @@ class TrainerConfig:
 
 @dataclass
 class EpisodeRecord:
-    """Everything one gradient update needs from a single rollout."""
+    """Everything one gradient update needs from a single rollout: the
+    policy's per-step outputs plus the episode's elimination trace, which
+    holds the rewards and edge counts. Greedy rollouts keep no tapes."""
 
     chosen_rows: list[int] = field(default_factory=list)   # row index in live order
     log_probs: list[float] = field(default_factory=list)   # log pi(v_t | G_t)
     values: list[float] = field(default_factory=list)
-    rewards: list[int] = field(default_factory=list)       # -|fill_t|
-    edge_counts: list[int] = field(default_factory=list)   # |E_t| before step t
     tapes: list[ForwardTape] = field(default_factory=list)
+    trace: EliminationTrace = field(default_factory=EliminationTrace)
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return len(self.log_probs)
 
     @property
     def total_fill(self) -> int:
-        return -sum(self.rewards)
+        return self.trace.total_fill
 
 
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
@@ -79,17 +80,17 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             ) -> tuple[EpisodeRecord, Ordering]:
     """Run one full elimination episode against the symbolic environment.
 
-    Sampling draws from the policy distribution; greedy mode takes the argmax
-    with lowest-index tie-break (row order is sorted node ids) and needs no rng.
+    Sampling draws from the policy distribution and keeps each step's tape
+    for ``episode_gradients``; greedy mode takes the argmax with lowest-index
+    tie-break (row order is sorted node ids), needs no rng and keeps no tapes.
     """
     if pattern.n < 1:
         raise ValueError("rollout needs a pattern with at least one node")
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
-    g = init_env(pattern)
     record = EpisodeRecord()
-    perm: list[int] = []
-    for _ in range(pattern.n):
+
+    def choose(g: EliminationGraph) -> int:
         x = normalize_features(compute_features(g))
         log_probs, value, tape = forward(net, g, x)
         if greedy:
@@ -98,17 +99,14 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             probs = np.exp(log_probs)
             probs /= probs.sum()
             row = int(rng.choice(len(probs), p=probs))
-        node = x.nodes[row]
-        edges_before = g.num_edges
-        fill = g.eliminate(node)
+            record.tapes.append(tape)
         record.chosen_rows.append(row)
         record.log_probs.append(float(log_probs[row]))
         record.values.append(value)
-        record.rewards.append(-len(fill))
-        record.edge_counts.append(edges_before)
-        record.tapes.append(tape)
-        perm.append(node)
-    return record, Ordering(perm)
+        return x.nodes[row]
+
+    record.trace = eliminate_all(pattern, choose)
+    return record, Ordering(record.trace.nodes)
 
 
 def adaptive_saturation_return(edge_counts: Sequence[int],
@@ -213,13 +211,9 @@ class TrainLogEntry:
 def write_training_log(entries: Sequence[TrainLogEntry],
                        target: str | Path | IO[str]) -> None:
     """Line-delimited records: ``epoch,graph_id,total_fill,L_a,L_c``."""
-    fh, needs_close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         for entry in entries:
             fh.write(entry.format() + "\n")
-    finally:
-        if needs_close:
-            fh.close()
 
 
 def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
@@ -244,11 +238,9 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
         for graph_id, pattern in enumerate(graphs):
             for _ in range(cfg.episodes_per_graph):
                 record, _ = rollout(net, pattern, sample_rng)
-                if cfg.reward == "asr":
-                    returns = adaptive_saturation_return(record.edge_counts,
-                                                         record.rewards)
-                else:
-                    returns = raw_return(record.edge_counts, record.rewards)
+                to_returns = (adaptive_saturation_return if cfg.reward == "asr"
+                              else raw_return)
+                returns = to_returns(record.trace.edges_before, record.trace.rewards)
                 l_a, l_c, adv = losses(record, returns)
                 grads = episode_gradients(net, record, adv)
                 adam.step(net, grads, lr)

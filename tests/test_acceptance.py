@@ -106,13 +106,14 @@ def test_criterion_4_asr_range():
             n = int(rng.integers(1, 25))
             p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.7)))
             record, _ = rollout(net, p, rng)
-            asr = adaptive_saturation_return(record.edge_counts, record.rewards)
+            asr = adaptive_saturation_return(record.trace.edges_before,
+                                             record.trace.rewards)
             assert np.all(asr > -1.0) and np.all(asr <= 1.0)
-            suffix = np.cumsum(np.array(record.rewards)[::-1])[::-1]
+            suffix = np.cumsum(np.array(record.trace.rewards)[::-1])[::-1]
             # saturates at exactly 1 iff no future fill
             assert np.array_equal(asr == 1.0, suffix == 0)
             for t in range(len(record)):
-                if record.edge_counts[t] > 0 and suffix[t] == 0:
+                if record.trace.edges_before[t] > 0 and suffix[t] == 0:
                     assert asr[t] == 1.0
 
 

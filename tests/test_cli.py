@@ -60,6 +60,15 @@ def test_order_gpo_without_model_fails(tmp_path, capsys):
     assert "requires --model" in capsys.readouterr().err
 
 
+def test_order_empty_matrix(tmp_path, capsys):
+    f = tmp_path / "empty.mtx"
+    f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n0 0 0\n")
+    out = tmp_path / "o.txt"
+    assert run(["order", "--matrix", f, "--method", "mindeg", "--out", out]) == 0
+    assert out.read_text() == ""
+    assert "n=0, method=mindeg, fir=0 ->" in capsys.readouterr().out
+
+
 def test_bench_partial_failure_exit_code(tmp_path, capsys):
     write_matrix_market(cycle_pattern(4), tmp_path / "ok.mtx")
     (tmp_path / "broken.mtx").write_text("garbage\n")

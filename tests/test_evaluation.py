@@ -46,7 +46,15 @@ def test_benchmark_c4_both_methods(tmp_path):
     for row in report.rows:
         assert row.fir == pytest.approx(1.0 / 6.0)
         assert row.nnz == 12 and row.fill == 1
-        assert row.nnz_factor == row.nnz + 2 * row.fill
+
+
+def test_benchmark_empty_matrix_has_zero_fir(tmp_path):
+    empty = tmp_path / "empty.mtx"
+    empty.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n0 0 0\n")
+    report = run_benchmark([empty], ["natural", "random", "mindeg"])
+    cells = [(r.n, r.nnz, r.fill, r.fir, r.error) for r in report.rows]
+    assert cells == [(0, 0, 0, 0.0, None)] * 3
+    assert report.method_means() == {"natural": 0.0, "random": 0.0, "mindeg": 0.0}
 
 
 def test_benchmark_survives_corrupted_input(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import cycle_pattern, path_pattern, random_pattern, random_tree, star_pattern
 from fillreduce import (EliminationError, EliminationGraph, Ordering,
-                        OrderingError, fill_path_oracle, init_env,
-                        symbolic_factorize)
+                        OrderingError, eliminate_all, fill_path_oracle,
+                        init_env, min_degree_order, symbolic_factorize)
 
 
 def test_init_env_mirrors_pattern():
@@ -184,10 +184,23 @@ def test_trace_dump_format():
     assert buf.getvalue() == "0,0,3,3\n1,1,0,3\n2,2,0,1\n3,3,0,0\n"
 
 
-def test_graph_copy_is_independent():
-    g = init_env(cycle_pattern(5))
-    h = g.copy()
-    g.eliminate(0)
-    assert 0 in h.live
-    assert h.num_edges == 5
-    assert g.num_edges == 4
+def test_eliminate_all_matches_symbolic_factorize():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(0, 15))
+        p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.8)))
+        perm = [int(v) for v in rng.permutation(n)]
+        steps = iter(perm)
+        trace = eliminate_all(p, lambda g: next(steps))
+        _, _, expected = symbolic_factorize(p, perm)
+        assert trace == expected
+        assert trace.rewards == [-len(f) for f in trace.fill_sets]
+
+
+def test_eliminate_all_min_degree_chooser_matches_min_degree_order():
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        n = int(rng.integers(0, 20))
+        p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.6)))
+        trace = eliminate_all(p, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
+        assert Ordering(trace.nodes) == min_degree_order(p)

@@ -46,9 +46,9 @@ def test_asr_bounds_on_random_traces():
     for _ in range(20):
         p = random_pattern(rng, int(rng.integers(1, 15)))
         record, _ = rollout(net, p, rng)
-        asr = adaptive_saturation_return(record.edge_counts, record.rewards)
+        asr = adaptive_saturation_return(record.trace.edges_before, record.trace.rewards)
         assert np.all(asr > -1.0) and np.all(asr <= 1.0)
-        suffix = np.cumsum(np.array(record.rewards)[::-1])[::-1]
+        suffix = np.cumsum(np.array(record.trace.rewards)[::-1])[::-1]
         assert np.array_equal(asr == 1.0, suffix == 0)
 
 
@@ -68,13 +68,11 @@ def test_raw_return_scales_by_initial_edges():
 # losses
 # ---------------------------------------------------------------------------
 
-def make_record(log_probs, values, rewards=None, edges=None):
+def make_record(log_probs, values):
     n = len(log_probs)
     rec = EpisodeRecord()
     rec.log_probs = list(log_probs)
     rec.values = list(values)
-    rec.rewards = list(rewards or [0] * n)
-    rec.edge_counts = list(edges or [1] * n)
     rec.chosen_rows = [0] * n
     return rec
 
@@ -127,7 +125,7 @@ def test_rollout_single_node():
     record, ordering = rollout(fresh_net(), SparsityPattern(1, []),
                                np.random.default_rng(0))
     assert len(record) == 1
-    assert record.rewards == [0]
+    assert record.trace.rewards == [0]
     assert list(ordering) == [0]
 
 
@@ -139,8 +137,8 @@ def test_rollout_matches_symbolic_factorization():
         record, ordering = rollout(net, pattern, rng)
         fill, _, trace = symbolic_factorize(pattern, ordering)
         assert record.total_fill == len(fill)
-        assert record.rewards == trace.rewards
-        assert record.edge_counts == trace.edges_before
+        assert record.trace.rewards == trace.rewards
+        assert record.trace.edges_before == trace.edges_before
 
 
 def test_rollout_greedy_is_deterministic_and_needs_no_rng():
@@ -153,6 +151,16 @@ def test_rollout_greedy_is_deterministic_and_needs_no_rng():
         rollout(net, p, rng=None)
     with pytest.raises(ValueError):
         rollout(net, SparsityPattern(0, []), np.random.default_rng(0))
+
+
+def test_rollout_greedy_keeps_no_tapes():
+    net = fresh_net(8)
+    p = random_pattern(np.random.default_rng(47), 10)
+    greedy, _ = rollout(net, p, rng=None, greedy=True)
+    sampled, _ = rollout(net, p, np.random.default_rng(48))
+    assert greedy.tapes == []
+    assert len(greedy) == len(greedy.trace) == 10
+    assert len(sampled.tapes) == 10
 
 
 def test_rollout_greedy_leaf_preferring_net_peels_path():
