@@ -75,11 +75,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: no files match {args.matrices!r}", file=sys.stderr)
         return 2
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            print(f"error: unknown method {m!r}; choose from {', '.join(METHODS)}",
-                  file=sys.stderr)
-            return 2
     report = run_benchmark(paths, methods, model_path=args.model, seed=args.seed)
     report.write_csv(args.out)
     for method, mean in sorted(report.method_means().items()):
@@ -141,7 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # bad input files, checkpoints and options: one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,8 +35,7 @@ def _fir(fill: int, nnz: int) -> float:
 
 def fill_in_ratio(p: SparsityPattern, ordering: Ordering | Sequence[int]) -> float:
     """Extra factor nonzeros divided by the original nonzeros; 0.0 for n = 0."""
-    fill, _, _ = symbolic_factorize(p, ordering)
-    return _fir(len(fill), nnz_sym(p))
+    return _fir(symbolic_factorize(p, ordering).total_fill, nnz_sym(p))
 
 
 def gpo_order(net: PolicyValueNet, p: SparsityPattern) -> Ordering:
@@ -158,10 +157,9 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
             try:
                 ordering = compute_ordering(method, pattern, model,
                                             _entry_rng(seed, name))
-                fill, _, _ = symbolic_factorize(pattern, ordering)
+                fill = symbolic_factorize(pattern, ordering).total_fill
                 nnz = nnz_sym(pattern)
-                row = EvalRow(name, method, pattern.n, nnz, len(fill),
-                              _fir(len(fill), nnz))
+                row = EvalRow(name, method, pattern.n, nnz, fill, _fir(fill, nnz))
             except Exception as exc:
                 row = EvalRow(name, method, error=str(exc))
             rows.append(row)

@@ -46,7 +46,6 @@ class NetConfig:
     backbone: str = "mixhop"
     num_layers: int = 2
     hidden_per_hop: int = 16
-    in_dim: int = NUM_FEATURES
 
     def __post_init__(self):
         if self.backbone not in BACKBONES:
@@ -63,7 +62,7 @@ class NetConfig:
         return len(self.hops) * self.hidden_per_hop
 
     def layer_in_width(self, layer: int) -> int:
-        return self.in_dim if layer == 0 else self.trunk_width
+        return NUM_FEATURES if layer == 0 else self.trunk_width
 
 
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
@@ -119,30 +118,9 @@ class PolicyValueNet:
 # Propagation operator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Propagation:
-    """Normalized adjacency operator over the live nodes, applied as powers.
-
-    Power 0 is the identity; higher powers are applied by repeated
-    multiplication rather than materializing the matrix power.
-    """
-
-    nodes: list[int]
-    base: np.ndarray
-
-    def apply(self, hop: int, x: np.ndarray) -> np.ndarray:
-        for _ in range(hop):
-            x = self.base @ x
-        return x
-
-    def apply_t(self, hop: int, x: np.ndarray) -> np.ndarray:
-        for _ in range(hop):
-            x = self.base.T @ x
-        return x
-
-
-def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> Propagation:
-    """Normalized adjacency (with self-loops) of the live subgraph.
+def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> np.ndarray:
+    """Normalized adjacency (with self-loops) of the live subgraph, rows and
+    columns in sorted live-node order.
 
     mixhop uses the symmetric normalization D^-1/2 (A + I) D^-1/2; singlehop
     row-normalizes A + I so each row averages the closed neighborhood.
@@ -159,10 +137,8 @@ def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> P
     deg = a.sum(axis=1)
     if config.backbone == "mixhop":
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        base = a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-    else:
-        base = a / deg[:, None]
-    return Propagation(nodes, base)
+        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    return a / deg[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +147,6 @@ def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> P
 
 @dataclass
 class TowerTape:
-    inputs: list[np.ndarray]              # H_l, input of layer l
     hop_inputs: list[list[np.ndarray]]    # propagated inputs P^j H_l
     activations: list[list[np.ndarray]]   # tanh outputs per hop
     final: np.ndarray                     # trunk output H_L
@@ -182,33 +157,32 @@ class ForwardTape:
     """Cached activations of one forward call, sufficient for exact gradients."""
 
     net: PolicyValueNet
-    prop: Propagation
+    prop: np.ndarray                      # normalized operator P
     actor: TowerTape
     critic: TowerTape
-    softmax: np.ndarray
     log_probs: np.ndarray
     critic_tanh: np.ndarray
-    value: float
 
 
-def _tower_forward(net: PolicyValueNet, tower: str, prop: Propagation,
+def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
                    x: np.ndarray) -> TowerTape:
     cfg = net.config
     h = x
-    inputs, hop_inputs, activations = [], [], []
+    hop_inputs, activations = [], []
     for layer in range(cfg.num_layers):
-        inputs.append(h)
-        ms, acts = [], []
-        for hop in cfg.hops:
-            m = prop.apply(hop, h)
+        powers = [h]                      # P^j H_l, each from the one before
+        for _ in range(max(cfg.hops)):
+            powers.append(prop @ powers[-1])
+        ms = [powers[hop] for hop in cfg.hops]
+        acts = []
+        for hop, m in zip(cfg.hops, ms):
             w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
             b = net.params[f"{tower}.layer{layer}.hop{hop}.b"]
             acts.append(np.tanh(m @ w + b))
-            ms.append(m)
         hop_inputs.append(ms)
         activations.append(acts)
         h = np.concatenate(acts, axis=1)
-    return TowerTape(inputs, hop_inputs, activations, h)
+    return TowerTape(hop_inputs, activations, h)
 
 
 def forward(net: PolicyValueNet, g: EliminationGraph,
@@ -222,7 +196,7 @@ def forward(net: PolicyValueNet, g: EliminationGraph,
     if not g.live:
         raise NetworkError("cannot evaluate the network on an empty graph")
     nodes = sorted(g.live)
-    if x.nodes != nodes or x.x.shape != (len(nodes), net.config.in_dim):
+    if x.nodes != nodes or x.x.shape != (len(nodes), NUM_FEATURES):
         raise NetworkError(
             f"features cover {len(x.nodes)} nodes, graph has {len(nodes)} live nodes")
     prop = build_propagation(g, net.config)
@@ -231,24 +205,23 @@ def forward(net: PolicyValueNet, g: EliminationGraph,
     logits = actor.final @ net.params["actor.head.w"] + net.params["actor.head.b"][0]
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
-    softmax = np.exp(log_probs)
 
     critic = _tower_forward(net, "critic", prop, x.x)
     pre = critic.final @ net.params["critic.head.w"] + net.params["critic.head.b"][0]
     critic_tanh = np.tanh(pre)
     value = float(critic_tanh.mean())
 
-    tape = ForwardTape(net, prop, actor, critic, softmax, log_probs, critic_tanh, value)
+    tape = ForwardTape(net, prop, actor, critic, log_probs, critic_tanh)
     return log_probs, value, tape
 
 
 def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
-                    prop: Propagation, d_out: np.ndarray,
+                    prop: np.ndarray, d_out: np.ndarray,
                     grads: dict[str, np.ndarray]) -> None:
     cfg = net.config
     hidden = cfg.hidden_per_hop
     for layer in reversed(range(cfg.num_layers)):
-        d_in = np.zeros_like(tape.inputs[layer])
+        d_in = np.zeros_like(tape.hop_inputs[layer][0])
         for idx, hop in enumerate(cfg.hops):
             d_act = d_out[:, idx * hidden:(idx + 1) * hidden]
             act = tape.activations[layer][idx]
@@ -257,7 +230,10 @@ def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
             w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
             grads[f"{tower}.layer{layer}.hop{hop}.w"] += m.T @ d_pre
             grads[f"{tower}.layer{layer}.hop{hop}.b"] += d_pre.sum(axis=0)
-            d_in += prop.apply_t(hop, d_pre @ w.T)
+            d_m = d_pre @ w.T
+            for _ in range(hop):
+                d_m = prop.T @ d_m
+            d_in += d_m
         d_out = d_in
 
 
@@ -282,7 +258,7 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
             f"log-probs shape {tape.log_probs.shape}")
     grads = net.zero_grads()
 
-    d_logits = log_softmax_backward(tape.softmax, d_log_probs)
+    d_logits = log_softmax_backward(np.exp(tape.log_probs), d_log_probs)
     grads["actor.head.w"] += tape.actor.final.T @ d_logits
     grads["actor.head.b"] += d_logits.sum(keepdims=True)
     d_h = np.outer(d_logits, net.params["actor.head.w"])
@@ -309,7 +285,7 @@ def save_checkpoint(net: PolicyValueNet, path: str | Path) -> None:
         "backbone": net.config.backbone,
         "num_layers": net.config.num_layers,
         "hidden_per_hop": net.config.hidden_per_hop,
-        "in_dim": net.config.in_dim,
+        "in_dim": NUM_FEATURES,
     }, sort_keys=True)
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.array(meta), **net.params)
@@ -324,12 +300,19 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
         raise NetworkError(f"cannot read checkpoint {path}: {exc}") from exc
     if "__meta__" not in arrays:
         raise NetworkError(f"checkpoint {path} has no metadata entry")
-    meta = json.loads(str(arrays.pop("__meta__")))
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise NetworkError(
-            f"unsupported checkpoint version {meta.get('format_version')!r}")
-    config = NetConfig(backbone=meta["backbone"], num_layers=meta["num_layers"],
-                       hidden_per_hop=meta["hidden_per_hop"], in_dim=meta["in_dim"])
+    try:
+        meta = json.loads(str(arrays.pop("__meta__")))
+        version, in_dim = meta["format_version"], meta["in_dim"]
+        config = NetConfig(backbone=meta["backbone"], num_layers=meta["num_layers"],
+                           hidden_per_hop=meta["hidden_per_hop"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise NetworkError(f"checkpoint {path} has bad metadata "
+                           f"({type(exc).__name__}: {exc})") from exc
+    if version != FORMAT_VERSION:
+        raise NetworkError(f"checkpoint {path} has unsupported version {version!r}")
+    if in_dim != NUM_FEATURES:
+        raise NetworkError(f"checkpoint {path} has {in_dim!r} input features, "
+                           f"expected {NUM_FEATURES}")
     expected = param_shapes(config)
     got = {k: v.shape for k, v in arrays.items()}
     if got != expected:

@@ -7,7 +7,6 @@ pattern always describes an undirected graph.
 
 from __future__ import annotations
 
-import io
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -235,12 +234,6 @@ def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> Non
         lines.extend((j, i) for i, j in p.edges)  # row >= col
         for r, c in sorted(lines):
             fh.write(f"{r + 1} {c + 1}\n")
-
-
-def dumps_matrix_market(p: SparsityPattern) -> str:
-    buf = io.StringIO()
-    write_matrix_market(p, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

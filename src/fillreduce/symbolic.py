@@ -73,11 +73,6 @@ class EliminationGraph:
         return fill
 
 
-def init_env(pattern: SparsityPattern) -> EliminationGraph:
-    """Fresh elimination graph mirroring the pattern's adjacency."""
-    return EliminationGraph(pattern)
-
-
 @dataclass
 class EliminationTrace:
     """Per-step records of one full elimination episode.
@@ -138,19 +133,15 @@ def _as_ordering(ordering: Ordering | Sequence[int], n: int) -> Ordering:
     return ordering
 
 
-def symbolic_factorize(
-    pattern: SparsityPattern, ordering: Ordering | Sequence[int]
-) -> tuple[set[tuple[int, int]], SparsityPattern, EliminationTrace]:
-    """Eliminate every node in order; return (fill set, filled pattern, trace).
+def symbolic_factorize(pattern: SparsityPattern,
+                       ordering: Ordering | Sequence[int]) -> EliminationTrace:
+    """Eliminate every node in the given order and return the trace.
 
-    The filled pattern's edge set is the original edges plus all fill, i.e.
-    the predicted structure of L + L^T off the diagonal.
+    The per-step fill sets are disjoint, so ``trace.total_fill`` is the fill
+    of the factor L + L^T off the diagonal.
     """
     steps = iter(_as_ordering(ordering, pattern.n))
-    trace = eliminate_all(pattern, lambda g: next(steps))
-    fill_all: set[tuple[int, int]] = set().union(*trace.fill_sets)
-    filled = SparsityPattern(pattern.n, pattern.edges | fill_all, pattern.diagonal)
-    return fill_all, filled, trace
+    return eliminate_all(pattern, lambda g: next(steps))
 
 
 def fill_path_oracle(

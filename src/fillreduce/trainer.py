@@ -25,6 +25,11 @@ from .symbolic import EliminationGraph, EliminationTrace, eliminate_all
 
 REWARD_VARIANTS = ("asr", "raw")
 
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainerConfig:
@@ -32,9 +37,6 @@ class TrainerConfig:
     episodes_per_graph: int = 1
     lr_first_epoch: float = 0.01
     lr_rest: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     backbone: str = "mixhop"
     reward: str = "asr"          # "asr" or "raw" (ablation)
@@ -83,9 +85,8 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     Sampling draws from the policy distribution and keeps each step's tape
     for ``episode_gradients``; greedy mode takes the argmax with lowest-index
     tie-break (row order is sorted node ids), needs no rng and keeps no tapes.
+    An empty pattern gives an empty record and ordering.
     """
-    if pattern.n < 1:
-        raise ValueError("rollout needs a pattern with at least one node")
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
     record = EpisodeRecord()
@@ -171,18 +172,15 @@ def episode_gradients(net: PolicyValueNet, record: EpisodeRecord,
 class AdamState:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, net: PolicyValueNet, cfg: TrainerConfig):
+    def __init__(self, net: PolicyValueNet):
         self.m = net.zero_grads()
         self.v = net.zero_grads()
         self.t = 0
-        self.beta1 = cfg.beta1
-        self.beta2 = cfg.beta2
-        self.eps = cfg.eps
 
     def step(self, net: PolicyValueNet, grads: dict[str, np.ndarray],
              lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, g in grads.items():
@@ -192,7 +190,7 @@ class AdamState:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            net.params[name] -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            net.params[name] -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -226,11 +224,15 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
     """
     if not graphs:
         raise ValueError("training set is empty")
+    for graph_id, pattern in enumerate(graphs):
+        # an empty episode has no steps to average its losses over
+        if pattern.n < 1:
+            raise ValueError(f"training graph {graph_id} has no nodes")
     init_seed, sample_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     net = PolicyValueNet(NetConfig(backbone=cfg.backbone),
                          np.random.default_rng(init_seed))
     sample_rng = np.random.default_rng(sample_seed)
-    adam = AdamState(net, cfg)
+    adam = AdamState(net)
     log: list[TrainLogEntry] = []
     episode = 0
     for epoch in range(1, cfg.epochs + 1):

@@ -5,6 +5,11 @@ import numpy as np
 from fillreduce import SparsityPattern
 
 
+def fill_edges(trace) -> set[tuple[int, int]]:
+    """All fill edges of an elimination trace; the per-step sets are disjoint."""
+    return set().union(*trace.fill_sets)
+
+
 def path_pattern(n: int) -> SparsityPattern:
     return SparsityPattern(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -12,12 +12,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import cycle_pattern, path_pattern, random_pattern, random_tree
-from fillreduce import (NetConfig, PolicyValueNet, SparsityPattern,
-                        TrainerConfig, adaptive_saturation_return,
-                        compute_features, fill_in_ratio, fill_path_oracle,
-                        forward, generate_training_set, init_env,
-                        min_degree_order, natural_order, normalize_features,
+from conftest import cycle_pattern, fill_edges, path_pattern, random_pattern, random_tree
+from fillreduce import (EliminationGraph, NetConfig, PolicyValueNet,
+                        SparsityPattern, TrainerConfig,
+                        adaptive_saturation_return, compute_features,
+                        fill_in_ratio, fill_path_oracle, forward,
+                        generate_training_set, min_degree_order, natural_order, normalize_features,
                         random_order, rollout, symbolic_factorize, train)
 from fillreduce.cli import main as cli_main
 from fillreduce.evaluation import gpo_order
@@ -46,7 +46,7 @@ def test_criterion_1_oracle_equivalence():
             n = int(rng.integers(1, 11))
             p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.9)))
             perm = [int(v) for v in rng.permutation(n)]
-            fill, _, _ = symbolic_factorize(p, perm)
+            fill = fill_edges(symbolic_factorize(p, perm))
             assert fill == fill_path_oracle(p, perm)
         assert time.monotonic() - start < 60.0
 
@@ -55,13 +55,13 @@ def test_criterion_2_exhaustive_c4_and_leaf_peeling():
     with criterion(2, "exhaustive C4 and zero-fill leaf peeling"):
         c4 = cycle_pattern(4)
         for perm in itertools.permutations(range(4)):
-            fill, _, _ = symbolic_factorize(c4, perm)
+            fill = fill_edges(symbolic_factorize(c4, perm))
             assert len(fill) == 1
 
         # paths: zero fill exactly for the leaf-peeling orderings
         path = path_pattern(6)
         for perm in itertools.permutations(range(6)):
-            g = init_env(path)
+            g = EliminationGraph(path)
             peeling = True
             total = 0
             for v in perm:
@@ -73,7 +73,7 @@ def test_criterion_2_exhaustive_c4_and_leaf_peeling():
         rng = np.random.default_rng(91)
         for _ in range(50):
             tree = random_tree(rng, int(rng.integers(2, 25)))
-            g = init_env(tree)
+            g = EliminationGraph(tree)
             total = 0
             while g.live:
                 leaves = sorted(v for v in g.live if g.degree(v) <= 1)
@@ -87,7 +87,7 @@ def test_criterion_3_edge_count_conservation():
         for _ in range(200):
             n = int(rng.integers(1, 20))
             p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.8)))
-            g = init_env(p)
+            g = EliminationGraph(p)
             for v in rng.permutation(n):
                 # recount independently of the maintained counter
                 before = sum(len(s) for s in g.adj.values()) // 2
@@ -122,7 +122,7 @@ def test_criterion_5_gradient_correctness():
         start = time.monotonic()
         rng = np.random.default_rng(94)
         p = random_pattern(rng, 6, density=0.5)
-        g = init_env(p)
+        g = EliminationGraph(p)
         x = normalize_features(compute_features(g))
         net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(8))
         c_lp = rng.normal(size=6)
@@ -161,8 +161,8 @@ def test_criterion_6_equivariance():
             p = random_pattern(rng, n, density=float(rng.uniform(0.2, 0.8)))
             perm = [int(v) for v in rng.permutation(n)]
             relabeled = SparsityPattern(n, [(perm[i], perm[j]) for i, j in p.edges])
-            g1 = init_env(p)
-            g2 = init_env(relabeled)
+            g1 = EliminationGraph(p)
+            g2 = EliminationGraph(relabeled)
             lp1, v1, _ = forward(net, g1, normalize_features(compute_features(g1)))
             lp2, v2, _ = forward(net, g2, normalize_features(compute_features(g2)))
             assert max(abs(lp1[v] - lp2[perm[v]]) for v in range(n)) <= 1e-9

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from conftest import cycle_pattern, path_pattern
-from fillreduce import load_ordering, write_matrix_market
+from fillreduce import (NetConfig, PolicyValueNet, load_ordering, save_checkpoint,
+                        write_matrix_market)
 from fillreduce.cli import main
 
 
@@ -63,10 +65,14 @@ def test_order_gpo_without_model_fails(tmp_path, capsys):
 def test_order_empty_matrix(tmp_path, capsys):
     f = tmp_path / "empty.mtx"
     f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n0 0 0\n")
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(0)), model)
     out = tmp_path / "o.txt"
-    assert run(["order", "--matrix", f, "--method", "mindeg", "--out", out]) == 0
-    assert out.read_text() == ""
-    assert "n=0, method=mindeg, fir=0 ->" in capsys.readouterr().out
+    for method in ("mindeg", "gpo"):
+        assert run(["order", "--matrix", f, "--method", method, "--model", model,
+                    "--out", out]) == 0
+        assert out.read_text() == ""
+        assert f"n=0, method={method}, fir=0 ->" in capsys.readouterr().out
 
 
 def test_bench_partial_failure_exit_code(tmp_path, capsys):
@@ -118,3 +124,29 @@ def test_cli_reproducibility(tmp_path):
              "--model", model, "--seed", 6, "--out", report])
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
+
+
+def _bad_meta_checkpoint(path):
+    net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(0))
+    np.savez(path, __meta__=np.array("{not json"), **net.params)
+
+
+@pytest.mark.parametrize("case", ["malformed_matrix", "missing_model", "bad_meta_model"])
+def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
+    matrix = tmp_path / "m.mtx"
+    write_matrix_market(path_pattern(4), matrix)
+    model = tmp_path / "model.npz"          # missing unless a case writes it
+    method = "gpo"
+    if case == "malformed_matrix":
+        matrix.write_text("garbage\n")
+        method = "mindeg"
+    elif case == "bad_meta_model":
+        _bad_meta_checkpoint(model)
+    args = ["order", "--matrix", matrix, "--method", method, "--model", model,
+            "--out", tmp_path / "o.txt"]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o.txt").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import cycle_pattern, path_pattern, star_pattern
+from conftest import cycle_pattern, fill_edges, path_pattern, star_pattern
 from fillreduce import (PolicyValueNet, fill_in_ratio, min_degree_order,
                         run_benchmark, symbolic_factorize, write_matrix_market)
 from fillreduce.evaluation import compute_ordering, gpo_order
@@ -51,10 +51,13 @@ def test_benchmark_c4_both_methods(tmp_path):
 def test_benchmark_empty_matrix_has_zero_fir(tmp_path):
     empty = tmp_path / "empty.mtx"
     empty.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n0 0 0\n")
-    report = run_benchmark([empty], ["natural", "random", "mindeg"])
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(2)), model)
+    report = run_benchmark([empty], ["natural", "random", "mindeg", "gpo"], model)
     cells = [(r.n, r.nnz, r.fill, r.fir, r.error) for r in report.rows]
-    assert cells == [(0, 0, 0, 0.0, None)] * 3
-    assert report.method_means() == {"natural": 0.0, "random": 0.0, "mindeg": 0.0}
+    assert cells == [(0, 0, 0, 0.0, None)] * 4
+    assert report.method_means() == {"natural": 0.0, "random": 0.0, "mindeg": 0.0,
+                                     "gpo": 0.0}
 
 
 def test_benchmark_survives_corrupted_input(tmp_path):
@@ -125,9 +128,9 @@ def test_natural_fir_self_consistency(tmp_path):
     p = cycle_pattern(8)
     f = write_pattern(tmp_path, "c8.mtx", p)
     row = run_benchmark([f], ["natural"]).rows[0]
-    fill, _, _ = symbolic_factorize(p, range(8))
-    assert row.fill == len(fill)
-    assert row.fir == pytest.approx(2 * len(fill) / (2 * len(p.edges) + p.n))
+    fill = len(fill_edges(symbolic_factorize(p, range(8))))
+    assert row.fill == fill
+    assert row.fir == pytest.approx(2 * fill / (2 * len(p.edges) + p.n))
 
 
 def test_gpo_order_greedy_matches_compute_ordering():

@@ -1,8 +1,8 @@
 import numpy as np
 
 from conftest import cycle_pattern, path_pattern, random_pattern, star_pattern
-from fillreduce import (NodeFeatures, SparsityPattern, compute_features,
-                        init_env, normalize_features)
+from fillreduce import (EliminationGraph, NodeFeatures, SparsityPattern,
+                        compute_features, normalize_features)
 
 
 def brute_force_influence(p: SparsityPattern) -> dict[int, float]:
@@ -16,20 +16,20 @@ def brute_force_influence(p: SparsityPattern) -> dict[int, float]:
 
 
 def test_cycle_features():
-    nf = compute_features(init_env(cycle_pattern(4)))
+    nf = compute_features(EliminationGraph(cycle_pattern(4)))
     assert nf.nodes == [0, 1, 2, 3]
     assert np.array_equal(nf.x, np.full((4, 2), 2.0))
 
 
 def test_star_features():
-    nf = compute_features(init_env(star_pattern(3)))
+    nf = compute_features(EliminationGraph(star_pattern(3)))
     # center: degree 3, influence 0 (all leaf factors vanish); leaves: (1, 0)
     assert nf.x[0].tolist() == [3.0, 0.0]
     assert nf.x[1].tolist() == [1.0, 0.0]
 
 
 def test_path_interior_node():
-    nf = compute_features(init_env(path_pattern(4)))
+    nf = compute_features(EliminationGraph(path_pattern(4)))
     assert nf.x[1].tolist() == [2.0, 1.0]
     expected = brute_force_influence(path_pattern(4))
     assert [row[1] for row in nf.x] == [expected[v] for v in nf.nodes]
@@ -39,7 +39,7 @@ def test_matches_brute_force_on_random_graphs():
     rng = np.random.default_rng(21)
     for _ in range(30):
         p = random_pattern(rng, int(rng.integers(1, 15)))
-        nf = compute_features(init_env(p))
+        nf = compute_features(EliminationGraph(p))
         expected = brute_force_influence(p)
         for row, v in enumerate(nf.nodes):
             assert nf.x[row, 0] == len(p.adjacency()[v])
@@ -48,7 +48,7 @@ def test_matches_brute_force_on_random_graphs():
 
 
 def test_features_track_elimination():
-    g = init_env(star_pattern(3))
+    g = EliminationGraph(star_pattern(3))
     g.eliminate(0)
     nf = compute_features(g)
     assert nf.nodes == [1, 2, 3]
@@ -58,7 +58,7 @@ def test_features_track_elimination():
 
 
 def test_isolated_node_features():
-    nf = compute_features(init_env(SparsityPattern(1, [])))
+    nf = compute_features(EliminationGraph(SparsityPattern(1, [])))
     assert nf.x.tolist() == [[0.0, 0.0]]
 
 
@@ -72,7 +72,7 @@ def test_normalize_columns():
 
 
 def test_normalize_single_isolated_node():
-    out = normalize_features(compute_features(init_env(SparsityPattern(1, []))))
+    out = normalize_features(compute_features(EliminationGraph(SparsityPattern(1, []))))
     assert out.x.tolist() == [[0.0, 0.0]]
 
 
@@ -80,5 +80,5 @@ def test_normalize_bounds():
     rng = np.random.default_rng(22)
     for _ in range(20):
         p = random_pattern(rng, int(rng.integers(1, 20)))
-        out = normalize_features(compute_features(init_env(p)))
+        out = normalize_features(compute_features(EliminationGraph(p)))
         assert np.all(out.x >= 0.0) and np.all(out.x <= 1.0)

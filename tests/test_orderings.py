@@ -8,8 +8,7 @@ from fillreduce import (Ordering, generate_training_set, min_degree_order,
 
 
 def total_fill(pattern, ordering):
-    fill, _, _ = symbolic_factorize(pattern, ordering)
-    return len(fill)
+    return symbolic_factorize(pattern, ordering).total_fill
 
 
 def test_natural_order():

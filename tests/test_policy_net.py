@@ -1,16 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import path_pattern, random_pattern
-from fillreduce import (NetConfig, NetworkError, PolicyValueNet, SparsityPattern,
-                        backward, build_propagation, compute_features, forward,
-                        init_env, load_checkpoint, normalize_features,
-                        save_checkpoint)
+from fillreduce import (EliminationGraph, NetConfig, NetworkError, PolicyValueNet,
+                        SparsityPattern, backward, build_propagation,
+                        compute_features, forward, load_checkpoint,
+                        normalize_features, save_checkpoint)
 from fillreduce.policy_net import log_softmax_backward, param_shapes
 
 
 def state(pattern):
-    g = init_env(pattern)
+    g = EliminationGraph(pattern)
     return g, normalize_features(compute_features(g))
 
 
@@ -23,29 +25,21 @@ def fresh_net(seed=0, **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_propagation_isolated_node():
-    prop = build_propagation(init_env(SparsityPattern(1, [])))
-    assert prop.base.tolist() == [[1.0]]
+    prop = build_propagation(EliminationGraph(SparsityPattern(1, [])))
+    assert prop.tolist() == [[1.0]]
 
 
 def test_propagation_single_edge():
-    prop = build_propagation(init_env(SparsityPattern(2, [(0, 1)])))
-    assert np.allclose(prop.base, [[0.5, 0.5], [0.5, 0.5]])
-
-
-def test_propagation_power_zero_is_identity():
-    rng = np.random.default_rng(31)
-    prop = build_propagation(init_env(random_pattern(rng, 7)))
-    x = rng.normal(size=(7, 3))
-    assert prop.apply(0, x) is x
-    assert np.allclose(prop.apply(2, x), prop.base @ prop.base @ x)
+    prop = build_propagation(EliminationGraph(SparsityPattern(2, [(0, 1)])))
+    assert np.allclose(prop, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_propagation_singlehop_rows_average():
     cfg = NetConfig(backbone="singlehop")
-    prop = build_propagation(init_env(path_pattern(3)), cfg)
+    prop = build_propagation(EliminationGraph(path_pattern(3)), cfg)
     assert cfg.hops == (1,)
-    assert np.allclose(prop.base.sum(axis=1), 1.0)
-    assert np.allclose(prop.base[0], [0.5, 0.5, 0.0])
+    assert np.allclose(prop.sum(axis=1), 1.0)
+    assert np.allclose(prop[0], [0.5, 0.5, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +59,7 @@ def test_forward_probabilities_normalize_and_value_bounded():
 
 def test_forward_rejects_empty_graph_and_bad_features():
     net = fresh_net()
-    g = init_env(SparsityPattern(1, []))
+    g = EliminationGraph(SparsityPattern(1, []))
     nf = normalize_features(compute_features(g))
     g.eliminate(0)
     with pytest.raises(NetworkError):
@@ -238,8 +232,6 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(net, path)
 
-    import json
-
     with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
 
@@ -268,6 +260,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
         np.savez(fh, **bad)
     with pytest.raises(NetworkError, match="version"):
         load_checkpoint(tmp_path / "vers.ckpt")
+
+    # metadata that is not JSON, not an object, short of a field, or built
+    # for another feature count; each error names the file
+    meta = json.loads(str(arrays["__meta__"]))
+    no_backbone = {k: v for k, v in meta.items() if k != "backbone"}
+    cases = {
+        "garbage": ("{not json", "bad metadata"),
+        "not_object": ("[1, 2]", "bad metadata"),
+        "no_field": (json.dumps(no_backbone), "bad metadata"),
+        "in_dim": (json.dumps({**meta, "in_dim": 5}), "input features"),
+    }
+    for name, (text, message) in cases.items():
+        bad_meta = tmp_path / f"{name}.ckpt"
+        with open(bad_meta, "wb") as fh:
+            np.savez(fh, **{**arrays, "__meta__": np.array(text)})
+        with pytest.raises(NetworkError, match=message) as info:
+            load_checkpoint(bad_meta)
+        assert str(bad_meta) in str(info.value)
 
     # not an archive at all
     (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")

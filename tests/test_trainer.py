@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import path_pattern, random_pattern, star_pattern
+from conftest import fill_edges, path_pattern, random_pattern, star_pattern
 from fillreduce import (EpisodeRecord, SparsityPattern, TrainerConfig,
                         adaptive_saturation_return, generate_training_set,
                         losses, raw_return, rollout, symbolic_factorize, train)
 from fillreduce.policy_net import NetConfig, PolicyValueNet, load_checkpoint
-from fillreduce.trainer import AdamState, TrainLogEntry, write_training_log
+from fillreduce.trainer import (ADAM_EPS, AdamState, TrainLogEntry,
+                               write_training_log)
 
 
 def fresh_net(seed=0):
@@ -135,8 +136,8 @@ def test_rollout_matches_symbolic_factorization():
     for pattern in [star_pattern(3), path_pattern(6),
                     random_pattern(rng, 9), random_pattern(rng, 12)]:
         record, ordering = rollout(net, pattern, rng)
-        fill, _, trace = symbolic_factorize(pattern, ordering)
-        assert record.total_fill == len(fill)
+        trace = symbolic_factorize(pattern, ordering)
+        assert record.total_fill == len(fill_edges(trace))
         assert record.trace.rewards == trace.rewards
         assert record.trace.edges_before == trace.edges_before
 
@@ -149,8 +150,9 @@ def test_rollout_greedy_is_deterministic_and_needs_no_rng():
     assert first == second
     with pytest.raises(ValueError):
         rollout(net, p, rng=None)
-    with pytest.raises(ValueError):
-        rollout(net, SparsityPattern(0, []), np.random.default_rng(0))
+    record, empty = rollout(net, SparsityPattern(0, []), np.random.default_rng(0))
+    assert len(record) == len(record.trace) == 0
+    assert list(empty) == []
 
 
 def test_rollout_greedy_keeps_no_tapes():
@@ -244,6 +246,9 @@ def test_train_seed_determinism():
 def test_train_empty_set_rejected():
     with pytest.raises(ValueError):
         train([], TrainerConfig())
+    # an empty graph would give an episode with no steps to average over
+    with pytest.raises(ValueError, match="graph 1 has no nodes"):
+        train([path_pattern(4), SparsityPattern(0, [])], TrainerConfig())
 
 
 def test_train_raw_reward_variant_runs():
@@ -283,13 +288,12 @@ def test_training_log_format(tmp_path):
 
 def test_adam_matches_reference_update():
     net = fresh_net(20)
-    cfg = TrainerConfig()
-    adam = AdamState(net, cfg)
+    adam = AdamState(net)
     grads = {name: np.full_like(arr, 0.5) for name, arr in net.params.items()}
     before = {name: arr.copy() for name, arr in net.params.items()}
     adam.step(net, grads, lr=0.01)
     # first step with constant gradient: update = -lr * g / (|g| + eps)
-    expected_delta = -0.01 * 0.5 / (0.5 + cfg.eps)
+    expected_delta = -0.01 * 0.5 / (0.5 + ADAM_EPS)
     for name in net.params:
         assert np.allclose(net.params[name] - before[name], expected_delta)
 
