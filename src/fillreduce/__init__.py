@@ -11,10 +11,11 @@ from .sparsity import (Ordering, OrderingError, PatternError, SparsityPattern,
                        write_matrix_market, write_ordering)
 from .symbolic import (EliminationError, EliminationGraph, EliminationTrace,
                        eliminate_all, fill_path_oracle, symbolic_factorize)
-from .features import NodeFeatures, compute_features, normalize_features
+from .features import (LiveAdjacency, NodeFeatures, compute_features,
+                       normalize_features)
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
                          build_propagation, backward, forward,
-                         load_checkpoint, save_checkpoint)
+                         load_checkpoint, save_checkpoint, value)
 from .trainer import (EpisodeRecord, TrainerConfig, adaptive_saturation_return,
                       losses, raw_return, rollout, train)
 from .orderings import min_degree_order, natural_order, random_order
@@ -32,9 +33,9 @@ __all__ = [
     "write_ordering",
     "EliminationError", "EliminationGraph", "EliminationTrace",
     "eliminate_all", "fill_path_oracle", "symbolic_factorize",
-    "NodeFeatures", "compute_features", "normalize_features",
+    "LiveAdjacency", "NodeFeatures", "compute_features", "normalize_features",
     "NetConfig", "NetworkError", "PolicyValueNet", "build_propagation",
-    "backward", "forward", "load_checkpoint", "save_checkpoint",
+    "backward", "forward", "load_checkpoint", "save_checkpoint", "value",
     "EpisodeRecord", "TrainerConfig", "adaptive_saturation_return", "losses",
     "raw_return", "rollout", "train",
     "min_degree_order", "natural_order", "random_order",

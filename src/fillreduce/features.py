@@ -9,6 +9,7 @@ removed and cliques form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,36 +18,61 @@ from .symbolic import EliminationGraph
 NUM_FEATURES = 2  # degree, collective influence
 
 
+@dataclass(frozen=True)
+class LiveAdjacency:
+    """One snapshot of the live subgraph with nodes numbered by row, row i
+    being the i-th smallest live node id.
+
+    Entry e is the directed edge ``rows[e] -> cols[e]``; every undirected
+    edge appears once in each direction, and ``degree[i]`` counts the
+    entries of row i.
+    """
+
+    degree: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
 @dataclass
 class NodeFeatures:
     """Feature matrix x of shape (len(nodes), 2); row k describes nodes[k].
 
     ``nodes`` is the sorted live-node list, the same row order used by the
-    policy network's propagation operator.
+    policy network's propagation operator. ``adjacency`` is the snapshot
+    the features were computed from; the operator is built from it too.
     """
 
     nodes: list[int]
     x: np.ndarray
+    adjacency: LiveAdjacency
 
 
 def compute_features(g: EliminationGraph) -> NodeFeatures:
-    """Degree and collective influence for every live node.
+    """Degree and collective influence for every live node, from one pass
+    over ``g.adj`` that also yields the live adjacency snapshot.
 
-    Isolated nodes get (0, 0): the empty neighbor sum already makes the
-    influence vanish, so no sign artifact from the (deg - 1) factor.
+    The neighbor sums are sums of integers below 2^53, so they are exact in
+    any order. Isolated nodes get (0, 0): the (deg - 1) factor is clamped at
+    zero, so the influence is +0.0, not -1 * 0.0.
     """
     nodes = sorted(g.live)
-    x = np.zeros((len(nodes), NUM_FEATURES), dtype=np.float64)
-    deg = {v: len(g.adj[v]) for v in nodes}
-    for row, v in enumerate(nodes):
-        d = deg[v]
-        x[row, 0] = d
-        if d > 0:
-            x[row, 1] = (d - 1) * sum(deg[u] - 1 for u in g.adj[v])
-    return NodeFeatures(nodes, x)
+    k = len(nodes)
+    neighbors = [g.adj[v] for v in nodes]
+    degree = np.fromiter(map(len, neighbors), dtype=np.intp, count=k)
+    flat = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
+                       count=int(degree.sum()))
+    row_of = np.zeros(nodes[-1] + 1 if nodes else 0, dtype=np.intp)
+    row_of[nodes] = np.arange(k)
+    rows = np.repeat(np.arange(k), degree)
+    cols = row_of[flat]
+    x = np.zeros((k, NUM_FEATURES), dtype=np.float64)
+    x[:, 0] = degree
+    neighbor_sum = np.bincount(rows, weights=degree[cols] - 1, minlength=k)
+    x[:, 1] = np.maximum(degree - 1, 0) * neighbor_sum
+    return NodeFeatures(nodes, x, LiveAdjacency(degree, rows, cols))
 
 
 def normalize_features(nf: NodeFeatures) -> NodeFeatures:
     """Scale each column by 1 / max(1, column max) into [0, 1]."""
     scale = np.maximum(1.0, nf.x.max(axis=0, initial=0.0))
-    return NodeFeatures(nf.nodes, nf.x / scale)
+    return NodeFeatures(nf.nodes, nf.x / scale, nf.adjacency)

@@ -8,20 +8,24 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
-Gradients come from a recorded forward tape replayed in reverse, not from
-numeric differentiation; a finite-difference suite in the tests validates
-every parameter.
+``forward`` evaluates the actor alone, which is all greedy inference needs;
+``value`` runs the critic on the same state when training wants it.
+Gradients come from a recorded tape replayed in reverse, not from numeric
+differentiation; a finite-difference suite in the tests validates every
+parameter.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .features import NUM_FEATURES, NodeFeatures
+from .features import NUM_FEATURES, LiveAdjacency, NodeFeatures
 from .symbolic import EliminationGraph
 
 FORMAT_VERSION = 1
@@ -118,7 +122,7 @@ class PolicyValueNet:
 # Propagation operator
 # ---------------------------------------------------------------------------
 
-def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> np.ndarray:
+def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np.ndarray:
     """Normalized adjacency (with self-loops) of the live subgraph, rows and
     columns in sorted live-node order.
 
@@ -126,19 +130,17 @@ def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> n
     row-normalizes A + I so each row averages the closed neighborhood.
     """
     config = config or NetConfig()
-    nodes = sorted(g.live)
-    k = len(nodes)
-    row = {v: i for i, v in enumerate(nodes)}
-    a = np.eye(k)
-    for v in nodes:
-        i = row[v]
-        for u in g.adj[v]:
-            a[i, row[u]] = 1.0
-    deg = a.sum(axis=1)
+    deg = adj.degree + 1.0                # row sums of A + I
     if config.backbone == "mixhop":
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-    return a / deg[:, None]
+        diag = d_inv_sqrt * d_inv_sqrt
+        off = d_inv_sqrt[adj.rows] * d_inv_sqrt[adj.cols]
+    else:
+        diag = 1.0 / deg
+        off = diag[adj.rows]
+    prop = np.diag(diag)
+    prop[adj.rows, adj.cols] = off
+    return prop
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +156,16 @@ class TowerTape:
 
 @dataclass
 class ForwardTape:
-    """Cached activations of one forward call, sufficient for exact gradients."""
+    """Cached activations of one state, sufficient for exact gradients:
+    ``forward`` records the actor half and ``value`` completes the critic."""
 
     net: PolicyValueNet
     prop: np.ndarray                      # normalized operator P
+    x: np.ndarray                         # node features
     actor: TowerTape
-    critic: TowerTape
     log_probs: np.ndarray
-    critic_tanh: np.ndarray
+    critic: TowerTape | None = None
+    critic_tanh: np.ndarray | None = None
 
 
 def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
@@ -186,12 +190,12 @@ def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
 
 
 def forward(net: PolicyValueNet, g: EliminationGraph,
-            x: NodeFeatures) -> tuple[np.ndarray, float, ForwardTape]:
-    """Evaluate both heads on the live subgraph.
+            x: NodeFeatures) -> tuple[np.ndarray, ForwardTape]:
+    """Evaluate the actor on the live subgraph.
 
     Returns log-probabilities over the live nodes (row order = sorted live
-    node ids, matching ``x.nodes``), the scalar state value in (-1, 1), and
-    the tape for ``backward``.
+    node ids, matching ``x.nodes``) and the tape that ``value`` completes
+    for ``backward``.
     """
     if not g.live:
         raise NetworkError("cannot evaluate the network on an empty graph")
@@ -199,20 +203,24 @@ def forward(net: PolicyValueNet, g: EliminationGraph,
     if x.nodes != nodes or x.x.shape != (len(nodes), NUM_FEATURES):
         raise NetworkError(
             f"features cover {len(x.nodes)} nodes, graph has {len(nodes)} live nodes")
-    prop = build_propagation(g, net.config)
+    prop = build_propagation(x.adjacency, net.config)
 
     actor = _tower_forward(net, "actor", prop, x.x)
     logits = actor.final @ net.params["actor.head.w"] + net.params["actor.head.b"][0]
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
+    return log_probs, ForwardTape(net, prop, x.x, actor, log_probs)
 
-    critic = _tower_forward(net, "critic", prop, x.x)
-    pre = critic.final @ net.params["critic.head.w"] + net.params["critic.head.b"][0]
-    critic_tanh = np.tanh(pre)
-    value = float(critic_tanh.mean())
 
-    tape = ForwardTape(net, prop, actor, critic, log_probs, critic_tanh)
-    return log_probs, value, tape
+def value(net: PolicyValueNet, tape: ForwardTape) -> float:
+    """Evaluate the critic on the state ``tape`` was recorded in, complete
+    the tape for ``backward``, and return the state value in (-1, 1)."""
+    if tape.net is not net:
+        raise NetworkError("tape was recorded by a different network")
+    tape.critic = _tower_forward(net, "critic", tape.prop, tape.x)
+    pre = tape.critic.final @ net.params["critic.head.w"] + net.params["critic.head.b"][0]
+    tape.critic_tanh = np.tanh(pre)
+    return float(tape.critic_tanh.mean())
 
 
 def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
@@ -251,6 +259,8 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
     """Exact parameter gradients of sum(d_log_probs * log_probs) + d_value * value."""
     if tape.net is not net:
         raise NetworkError("tape was recorded by a different network")
+    if tape.critic is None:
+        raise NetworkError("tape has no critic half; call value() before backward()")
     d_log_probs = np.asarray(d_log_probs, dtype=np.float64)
     if d_log_probs.shape != tape.log_probs.shape:
         raise NetworkError(
@@ -279,7 +289,12 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(net: PolicyValueNet, path: str | Path) -> None:
-    """Write parameters plus architecture metadata as an npz archive."""
+    """Write parameters plus architecture metadata as an npz archive.
+
+    The archive goes to a temporary file in the target's directory, is
+    flushed to disk, and then replaces the target in one step, so a crash
+    mid-save leaves the previous checkpoint intact.
+    """
     meta = json.dumps({
         "format_version": FORMAT_VERSION,
         "backbone": net.config.backbone,
@@ -287,8 +302,17 @@ def save_checkpoint(net: PolicyValueNet, path: str | Path) -> None:
         "hidden_per_hop": net.config.hidden_per_hop,
         "in_dim": NUM_FEATURES,
     }, sort_keys=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.array(meta), **net.params)
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, __meta__=np.array(meta), **net.params)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> PolicyValueNet:

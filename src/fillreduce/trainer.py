@@ -19,7 +19,7 @@ import numpy as np
 
 from .features import compute_features, normalize_features
 from .policy_net import (ForwardTape, NetConfig, PolicyValueNet, backward,
-                         forward, save_checkpoint)
+                         forward, save_checkpoint, value)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationGraph, EliminationTrace, eliminate_all
 
@@ -61,7 +61,8 @@ class TrainerConfig:
 class EpisodeRecord:
     """Everything one gradient update needs from a single rollout: the
     policy's per-step outputs plus the episode's elimination trace, which
-    holds the rewards and edge counts. Greedy rollouts keep no tapes."""
+    holds the rewards and edge counts. Greedy rollouts evaluate only the
+    actor, so they record no values and keep no tapes."""
 
     chosen_rows: list[int] = field(default_factory=list)   # row index in live order
     log_probs: list[float] = field(default_factory=list)   # log pi(v_t | G_t)
@@ -82,9 +83,10 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             ) -> tuple[EpisodeRecord, Ordering]:
     """Run one full elimination episode against the symbolic environment.
 
-    Sampling draws from the policy distribution and keeps each step's tape
-    for ``episode_gradients``; greedy mode takes the argmax with lowest-index
-    tie-break (row order is sorted node ids), needs no rng and keeps no tapes.
+    Sampling draws from the policy distribution, evaluates the critic, and
+    keeps each step's tape for ``episode_gradients``; greedy mode takes the
+    argmax with lowest-index tie-break (row order is sorted node ids), needs
+    no rng, and evaluates only the actor.
     An empty pattern gives an empty record and ordering.
     """
     if not greedy and rng is None:
@@ -93,17 +95,17 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
 
     def choose(g: EliminationGraph) -> int:
         x = normalize_features(compute_features(g))
-        log_probs, value, tape = forward(net, g, x)
+        log_probs, tape = forward(net, g, x)
         if greedy:
             row = int(np.argmax(log_probs))
         else:
             probs = np.exp(log_probs)
             probs /= probs.sum()
             row = int(rng.choice(len(probs), p=probs))
+            record.values.append(value(net, tape))
             record.tapes.append(tape)
         record.chosen_rows.append(row)
         record.log_probs.append(float(log_probs[row]))
-        record.values.append(value)
         return x.nodes[row]
 
     record.trace = eliminate_all(pattern, choose)
@@ -220,7 +222,9 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
 
     Fully reproducible for a given seed: initialization and action sampling
     draw from separate streams spawned from the config seed, consumed in a
-    fixed sequential order.
+    fixed sequential order. A non-finite loss or gradient raises a
+    ``ValueError`` before the optimizer step, so the parameters and the last
+    periodic checkpoint stay those of the last good episode.
     """
     if not graphs:
         raise ValueError("training set is empty")
@@ -245,6 +249,12 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                 returns = to_returns(record.trace.edges_before, record.trace.rewards)
                 l_a, l_c, adv = losses(record, returns)
                 grads = episode_gradients(net, record, adv)
+                bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
+                if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
+                    raise ValueError(
+                        f"non-finite training values in epoch {epoch}, graph {graph_id} "
+                        f"(losses {l_a:.6g}, {l_c:.6g}; non-finite gradients: "
+                        f"{', '.join(bad) or 'none'})")
                 adam.step(net, grads, lr)
                 log.append(TrainLogEntry(epoch, graph_id, record.total_fill, l_a, l_c))
                 episode += 1

@@ -1,8 +1,10 @@
 """Shared graph constructors for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from fillreduce import SparsityPattern
+from fillreduce import NetConfig, SparsityPattern, forward, value
+from fillreduce.features import NUM_FEATURES
 
 
 def fill_edges(trace) -> set[tuple[int, int]]:
@@ -28,7 +30,56 @@ def random_pattern(rng: np.random.Generator, n: int, density: float = 0.4) -> Sp
     return SparsityPattern(n, edges)
 
 
+@st.composite
+def patterns(draw, max_n: int = 16) -> SparsityPattern:
+    """Patterns of 0..max_n nodes: each pair is an edge with chance one half,
+    then a random set of nodes loses its edges, and a random set of nodes
+    carries a stored diagonal."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    nodes = st.integers(0, n - 1) if n else st.nothing()
+    isolated = draw(st.sets(nodes))
+    edges = [(i, j) for (i, j), kept in zip(pairs, keep)
+             if kept and i not in isolated and j not in isolated]
+    return SparsityPattern(n, edges, draw(st.sets(nodes)))
+
+
 def random_tree(rng: np.random.Generator, n: int) -> SparsityPattern:
     """Uniform random attachment tree on n nodes."""
     edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
     return SparsityPattern(n, edges)
+
+
+def evaluate(net, g, x):
+    """Both heads on one state: (log-probs, value, completed tape)."""
+    log_probs, tape = forward(net, g, x)
+    return log_probs, value(net, tape), tape
+
+
+def reference_features(g) -> np.ndarray:
+    """Unnormalized features by a per-node loop over the elimination graph."""
+    nodes = sorted(g.live)
+    x = np.zeros((len(nodes), NUM_FEATURES), dtype=np.float64)
+    deg = {v: len(g.adj[v]) for v in nodes}
+    for row, v in enumerate(nodes):
+        d = deg[v]
+        x[row, 0] = d
+        if d > 0:
+            x[row, 1] = (d - 1) * sum(deg[u] - 1 for u in g.adj[v])
+    return x
+
+
+def reference_propagation(g, config: NetConfig) -> np.ndarray:
+    """The normalized operator by a per-entry loop over the elimination graph."""
+    nodes = sorted(g.live)
+    row = {v: i for i, v in enumerate(nodes)}
+    a = np.eye(len(nodes))
+    for v in nodes:
+        for u in g.adj[v]:
+            a[row[v], row[u]] = 1.0
+    deg = a.sum(axis=1)
+    if config.backbone == "mixhop":
+        d_inv_sqrt = 1.0 / np.sqrt(deg)
+        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    return a / deg[:, None]

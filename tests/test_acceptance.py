@@ -12,11 +12,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import cycle_pattern, fill_edges, path_pattern, random_pattern, random_tree
+from conftest import (cycle_pattern, evaluate, fill_edges, path_pattern, random_pattern,
+                      random_tree)
 from fillreduce import (EliminationGraph, NetConfig, PolicyValueNet,
                         SparsityPattern, TrainerConfig,
                         adaptive_saturation_return, compute_features,
-                        fill_in_ratio, fill_path_oracle, forward,
+                        fill_in_ratio, fill_path_oracle,
                         generate_training_set, min_degree_order, natural_order, normalize_features,
                         random_order, rollout, symbolic_factorize, train)
 from fillreduce.cli import main as cli_main
@@ -129,12 +130,12 @@ def test_criterion_5_gradient_correctness():
         c_v = float(rng.normal())
 
         def scalar_loss():
-            lp, value, _ = forward(net, g, x)
+            lp, value, _ = evaluate(net, g, x)
             return float((c_lp * lp).sum() + c_v * value)
 
         from fillreduce import backward
 
-        _, _, tape = forward(net, g, x)
+        _, _, tape = evaluate(net, g, x)
         grads = backward(net, tape, c_lp, c_v)
         step = 1e-4
         for name, arr in net.params.items():
@@ -163,8 +164,8 @@ def test_criterion_6_equivariance():
             relabeled = SparsityPattern(n, [(perm[i], perm[j]) for i, j in p.edges])
             g1 = EliminationGraph(p)
             g2 = EliminationGraph(relabeled)
-            lp1, v1, _ = forward(net, g1, normalize_features(compute_features(g1)))
-            lp2, v2, _ = forward(net, g2, normalize_features(compute_features(g2)))
+            lp1, v1, _ = evaluate(net, g1, normalize_features(compute_features(g1)))
+            lp2, v2, _ = evaluate(net, g2, normalize_features(compute_features(g2)))
             assert max(abs(lp1[v] - lp2[perm[v]]) for v in range(n)) <= 1e-9
             assert abs(v1 - v2) <= 1e-9
 

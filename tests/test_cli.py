@@ -3,7 +3,7 @@ import pytest
 
 from conftest import cycle_pattern, path_pattern
 from fillreduce import (NetConfig, PolicyValueNet, load_ordering, save_checkpoint,
-                        write_matrix_market)
+                        trainer, write_matrix_market)
 from fillreduce.cli import main
 
 
@@ -150,3 +150,20 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
     assert not (tmp_path / "o.txt").exists()
+
+
+def test_train_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
+
+    def nan_gradients(net, record, adv):
+        return {name: np.full_like(arr, np.nan) for name, arr in net.params.items()}
+
+    monkeypatch.setattr(trainer, "episode_gradients", nan_gradients)
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--epochs", 1, "--out", tmp_path / "m.ckpt"]) == 2
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: non-finite training values in epoch 1, graph 0")
+    assert not (tmp_path / "m.ckpt").exists()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import cycle_pattern, fill_edges, path_pattern, star_pattern
-from fillreduce import (PolicyValueNet, fill_in_ratio, min_degree_order,
-                        run_benchmark, symbolic_factorize, write_matrix_market)
-from fillreduce.evaluation import compute_ordering, gpo_order
+from conftest import cycle_pattern, fill_edges, path_pattern, patterns, star_pattern
+from fillreduce import (Ordering, PolicyValueNet, SparsityPattern, fill_in_ratio,
+                        min_degree_order, run_benchmark, symbolic_factorize,
+                        write_matrix_market)
+from fillreduce.evaluation import METHODS, compute_ordering, gpo_order
 from fillreduce.policy_net import NetConfig, save_checkpoint
 
 
@@ -141,3 +143,15 @@ def test_gpo_order_greedy_matches_compute_ordering():
         compute_ordering("gpo", p)
     with pytest.raises(ValueError):
         compute_ordering("amd", p)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=25, deadline=None)
+@given(p=patterns(max_n=12))
+@example(p=SparsityPattern(0, []))
+@example(p=SparsityPattern(1, []))
+def test_compute_ordering_valid_for_every_method(method, p):
+    model = PolicyValueNet(NetConfig(), rng=np.random.default_rng(2))
+    ordering = compute_ordering(method, p, model=model, rng=np.random.default_rng(0))
+    assert isinstance(ordering, Ordering)
+    assert sorted(ordering) == list(range(p.n))

@@ -1,8 +1,14 @@
-import numpy as np
+from dataclasses import replace
 
-from conftest import cycle_pattern, path_pattern, random_pattern, star_pattern
-from fillreduce import (EliminationGraph, NodeFeatures, SparsityPattern,
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (cycle_pattern, path_pattern, patterns, random_pattern,
+                      reference_features, reference_propagation, star_pattern)
+from fillreduce import (EliminationGraph, NetConfig, SparsityPattern, build_propagation,
                         compute_features, normalize_features)
+from fillreduce.policy_net import BACKBONES
 
 
 def brute_force_influence(p: SparsityPattern) -> dict[int, float]:
@@ -63,7 +69,8 @@ def test_isolated_node_features():
 
 
 def test_normalize_columns():
-    nf = NodeFeatures([0, 1, 2], np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
+    nf = replace(compute_features(EliminationGraph(SparsityPattern(3, []))),
+                 x=np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
     out = normalize_features(nf)
     assert out.x[:, 0].tolist() == [0.25, 0.5, 1.0]
     # all-zero column passes through the max(1, .) guard unchanged
@@ -82,3 +89,28 @@ def test_normalize_bounds():
         p = random_pattern(rng, int(rng.integers(1, 20)))
         out = normalize_features(compute_features(EliminationGraph(p)))
         assert np.all(out.x >= 0.0) and np.all(out.x <= 1.0)
+
+
+@st.composite
+def elimination_states(draw):
+    """The elimination graph of a random pattern after a random prefix of a
+    random ordering has been eliminated."""
+    p = draw(patterns(max_n=24))
+    g = EliminationGraph(p)
+    order = draw(st.permutations(range(p.n)))
+    for v in order[:draw(st.integers(0, p.n))]:
+        g.eliminate(v)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_states())
+def test_snapshot_matches_reference_loops(g):
+    nf = compute_features(g)
+    assert np.array_equal(nf.x, reference_features(g))
+    # an isolated node's influence is +0.0, as the loop leaves it
+    assert not np.signbit(nf.x).any()
+    for backbone in BACKBONES:
+        cfg = NetConfig(backbone=backbone)
+        assert np.array_equal(build_propagation(nf.adjacency, cfg),
+                              reference_propagation(g, cfg))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import path_pattern, random_pattern
+from conftest import evaluate, path_pattern, random_pattern
 from fillreduce import (EliminationGraph, NetConfig, NetworkError, PolicyValueNet,
                         SparsityPattern, backward, build_propagation,
                         compute_features, forward, load_checkpoint,
@@ -16,6 +16,10 @@ def state(pattern):
     return g, normalize_features(compute_features(g))
 
 
+def adjacency(pattern):
+    return compute_features(EliminationGraph(pattern)).adjacency
+
+
 def fresh_net(seed=0, **kwargs):
     return PolicyValueNet(NetConfig(**kwargs), rng=np.random.default_rng(seed))
 
@@ -25,18 +29,18 @@ def fresh_net(seed=0, **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_propagation_isolated_node():
-    prop = build_propagation(EliminationGraph(SparsityPattern(1, [])))
+    prop = build_propagation(adjacency(SparsityPattern(1, [])))
     assert prop.tolist() == [[1.0]]
 
 
 def test_propagation_single_edge():
-    prop = build_propagation(EliminationGraph(SparsityPattern(2, [(0, 1)])))
+    prop = build_propagation(adjacency(SparsityPattern(2, [(0, 1)])))
     assert np.allclose(prop, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_propagation_singlehop_rows_average():
     cfg = NetConfig(backbone="singlehop")
-    prop = build_propagation(EliminationGraph(path_pattern(3)), cfg)
+    prop = build_propagation(adjacency(path_pattern(3)), cfg)
     assert cfg.hops == (1,)
     assert np.allclose(prop.sum(axis=1), 1.0)
     assert np.allclose(prop[0], [0.5, 0.5, 0.0])
@@ -52,7 +56,7 @@ def test_forward_probabilities_normalize_and_value_bounded():
         net = fresh_net(5, backbone=backbone)
         for _ in range(10):
             g, x = state(random_pattern(rng, int(rng.integers(1, 12))))
-            log_probs, value, _ = forward(net, g, x)
+            log_probs, value, _ = evaluate(net, g, x)
             assert abs(np.exp(log_probs).sum() - 1.0) < 1e-9
             assert -1.0 < value < 1.0
 
@@ -77,15 +81,15 @@ def test_automorphic_leaves_score_equally():
     for seed in range(5):
         net = fresh_net(seed)
         g, x = state(path_pattern(3))
-        log_probs, _, _ = forward(net, g, x)
+        log_probs, _ = forward(net, g, x)
         assert abs(log_probs[0] - log_probs[2]) < 1e-12
 
 
 def test_forward_deterministic():
     net = fresh_net(8)
     g, x = state(random_pattern(np.random.default_rng(33), 9))
-    first = forward(net, g, x)
-    second = forward(net, g, x)
+    first = evaluate(net, g, x)
+    second = evaluate(net, g, x)
     assert np.array_equal(first[0], second[0])
     assert first[1] == second[1]
 
@@ -103,8 +107,8 @@ def test_permutation_equivariance():
         perm = [int(v) for v in rng.permutation(n)]
         g1, x1 = state(p)
         g2, x2 = state(relabel(p, perm))
-        lp1, v1, _ = forward(net, g1, x1)
-        lp2, v2, _ = forward(net, g2, x2)
+        lp1, v1, _ = evaluate(net, g1, x1)
+        lp2, v2, _ = evaluate(net, g2, x2)
         for v in range(n):
             assert abs(lp1[v] - lp2[perm[v]]) <= 1e-9
         assert abs(v1 - v2) <= 1e-9
@@ -117,7 +121,7 @@ def test_permutation_equivariance():
 def test_zero_upstream_gives_zero_gradients():
     net = fresh_net(10)
     g, x = state(random_pattern(np.random.default_rng(35), 6))
-    _, _, tape = forward(net, g, x)
+    _, _, tape = evaluate(net, g, x)
     grads = backward(net, tape, np.zeros(6), 0.0)
     assert all(np.all(v == 0) for v in grads.values())
 
@@ -137,11 +141,19 @@ def test_log_softmax_self_gradient_identity():
 def test_tape_net_mismatch_rejected():
     net1, net2 = fresh_net(1), fresh_net(2)
     g, x = state(path_pattern(4))
-    _, _, tape = forward(net1, g, x)
+    _, _, tape = evaluate(net1, g, x)
     with pytest.raises(NetworkError):
         backward(net2, tape, np.zeros(4), 0.0)
     with pytest.raises(NetworkError):
         backward(net1, tape, np.zeros(3), 0.0)
+
+
+def test_backward_needs_the_critic_half():
+    net = fresh_net(3)
+    g, x = state(path_pattern(4))
+    _, tape = forward(net, g, x)
+    with pytest.raises(NetworkError, match="value"):
+        backward(net, tape, np.zeros(4), 0.0)
 
 
 def finite_difference_check(net, g, x, rng, step=1e-4, tol=1e-3):
@@ -149,10 +161,10 @@ def finite_difference_check(net, g, x, rng, step=1e-4, tol=1e-3):
     c_v = float(rng.normal())
 
     def scalar_loss():
-        lp, value, _ = forward(net, g, x)
+        lp, value, _ = evaluate(net, g, x)
         return float((c_lp * lp).sum() + c_v * value)
 
-    _, _, tape = forward(net, g, x)
+    _, _, tape = evaluate(net, g, x)
     grads = backward(net, tape, c_lp, c_v)
     worst = 0.0
     for name, arr in net.params.items():
@@ -225,6 +237,25 @@ def test_checkpoint_round_trip(tmp_path):
     # loaded net behaves identically
     g, x = state(path_pattern(5))
     assert np.array_equal(forward(net, g, x)[0], forward(loaded, g, x)[0])
+
+
+def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    old = fresh_net(16)
+    save_checkpoint(old, path)
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(fresh_net(17), path)
+    monkeypatch.undo()
+    loaded = load_checkpoint(path)
+    for name in old.params:
+        assert np.array_equal(loaded.params[name], old.params[name])
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -3,8 +3,10 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_pattern, random_pattern
+from conftest import cycle_pattern, patterns, random_pattern
 from fillreduce import (Ordering, OrderingError, PatternError, SparsityPattern,
                         load_matrix_market, load_ordering, nnz_sym,
                         write_matrix_market, write_ordering)
@@ -114,30 +116,35 @@ def test_nnz_sym_examples():
     assert nnz_sym(cycle_pattern(4)) == 12
 
 
-def test_round_trip_preserves_edges():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        n = int(rng.integers(1, 15))
-        p = random_pattern(rng, n)
-        again = load_matrix_market(written(p))
-        assert again.edges == p.edges
-        assert again.n == p.n
+@settings(max_examples=100, deadline=None)
+@given(patterns(max_n=20))
+def test_round_trip_preserves_edges(p):
+    assert load_matrix_market(written(p)) == p
 
 
-def test_symmetrization_idempotent():
-    # loading A then re-loading its symmetrized written form is a fixpoint
-    text = mm("""
-        %%MatrixMarket matrix coordinate real general
-        4 4 5
-        1 2 1.0
-        2 1 1.0
-        3 1 2.0
-        4 4 1.0
-        2 4 3.0
-    """)
+@st.composite
+def general_files(draw):
+    """A general coordinate file with entries in both triangles, on the
+    diagonal and repeated, and the symmetrized pattern it describes."""
+    n = draw(st.integers(0, 12))
+    index = st.integers(1, n) if n else st.nothing()
+    entries = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    lines = [f"{i} {j} {k + 0.5}" for k, (i, j) in enumerate(entries)]
+    text = "\n".join(["%%MatrixMarket matrix coordinate real general",
+                      f"{n} {n} {len(entries)}", *lines]) + "\n"
+    expected = SparsityPattern(n, [(i - 1, j - 1) for i, j in entries if i != j],
+                               [i - 1 for i, j in entries if i == j])
+    return text, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_files())
+def test_symmetrization_idempotent(case):
+    # loading A symmetrizes it; writing and re-loading the result is a fixpoint
+    text, expected = case
     first = load_matrix_market(io.StringIO(text))
-    second = load_matrix_market(written(first))
-    assert second.edges == first.edges
+    assert first == expected
+    assert load_matrix_market(written(first)) == first
 
 
 def test_loader_agrees_with_scipy_on_written_patterns():

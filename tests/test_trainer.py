@@ -4,7 +4,8 @@ import pytest
 from conftest import fill_edges, path_pattern, random_pattern, star_pattern
 from fillreduce import (EpisodeRecord, SparsityPattern, TrainerConfig,
                         adaptive_saturation_return, generate_training_set,
-                        losses, raw_return, rollout, symbolic_factorize, train)
+                        losses, raw_return, rollout, symbolic_factorize, train,
+                        trainer)
 from fillreduce.policy_net import NetConfig, PolicyValueNet, load_checkpoint
 from fillreduce.trainer import (ADAM_EPS, AdamState, TrainLogEntry,
                                write_training_log)
@@ -165,6 +166,21 @@ def test_rollout_greedy_keeps_no_tapes():
     assert len(sampled.tapes) == 10
 
 
+def test_rollout_greedy_never_evaluates_the_critic():
+    net = fresh_net(9)
+    blind = PolicyValueNet(net.config, params={
+        name: np.full_like(arr, np.nan) if name.startswith("critic.") else arr
+        for name, arr in net.params.items()})
+    p = random_pattern(np.random.default_rng(49), 12)
+    expected, ordering = rollout(net, p, rng=None, greedy=True)
+    record, blind_ordering = rollout(blind, p, rng=None, greedy=True)
+    assert blind_ordering == ordering
+    assert record.chosen_rows == expected.chosen_rows
+    assert record.log_probs == expected.log_probs
+    assert not np.isnan(record.log_probs).any()
+    assert not np.isnan(record.values).any()
+
+
 def test_rollout_greedy_leaf_preferring_net_peels_path():
     # hand-built policy whose logit decreases with degree: layer 0 routes the
     # degree feature into one hidden unit with a large negative weight, layer 1
@@ -249,6 +265,31 @@ def test_train_empty_set_rejected():
     # an empty graph would give an episode with no steps to average over
     with pytest.raises(ValueError, match="graph 1 has no nodes"):
         train([path_pattern(4), SparsityPattern(0, [])], TrainerConfig())
+
+
+def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
+    graphs = [path_pattern(5), star_pattern(4)]
+    ckpt = tmp_path / "rolling.ckpt"
+    real = trainer.episode_gradients
+    calls = []
+
+    def poisoned(net, record, adv):
+        grads = real(net, record, adv)
+        calls.append(len(record))
+        if len(calls) == 2:
+            grads["critic.head.b"][0] = np.nan
+        return grads
+
+    monkeypatch.setattr(trainer, "episode_gradients", poisoned)
+    cfg = TrainerConfig(epochs=2, seed=4, checkpoint_every=1, checkpoint_path=str(ckpt))
+    with pytest.raises(ValueError, match="epoch 1, graph 1.*critic.head.b"):
+        train(graphs, cfg)
+    monkeypatch.undo()
+    # the checkpoint holds the parameters after the one good episode
+    reference, _ = train(graphs[:1], TrainerConfig(epochs=1, seed=4))
+    loaded = load_checkpoint(ckpt)
+    for name in reference.params:
+        assert np.array_equal(loaded.params[name], reference.params[name])
 
 
 def test_train_raw_reward_variant_runs():
