@@ -8,8 +8,10 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
-``forward`` evaluates the actor alone, which is all greedy inference needs;
+``forward`` evaluates the actor alone, which is all a rollout needs;
 ``value`` runs the critic on the same state when training wants it.
+``actor_forward`` is the actor on one snapshot of the live graph, which is
+what training replays to rebuild a step's tape for ``backward``.
 Gradients come from a recorded tape replayed in reverse, not from numeric
 differentiation; a finite-difference suite in the tests validates every
 parameter.
@@ -161,23 +163,28 @@ class ForwardTape:
 
     net: PolicyValueNet
     prop: np.ndarray                      # normalized operator P
-    x: np.ndarray                         # node features
     actor: TowerTape
     log_probs: np.ndarray
     critic: TowerTape | None = None
     critic_tanh: np.ndarray | None = None
 
 
+def _hop_inputs(config: NetConfig, prop: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
+    """P^j H for every hop j of a layer, each power from the one before."""
+    powers = [h]
+    for _ in range(max(config.hops)):
+        powers.append(prop @ powers[-1])
+    return [powers[hop] for hop in config.hops]
+
+
 def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
-                   x: np.ndarray) -> TowerTape:
+                   first: list[np.ndarray]) -> TowerTape:
+    """Run one tower from its first layer's hop inputs, which depend only on
+    the features and the operator, so both towers share them."""
     cfg = net.config
-    h = x
     hop_inputs, activations = [], []
     for layer in range(cfg.num_layers):
-        powers = [h]                      # P^j H_l, each from the one before
-        for _ in range(max(cfg.hops)):
-            powers.append(prop @ powers[-1])
-        ms = [powers[hop] for hop in cfg.hops]
+        ms = _hop_inputs(cfg, prop, h) if layer else first
         acts = []
         for hop, m in zip(cfg.hops, ms):
             w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
@@ -193,9 +200,10 @@ def forward(net: PolicyValueNet, g: EliminationGraph,
             x: NodeFeatures) -> tuple[np.ndarray, ForwardTape]:
     """Evaluate the actor on the live subgraph.
 
-    Returns log-probabilities over the live nodes (row order = sorted live
-    node ids, matching ``x.nodes``) and the tape that ``value`` completes
-    for ``backward``.
+    Checks that ``x`` describes the live nodes of ``g``, then runs
+    ``actor_forward`` on its snapshot. Returns log-probabilities over the
+    live nodes (row order = sorted live node ids, matching ``x.nodes``) and
+    the tape that ``value`` completes for ``backward``.
     """
     if not g.live:
         raise NetworkError("cannot evaluate the network on an empty graph")
@@ -203,13 +211,23 @@ def forward(net: PolicyValueNet, g: EliminationGraph,
     if x.nodes != nodes or x.x.shape != (len(nodes), NUM_FEATURES):
         raise NetworkError(
             f"features cover {len(x.nodes)} nodes, graph has {len(nodes)} live nodes")
-    prop = build_propagation(x.adjacency, net.config)
+    return actor_forward(net, x.x, x.adjacency)
 
-    actor = _tower_forward(net, "actor", prop, x.x)
+
+def actor_forward(net: PolicyValueNet, x: np.ndarray, adjacency: LiveAdjacency
+                  ) -> tuple[np.ndarray, ForwardTape]:
+    """Evaluate the actor on one snapshot: the normalized feature matrix and
+    the live adjacency it was computed from, rows in the same order.
+
+    The result depends on nothing else, so training can replay a step from
+    its snapshot and get the rollout's floats again.
+    """
+    prop = build_propagation(adjacency, net.config)
+    actor = _tower_forward(net, "actor", prop, _hop_inputs(net.config, prop, x))
     logits = actor.final @ net.params["actor.head.w"] + net.params["actor.head.b"][0]
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
-    return log_probs, ForwardTape(net, prop, x.x, actor, log_probs)
+    return log_probs, ForwardTape(net, prop, actor, log_probs)
 
 
 def value(net: PolicyValueNet, tape: ForwardTape) -> float:
@@ -217,7 +235,7 @@ def value(net: PolicyValueNet, tape: ForwardTape) -> float:
     the tape for ``backward``, and return the state value in (-1, 1)."""
     if tape.net is not net:
         raise NetworkError("tape was recorded by a different network")
-    tape.critic = _tower_forward(net, "critic", tape.prop, tape.x)
+    tape.critic = _tower_forward(net, "critic", tape.prop, tape.actor.hop_inputs[0])
     pre = tape.critic.final @ net.params["critic.head.w"] + net.params["critic.head.b"][0]
     tape.critic_tanh = np.tanh(pre)
     return float(tape.critic_tanh.mean())
@@ -238,6 +256,8 @@ def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
             w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
             grads[f"{tower}.layer{layer}.hop{hop}.w"] += m.T @ d_pre
             grads[f"{tower}.layer{layer}.hop{hop}.b"] += d_pre.sum(axis=0)
+            if layer == 0:
+                continue            # nothing reads the gradient of the features
             d_m = d_pre @ w.T
             for _ in range(hop):
                 d_m = prop.T @ d_m
@@ -255,8 +275,13 @@ def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.nda
 
 
 def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
-             d_value: float) -> dict[str, np.ndarray]:
-    """Exact parameter gradients of sum(d_log_probs * log_probs) + d_value * value."""
+             d_value: float, grads: dict[str, np.ndarray] | None = None
+             ) -> dict[str, np.ndarray]:
+    """Exact parameter gradients of sum(d_log_probs * log_probs) + d_value * value.
+
+    With ``grads`` (from ``net.zero_grads()``) the gradients are added into
+    it and it is returned, so a sum over steps needs no array per step.
+    """
     if tape.net is not net:
         raise NetworkError("tape was recorded by a different network")
     if tape.critic is None:
@@ -266,7 +291,8 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
         raise NetworkError(
             f"upstream gradient shape {d_log_probs.shape} does not match "
             f"log-probs shape {tape.log_probs.shape}")
-    grads = net.zero_grads()
+    if grads is None:
+        grads = net.zero_grads()
 
     d_logits = log_softmax_backward(np.exp(tape.log_probs), d_log_probs)
     grads["actor.head.w"] += tape.actor.final.T @ d_logits

@@ -126,6 +126,12 @@ def nnz_sym(p: SparsityPattern) -> int:
 # Matrix Market coordinate I/O
 # ---------------------------------------------------------------------------
 
+# Largest node count a Matrix Market header may declare. Every ordering
+# method allocates per node, so a few bytes declaring 10^9 nodes would
+# exhaust memory; this is far above the few thousand nodes the package
+# targets, and keeps every node index within int32.
+MAX_NODES = 2 ** 20
+
 _FIELDS = {"real", "integer", "pattern", "complex"}
 _SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 
@@ -150,7 +156,8 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     Numeric values are discarded; explicitly stored zeros count as nonzeros
     (pattern semantics) and duplicate entries are merged. General files are
     symmetrized as A + A^T; symmetric-family headers expand the stored
-    triangle. Raises PatternError on malformed input.
+    triangle. Raises PatternError on malformed input and on a declared
+    size above ``MAX_NODES``.
     """
     with _open_text(source, "r") as fh:
         header = fh.readline()
@@ -189,6 +196,9 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
             raise PatternError(f"non-square matrix: {rows} x {cols}")
         if rows < 0 or count < 0:
             raise PatternError(f"negative dimensions in size line: {size_line!r}")
+        if rows > MAX_NODES:
+            raise PatternError(f"matrix declares {rows} nodes, more than the "
+                               f"supported {MAX_NODES}")
 
         width = _ENTRY_WIDTH[field]
         edges: set[tuple[int, int]] = set()

@@ -1,12 +1,18 @@
 """Training loop for the learned elimination policy.
 
-One episode fully eliminates one graph: at each step the network scores the
+One episode fully eliminates one graph: at each step the actor scores the
 live nodes, a node is sampled (or taken greedily at evaluation time), the
 environment eliminates it, and the negative fill count is the reward. After
 the episode the suffix-sum returns are squashed through the adaptive
 saturation map (|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and
 matches the critic's tanh range, advantages weight the policy gradient, and
 one optimizer step is applied per episode.
+
+A sampled step keeps only a compact state (its normalized features and live
+adjacency), not the network's activations: the gradient pass replays the
+episode one step at a time, evaluating the actor and the critic again on
+each state, so an episode holds one step's activations at a time instead of
+one dense operator per step.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .features import compute_features, normalize_features
-from .policy_net import (ForwardTape, NetConfig, PolicyValueNet, backward,
+from .features import (LiveAdjacency, NodeFeatures, compute_features,
+                       normalize_features)
+from .policy_net import (NetConfig, PolicyValueNet, actor_forward, backward,
                          forward, save_checkpoint, value)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationGraph, EliminationTrace, eliminate_all
@@ -57,17 +64,38 @@ class TrainerConfig:
         return self.lr_first_epoch if epoch == 1 else self.lr_rest
 
 
+@dataclass(frozen=True)
+class StepState:
+    """The state of one sampled step, as much as replaying it needs: the
+    normalized features and the live adjacency as degrees plus neighbour
+    rows, both int32; the row of each entry follows from the degrees."""
+
+    x: np.ndarray
+    degree: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, features: NodeFeatures) -> "StepState":
+        adj = features.adjacency
+        return cls(features.x, adj.degree.astype(np.int32), adj.cols.astype(np.int32))
+
+    def adjacency(self) -> LiveAdjacency:
+        rows = np.repeat(np.arange(len(self.degree)), self.degree)
+        return LiveAdjacency(self.degree, rows, self.cols)
+
+
 @dataclass
 class EpisodeRecord:
     """Everything one gradient update needs from a single rollout: the
-    policy's per-step outputs plus the episode's elimination trace, which
-    holds the rewards and edge counts. Greedy rollouts evaluate only the
-    actor, so they record no values and keep no tapes."""
+    actor's per-step choices, each sampled step's state, and the episode's
+    elimination trace, which holds the rewards and edge counts. The rollout
+    evaluates only the actor; ``values`` is filled from the critic values
+    that ``episode_gradients`` computes. Greedy rollouts keep no states."""
 
     chosen_rows: list[int] = field(default_factory=list)   # row index in live order
     log_probs: list[float] = field(default_factory=list)   # log pi(v_t | G_t)
-    values: list[float] = field(default_factory=list)
-    tapes: list[ForwardTape] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)      # V(G_t)
+    states: list[StepState] = field(default_factory=list)
     trace: EliminationTrace = field(default_factory=EliminationTrace)
 
     def __len__(self) -> int:
@@ -83,10 +111,10 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             ) -> tuple[EpisodeRecord, Ordering]:
     """Run one full elimination episode against the symbolic environment.
 
-    Sampling draws from the policy distribution, evaluates the critic, and
-    keeps each step's tape for ``episode_gradients``; greedy mode takes the
-    argmax with lowest-index tie-break (row order is sorted node ids), needs
-    no rng, and evaluates only the actor.
+    Only the actor is evaluated. Sampling draws from the policy distribution
+    and keeps each step's ``StepState`` for ``episode_gradients``; greedy
+    mode takes the argmax with lowest-index tie-break (row order is sorted
+    node ids), needs no rng, and keeps no states.
     An empty pattern gives an empty record and ordering.
     """
     if not greedy and rng is None:
@@ -95,15 +123,14 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
 
     def choose(g: EliminationGraph) -> int:
         x = normalize_features(compute_features(g))
-        log_probs, tape = forward(net, g, x)
+        log_probs, _ = forward(net, g, x)
         if greedy:
             row = int(np.argmax(log_probs))
         else:
             probs = np.exp(log_probs)
             probs /= probs.sum()
             row = int(rng.choice(len(probs), p=probs))
-            record.values.append(value(net, tape))
-            record.tapes.append(tape)
+            record.states.append(StepState.of(x))
         record.chosen_rows.append(row)
         record.log_probs.append(float(log_probs[row]))
         return x.nodes[row]
@@ -142,9 +169,9 @@ def losses(record: EpisodeRecord, returns: np.ndarray
            ) -> tuple[float, float, np.ndarray]:
     """Actor loss, critic loss, and the per-step advantages.
 
-    Advantages are returns minus value estimates and act as constants in the
-    actor loss; the critic loss is their mean square, with gradient flowing
-    through the value estimates only.
+    Advantages are returns minus the value estimates in ``record.values``
+    and act as constants in the actor loss; the critic loss is their mean
+    square, with gradient flowing through the value estimates only.
     """
     if len(returns) != len(record):
         raise ValueError("returns length does not match the episode length")
@@ -156,19 +183,33 @@ def losses(record: EpisodeRecord, returns: np.ndarray
 
 
 def episode_gradients(net: PolicyValueNet, record: EpisodeRecord,
-                      adv: np.ndarray) -> dict[str, np.ndarray]:
-    """Accumulated gradients of L_actor + L_critic over all episode steps."""
+                      returns: np.ndarray
+                      ) -> tuple[dict[str, np.ndarray], list[float]]:
+    """Accumulated gradients of L_actor + L_critic over all episode steps,
+    and the critic's value of each step.
+
+    Replays the sampled episode one step at a time: the actor and the critic
+    run again on the step's recorded state, through the same functions as in
+    the rollout, so every float is the one a kept tape would have held. The
+    advantage is the step's return minus that value, and the step's tape is
+    freed before the next one is built.
+    """
     n = len(record)
+    if len(returns) != n or len(record.states) != n:
+        raise ValueError(f"an episode of {n} steps needs {n} returns and {n} "
+                         f"recorded states, got {len(returns)} and {len(record.states)}")
     grads = net.zero_grads()
-    for t in range(n):
-        tape = record.tapes[t]
-        d_log_probs = np.zeros_like(tape.log_probs)
-        d_log_probs[record.chosen_rows[t]] = -adv[t] / n
-        d_value = -2.0 * adv[t] / n
-        step = backward(net, tape, d_log_probs, d_value)
-        for name, arr in step.items():
-            grads[name] += arr
-    return grads
+    values: list[float] = []
+    for row, state, ret in zip(record.chosen_rows, record.states, returns):
+        log_probs, tape = actor_forward(net, state.x, state.adjacency())
+        v = value(net, tape)
+        adv = ret - v
+        d_log_probs = np.zeros_like(log_probs)
+        d_log_probs[row] = -adv / n
+        backward(net, tape, d_log_probs, -2.0 * adv / n, grads)
+        del tape
+        values.append(v)
+    return grads, values
 
 
 class AdamState:
@@ -247,8 +288,8 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                 to_returns = (adaptive_saturation_return if cfg.reward == "asr"
                               else raw_return)
                 returns = to_returns(record.trace.edges_before, record.trace.rewards)
-                l_a, l_c, adv = losses(record, returns)
-                grads = episode_gradients(net, record, adv)
+                grads, record.values = episode_gradients(net, record, returns)
+                l_a, l_c, _ = losses(record, returns)
                 bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
                 if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
                     raise ValueError(

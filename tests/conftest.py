@@ -3,7 +3,9 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from fillreduce import NetConfig, SparsityPattern, forward, value
+from fillreduce import (NetConfig, Ordering, SparsityPattern, backward,
+                        compute_features, eliminate_all, forward,
+                        normalize_features, value)
 from fillreduce.features import NUM_FEATURES
 
 
@@ -83,3 +85,38 @@ def reference_propagation(g, config: NetConfig) -> np.ndarray:
         d_inv_sqrt = 1.0 / np.sqrt(deg)
         return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
     return a / deg[:, None]
+
+
+def reference_episode(net, pattern, rng, to_returns):
+    """One sampled episode and its gradient the way training did it with a
+    tape per step: the rollout keeps every step's completed tape, and the
+    gradient pass runs ``backward`` on the kept tapes.
+
+    Returns (gradients, values, log-probs, ordering).
+    """
+    tapes, rows, values = [], [], []
+
+    def choose(g):
+        x = normalize_features(compute_features(g))
+        log_probs, tape = forward(net, g, x)
+        probs = np.exp(log_probs)
+        probs /= probs.sum()
+        row = int(rng.choice(len(probs), p=probs))
+        values.append(value(net, tape))
+        tapes.append(tape)
+        rows.append(row)
+        return x.nodes[row]
+
+    trace = eliminate_all(pattern, choose)
+    returns = to_returns(trace.edges_before, trace.rewards)
+    adv = returns - np.asarray(values, dtype=np.float64)
+    n = len(tapes)
+    grads = net.zero_grads()
+    for t, tape in enumerate(tapes):
+        d_log_probs = np.zeros_like(tape.log_probs)
+        d_log_probs[rows[t]] = -adv[t] / n
+        step = backward(net, tape, d_log_probs, -2.0 * adv[t] / n)
+        for name, arr in step.items():
+            grads[name] += arr
+    log_probs = [float(tape.log_probs[row]) for tape, row in zip(tapes, rows)]
+    return grads, values, log_probs, Ordering(trace.nodes)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import cycle_pattern, path_pattern
 from fillreduce import (NetConfig, PolicyValueNet, load_ordering, save_checkpoint,
-                        trainer, write_matrix_market)
+                        sparsity, trainer, write_matrix_market)
 from fillreduce.cli import main
 
 
@@ -73,6 +73,24 @@ def test_order_empty_matrix(tmp_path, capsys):
                     "--out", out]) == 0
         assert out.read_text() == ""
         assert f"n=0, method={method}, fir=0 ->" in capsys.readouterr().out
+
+
+def test_oversized_matrix_is_an_error(tmp_path, capsys, monkeypatch):
+    # a lowered limit, so no command ever allocates for a huge declared n
+    monkeypatch.setattr(sparsity, "MAX_NODES", 3)
+    write_matrix_market(path_pattern(4), tmp_path / "big.mtx")
+    write_matrix_market(path_pattern(3), tmp_path / "ok.mtx")
+    out = tmp_path / "o.txt"
+    assert run(["order", "--matrix", tmp_path / "big.mtx", "--method", "mindeg",
+                "--out", out]) == 2
+    assert "error: matrix declares 4 nodes, more than the supported 3" in capsys.readouterr().err
+    assert not out.exists()
+    report = tmp_path / "r.csv"
+    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", "natural",
+                "--out", report]) == 1
+    text = report.read_text()
+    assert 'big.mtx,natural,,,,"error: matrix declares 4 nodes' in text
+    assert "ok.mtx,natural,3,7,0," in text
 
 
 def test_bench_partial_failure_exit_code(tmp_path, capsys):
@@ -156,8 +174,9 @@ def test_train_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"
     run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
 
-    def nan_gradients(net, record, adv):
-        return {name: np.full_like(arr, np.nan) for name, arr in net.params.items()}
+    def nan_gradients(net, record, returns):
+        grads = {name: np.full_like(arr, np.nan) for name, arr in net.params.items()}
+        return grads, [0.0] * len(record)
 
     monkeypatch.setattr(trainer, "episode_gradients", nan_gradients)
     capsys.readouterr()

@@ -10,6 +10,7 @@ from conftest import cycle_pattern, patterns, random_pattern
 from fillreduce import (Ordering, OrderingError, PatternError, SparsityPattern,
                         load_matrix_market, load_ordering, nnz_sym,
                         write_matrix_market, write_ordering)
+from fillreduce.sparsity import MAX_NODES
 
 
 def mm(text: str) -> str:
@@ -96,6 +97,16 @@ def test_explicit_zero_counts_as_nonzero():
 def test_malformed_inputs_raise_descriptive_errors(text, snippet):
     with pytest.raises(PatternError, match=snippet):
         load_matrix_market(io.StringIO(text))
+
+
+def test_declared_size_above_limit_rejected():
+    # header-only files: loading allocates nothing per node either way
+    header = "%%MatrixMarket matrix coordinate pattern symmetric\n{0} {0} 0\n"
+    assert load_matrix_market(io.StringIO(header.format(MAX_NODES))).n == MAX_NODES
+    for n in (MAX_NODES + 1, 1000000000):
+        with pytest.raises(PatternError, match=f"declares {n} nodes, more than "
+                                               f"the supported {MAX_NODES}"):
+            load_matrix_market(io.StringIO(header.format(n)))
 
 
 def test_comments_and_blank_lines_skipped():

@@ -1,14 +1,20 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import fill_edges, path_pattern, random_pattern, star_pattern
-from fillreduce import (EpisodeRecord, SparsityPattern, TrainerConfig,
-                        adaptive_saturation_return, generate_training_set,
-                        losses, raw_return, rollout, symbolic_factorize, train,
-                        trainer)
-from fillreduce.policy_net import NetConfig, PolicyValueNet, load_checkpoint
+from conftest import (fill_edges, path_pattern, random_pattern, reference_episode,
+                      star_pattern)
+from fillreduce import (EliminationGraph, EpisodeRecord, SparsityPattern,
+                        TrainerConfig, adaptive_saturation_return,
+                        compute_features, forward, generate_delaunay,
+                        generate_training_set, losses, normalize_features,
+                        raw_return, rollout, symbolic_factorize, train, trainer)
+from fillreduce.policy_net import (ForwardTape, NetConfig, PolicyValueNet,
+                                   load_checkpoint)
 from fillreduce.trainer import (ADAM_EPS, AdamState, TrainLogEntry,
-                               write_training_log)
+                               episode_gradients, write_training_log)
 
 
 def fresh_net(seed=0):
@@ -156,24 +162,38 @@ def test_rollout_greedy_is_deterministic_and_needs_no_rng():
     assert list(empty) == []
 
 
-def test_rollout_greedy_keeps_no_tapes():
+def test_no_rollout_keeps_a_tape():
     net = fresh_net(8)
     p = random_pattern(np.random.default_rng(47), 10)
     greedy, _ = rollout(net, p, rng=None, greedy=True)
     sampled, _ = rollout(net, p, np.random.default_rng(48))
-    assert greedy.tapes == []
-    assert len(greedy) == len(greedy.trace) == 10
-    assert len(sampled.tapes) == 10
+    for record in (greedy, sampled):
+        assert len(record) == len(record.trace) == 10
+        assert record.values == []
+        for f in dataclasses.fields(record):
+            kept = getattr(record, f.name)
+            assert not any(isinstance(item, ForwardTape)
+                           for item in (kept if isinstance(kept, list) else [kept]))
+    assert greedy.states == []
+    # a sampled step keeps its features and adjacency, nothing k x k
+    assert [len(s.degree) for s in sampled.states] == list(range(10, 0, -1))
+    for state in sampled.states:
+        k = len(state.degree)
+        assert state.x.shape == (k, 2)
+        assert state.degree.dtype == state.cols.dtype == np.int32
+        assert state.cols.shape == (state.degree.sum(),)
 
 
-def test_rollout_greedy_never_evaluates_the_critic():
+@pytest.mark.parametrize("greedy", [True, False])
+def test_rollout_never_evaluates_the_critic(greedy):
     net = fresh_net(9)
     blind = PolicyValueNet(net.config, params={
         name: np.full_like(arr, np.nan) if name.startswith("critic.") else arr
         for name, arr in net.params.items()})
     p = random_pattern(np.random.default_rng(49), 12)
-    expected, ordering = rollout(net, p, rng=None, greedy=True)
-    record, blind_ordering = rollout(blind, p, rng=None, greedy=True)
+    rng = lambda: None if greedy else np.random.default_rng(50)
+    expected, ordering = rollout(net, p, rng(), greedy=greedy)
+    record, blind_ordering = rollout(blind, p, rng(), greedy=greedy)
     assert blind_ordering == ordering
     assert record.chosen_rows == expected.chosen_rows
     assert record.log_probs == expected.log_probs
@@ -199,10 +219,20 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
 
 def test_rollout_log_probs_match_chosen_rows():
     net = fresh_net(7)
-    p = path_pattern(5)
-    record, _ = rollout(net, p, np.random.default_rng(46))
-    for t, tape in enumerate(record.tapes):
-        assert record.log_probs[t] == tape.log_probs[record.chosen_rows[t]]
+    p = random_pattern(np.random.default_rng(46), 9)
+    record, ordering = rollout(net, p, np.random.default_rng(46))
+    g = EliminationGraph(p)
+    for t, state in enumerate(record.states):
+        x = normalize_features(compute_features(g))
+        assert np.array_equal(state.x, x.x)
+        adj = state.adjacency()
+        for got, want in ((adj.degree, x.adjacency.degree), (adj.rows, x.adjacency.rows),
+                          (adj.cols, x.adjacency.cols)):
+            assert np.array_equal(got, want)
+        log_probs, _ = forward(net, g, x)
+        assert record.log_probs[t] == log_probs[record.chosen_rows[t]]
+        assert x.nodes[record.chosen_rows[t]] == ordering[t]
+        g.eliminate(ordering[t])
 
 
 def test_rollout_greedy_ties_break_to_lowest_index():
@@ -273,12 +303,12 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
     real = trainer.episode_gradients
     calls = []
 
-    def poisoned(net, record, adv):
-        grads = real(net, record, adv)
+    def poisoned(net, record, returns):
+        grads, values = real(net, record, returns)
         calls.append(len(record))
         if len(calls) == 2:
             grads["critic.head.b"][0] = np.nan
-        return grads
+        return grads, values
 
     monkeypatch.setattr(trainer, "episode_gradients", poisoned)
     cfg = TrainerConfig(epochs=2, seed=4, checkpoint_every=1, checkpoint_path=str(ckpt))
@@ -337,6 +367,56 @@ def test_adam_matches_reference_update():
     expected_delta = -0.01 * 0.5 / (0.5 + ADAM_EPS)
     for name in net.params:
         assert np.allclose(net.params[name] - before[name], expected_delta)
+
+
+@pytest.mark.parametrize("backbone", ["mixhop", "singlehop"])
+@pytest.mark.parametrize("returns", [adaptive_saturation_return, raw_return])
+@pytest.mark.parametrize("graph", ["random", "delaunay"])
+def test_episode_gradients_match_tape_reference(backbone, returns, graph):
+    rng = np.random.default_rng(51)
+    net = PolicyValueNet(NetConfig(backbone=backbone), rng=rng)
+    for n in (1, 7, 24):
+        p = random_pattern(rng, n) if graph == "random" else generate_delaunay(max(n, 3), rng)
+        seed = int(rng.integers(2 ** 32))
+        want, want_values, want_log_probs, want_ordering = reference_episode(
+            net, p, np.random.default_rng(seed), returns)
+        record, ordering = rollout(net, p, np.random.default_rng(seed))
+        grads, values = episode_gradients(
+            net, record, returns(record.trace.edges_before, record.trace.rewards))
+        assert ordering == want_ordering
+        assert record.log_probs == want_log_probs
+        assert values == want_values
+        assert grads.keys() == want.keys()
+        # bytes, not just values: a -0.0 for a 0.0 would change a checkpoint
+        assert all(np.array_equal(grads[name], want[name])
+                   and grads[name].tobytes() == want[name].tobytes() for name in want)
+
+
+def test_episode_gradients_rejects_unreplayable_records():
+    net = fresh_net(10)
+    p = path_pattern(4)
+    greedy, _ = rollout(net, p, rng=None, greedy=True)
+    with pytest.raises(ValueError, match="recorded states"):
+        episode_gradients(net, greedy, np.zeros(4))
+    sampled, _ = rollout(net, p, np.random.default_rng(52))
+    with pytest.raises(ValueError, match="returns"):
+        episode_gradients(net, sampled, np.zeros(3))
+
+
+def test_episode_memory_stays_small():
+    # a tape per step held a dense k x k operator per step: 38 MB here
+    p = generate_delaunay(120, np.random.default_rng(53))
+    net = fresh_net(11)
+    rng = np.random.default_rng(54)
+    tracemalloc.start()
+    try:
+        record, _ = rollout(net, p, rng)
+        returns = adaptive_saturation_return(record.trace.edges_before, record.trace.rewards)
+        episode_gradients(net, record, returns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.slow
