@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparsity import SparsityPattern, load_matrix_market, write_matrix_market
+from .sparsity import (PatternError, SparsityPattern, load_matrix_market,
+                       write_matrix_market)
 
 _SUPER_SCALE = 1e4
 _SUPER = ((-_SUPER_SCALE, -_SUPER_SCALE),
@@ -198,8 +199,11 @@ def load_training_set(data_dir: str | Path) -> list[SparsityPattern]:
     manifest = data / MANIFEST_NAME
     if manifest.exists():
         with open(manifest, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        return [load_matrix_market(data / row["file"]) for row in rows]
+            reader = csv.DictReader(fh)
+            files = [row.get("file") for row in reader]
+        if "file" not in (reader.fieldnames or ()) or None in files:
+            raise PatternError(f"manifest {manifest} needs a 'file' entry in every row")
+        return [load_matrix_market(data / name) for name in files]
     files = sorted(data.glob("*.mtx"))
     if not files:
         raise FileNotFoundError(f"no manifest and no .mtx files in {data}")

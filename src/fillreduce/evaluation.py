@@ -123,12 +123,17 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
                   model_path: str | Path | None = None, seed: int = 0) -> EvalReport:
     """Evaluate every matrix x method cell; failures become error rows.
 
+    ``methods`` names at least one method of ``METHODS``, each at most once.
+
     Matrices are identified by file name and processed in sorted order, so a
     repeat run over the same inputs reproduces the report byte for byte.
     """
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be a non-empty list without repeats, "
+                         f"got {list(methods)}")
     model: PolicyValueNet | None = None
     model_error: str | None = None
     if "gpo" in methods:

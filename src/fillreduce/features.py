@@ -23,14 +23,19 @@ class LiveAdjacency:
     """One snapshot of the live subgraph with nodes numbered by row, row i
     being the i-th smallest live node id.
 
-    Entry e is the directed edge ``rows[e] -> cols[e]``; every undirected
-    edge appears once in each direction, and ``degree[i]`` counts the
-    entries of row i.
+    Row i has ``degree[i]`` entries, the neighbour rows
+    ``cols[sum(degree[:i]):sum(degree[:i + 1])]``; every undirected edge
+    appears once in each direction. Both arrays are int32, so a training
+    step can keep its snapshot cheaply.
     """
 
     degree: np.ndarray
-    rows: np.ndarray
     cols: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of every entry, so entry e is ``rows[e] -> cols[e]``."""
+        return np.repeat(np.arange(len(self.degree)), self.degree)
 
 
 @dataclass
@@ -39,7 +44,8 @@ class NodeFeatures:
 
     ``nodes`` is the sorted live-node list, the same row order used by the
     policy network's propagation operator. ``adjacency`` is the snapshot
-    the features were computed from; the operator is built from it too.
+    the features were computed from; the operator is built from it too, so
+    a ``NodeFeatures`` is all the actor reads of a state.
     """
 
     nodes: list[int]
@@ -58,18 +64,18 @@ def compute_features(g: EliminationGraph) -> NodeFeatures:
     nodes = sorted(g.live)
     k = len(nodes)
     neighbors = [g.adj[v] for v in nodes]
-    degree = np.fromiter(map(len, neighbors), dtype=np.intp, count=k)
+    degree = np.fromiter(map(len, neighbors), dtype=np.int32, count=k)
     flat = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
                        count=int(degree.sum()))
-    row_of = np.zeros(nodes[-1] + 1 if nodes else 0, dtype=np.intp)
+    row_of = np.zeros(nodes[-1] + 1 if nodes else 0, dtype=np.int32)
     row_of[nodes] = np.arange(k)
-    rows = np.repeat(np.arange(k), degree)
-    cols = row_of[flat]
+    adjacency = LiveAdjacency(degree, row_of[flat])
     x = np.zeros((k, NUM_FEATURES), dtype=np.float64)
     x[:, 0] = degree
-    neighbor_sum = np.bincount(rows, weights=degree[cols] - 1, minlength=k)
+    neighbor_sum = np.bincount(adjacency.rows, weights=degree[adjacency.cols] - 1,
+                               minlength=k)
     x[:, 1] = np.maximum(degree - 1, 0) * neighbor_sum
-    return NodeFeatures(nodes, x, LiveAdjacency(degree, rows, cols))
+    return NodeFeatures(nodes, x, adjacency)
 
 
 def normalize_features(nf: NodeFeatures) -> NodeFeatures:

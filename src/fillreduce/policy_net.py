@@ -8,10 +8,11 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
-``forward`` evaluates the actor alone, which is all a rollout needs;
-``value`` runs the critic on the same state when training wants it.
-``actor_forward`` is the actor on one snapshot of the live graph, which is
-what training replays to rebuild a step's tape for ``backward``.
+``forward`` evaluates the actor alone on one snapshot of the live graph
+(its ``NodeFeatures``), which is all a rollout needs; ``value`` runs the
+critic on the same state when training wants it. The actor reads nothing but
+the snapshot, so training replays a step by calling ``forward`` on the
+snapshot the rollout kept, and gets the rollout's floats again.
 Gradients come from a recorded tape replayed in reverse, not from numeric
 differentiation; a finite-difference suite in the tests validates every
 parameter.
@@ -20,6 +21,7 @@ parameter.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -28,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .features import NUM_FEATURES, LiveAdjacency, NodeFeatures
-from .symbolic import EliminationGraph
 
 FORMAT_VERSION = 1
 
@@ -136,10 +137,10 @@ def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np
     if config.backbone == "mixhop":
         d_inv_sqrt = 1.0 / np.sqrt(deg)
         diag = d_inv_sqrt * d_inv_sqrt
-        off = d_inv_sqrt[adj.rows] * d_inv_sqrt[adj.cols]
+        off = np.repeat(d_inv_sqrt, adj.degree) * d_inv_sqrt[adj.cols]
     else:
         diag = 1.0 / deg
-        off = diag[adj.rows]
+        off = np.repeat(diag, adj.degree)
     prop = np.diag(diag)
     prop[adj.rows, adj.cols] = off
     return prop
@@ -196,34 +197,23 @@ def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
     return TowerTape(hop_inputs, activations, h)
 
 
-def forward(net: PolicyValueNet, g: EliminationGraph,
-            x: NodeFeatures) -> tuple[np.ndarray, ForwardTape]:
-    """Evaluate the actor on the live subgraph.
+def forward(net: PolicyValueNet, features: NodeFeatures
+            ) -> tuple[np.ndarray, ForwardTape]:
+    """Evaluate the actor on one snapshot of the live graph: the normalized
+    features and the live adjacency they were computed from.
 
-    Checks that ``x`` describes the live nodes of ``g``, then runs
-    ``actor_forward`` on its snapshot. Returns log-probabilities over the
-    live nodes (row order = sorted live node ids, matching ``x.nodes``) and
-    the tape that ``value`` completes for ``backward``.
+    Returns log-probabilities over the live nodes (row order = sorted live
+    node ids, matching ``features.nodes``) and the tape that ``value``
+    completes for ``backward``. The result depends on the snapshot alone.
     """
-    if not g.live:
+    k = len(features.adjacency.degree)
+    if k == 0:
         raise NetworkError("cannot evaluate the network on an empty graph")
-    nodes = sorted(g.live)
-    if x.nodes != nodes or x.x.shape != (len(nodes), NUM_FEATURES):
-        raise NetworkError(
-            f"features cover {len(x.nodes)} nodes, graph has {len(nodes)} live nodes")
-    return actor_forward(net, x.x, x.adjacency)
-
-
-def actor_forward(net: PolicyValueNet, x: np.ndarray, adjacency: LiveAdjacency
-                  ) -> tuple[np.ndarray, ForwardTape]:
-    """Evaluate the actor on one snapshot: the normalized feature matrix and
-    the live adjacency it was computed from, rows in the same order.
-
-    The result depends on nothing else, so training can replay a step from
-    its snapshot and get the rollout's floats again.
-    """
-    prop = build_propagation(adjacency, net.config)
-    actor = _tower_forward(net, "actor", prop, _hop_inputs(net.config, prop, x))
+    if features.x.shape != (k, NUM_FEATURES):
+        raise NetworkError(f"features have shape {features.x.shape}, "
+                           f"the adjacency has {k} live nodes")
+    prop = build_propagation(features.adjacency, net.config)
+    actor = _tower_forward(net, "actor", prop, _hop_inputs(net.config, prop, features.x))
     logits = actor.final @ net.params["actor.head.w"] + net.params["actor.head.b"][0]
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
@@ -355,6 +345,8 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
         version, in_dim = meta["format_version"], meta["in_dim"]
         config = NetConfig(backbone=meta["backbone"], num_layers=meta["num_layers"],
                            hidden_per_hop=meta["hidden_per_hop"])
+        # counted, not named: the metadata may declare far more than the archive holds
+        declared = 2 * (2 + 2 * len(config.hops) * operator.index(config.num_layers))
     except (ValueError, KeyError, TypeError) as exc:
         raise NetworkError(f"checkpoint {path} has bad metadata "
                            f"({type(exc).__name__}: {exc})") from exc
@@ -363,6 +355,11 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
     if in_dim != NUM_FEATURES:
         raise NetworkError(f"checkpoint {path} has {in_dim!r} input features, "
                            f"expected {NUM_FEATURES}")
+    if declared != len(arrays):
+        gap = declared - len(arrays)
+        raise NetworkError(
+            f"checkpoint {path} declares {declared} parameter arrays and holds "
+            f"{len(arrays)} ({abs(gap)} {'missing' if gap > 0 else 'extra'})")
     expected = param_shapes(config)
     got = {k: v.shape for k, v in arrays.items()}
     if got != expected:
@@ -370,6 +367,12 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
         extra = sorted(set(got) - set(expected))
         bad = sorted(k for k in set(got) & set(expected) if got[k] != expected[k])
         raise NetworkError(
-            f"checkpoint {path} does not match its declared shapes "
-            f"(missing={missing}, extra={extra}, mismatched={bad})")
+            f"checkpoint {path} does not match its declared shapes (missing="
+            f"{_first(missing)}, extra={_first(extra)}, mismatched={_first(bad)})")
     return PolicyValueNet(config, params=arrays)
+
+
+def _first(names: list[str], limit: int = 5) -> str:
+    """At most ``limit`` names, so an error message stays short."""
+    more = f", and {len(names) - limit} more" if len(names) > limit else ""
+    return "[" + ", ".join(names[:limit]) + more + "]"

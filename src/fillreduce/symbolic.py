@@ -5,19 +5,21 @@ clique; the newly created edges are the fill of that step. Running all n
 steps of an ordering predicts the factor's sparsity pattern without any
 numeric work. ``eliminate_all`` is the one loop that does this: a chooser
 picks each next node, so fixed orderings, minimum degree and the learned
-policy share it. A slow fill-path checker is included as an independent test
-oracle: a pair (i, j) fills iff some path joins i and j whose internal nodes
-are all eliminated before both endpoints.
+policy share it. Its trace keeps each step's fill count, which is all the
+rewards and the fill-in ratio read; ``EliminationGraph.eliminate`` still
+returns the step's fill edges to a caller that wants them. A slow fill-path
+checker is included as an independent test oracle: a pair (i, j) fills iff
+some path joins i and j whose internal nodes are all eliminated before both
+endpoints.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
-from .sparsity import Ordering, SparsityPattern, _open_text
+from .sparsity import Ordering, SparsityPattern
 
 
 class EliminationError(ValueError):
@@ -77,17 +79,17 @@ class EliminationGraph:
 class EliminationTrace:
     """Per-step records of one full elimination episode.
 
-    All lists share length n, and ``edges_before[t]`` is the edge count of
-    the graph the step-t decision was taken in.
+    All lists share length n: step t eliminated ``nodes[t]`` from a graph
+    of ``edges_before[t]`` edges and created ``fill[t]`` new ones.
     """
 
     nodes: list[int] = field(default_factory=list)
-    fill_sets: list[list[tuple[int, int]]] = field(default_factory=list)
+    fill: list[int] = field(default_factory=list)
     edges_before: list[int] = field(default_factory=list)
 
-    def append(self, node: int, fill: list[tuple[int, int]], edges_before: int) -> None:
+    def append(self, node: int, fill: int, edges_before: int) -> None:
         self.nodes.append(node)
-        self.fill_sets.append(fill)
+        self.fill.append(fill)
         self.edges_before.append(edges_before)
 
     def __len__(self) -> int:
@@ -96,17 +98,11 @@ class EliminationTrace:
     @property
     def rewards(self) -> list[int]:
         """Per-step reward: the negative fill count."""
-        return [-len(f) for f in self.fill_sets]
+        return [-f for f in self.fill]
 
     @property
     def total_fill(self) -> int:
-        return sum(len(f) for f in self.fill_sets)
-
-    def write(self, target: str | Path | IO[str]) -> None:
-        """Dump as line-oriented text: ``step,node,fill_count,edges_before``."""
-        with _open_text(target, "w") as fh:
-            for t, node in enumerate(self.nodes):
-                fh.write(f"{t},{node},{len(self.fill_sets[t])},{self.edges_before[t]}\n")
+        return sum(self.fill)
 
 
 def eliminate_all(pattern: SparsityPattern,
@@ -120,7 +116,7 @@ def eliminate_all(pattern: SparsityPattern,
     for _ in range(pattern.n):
         v = choose(g)
         edges_before = g.num_edges
-        trace.append(v, g.eliminate(v), edges_before)
+        trace.append(v, len(g.eliminate(v)), edges_before)
     return trace
 
 
@@ -137,8 +133,8 @@ def symbolic_factorize(pattern: SparsityPattern,
                        ordering: Ordering | Sequence[int]) -> EliminationTrace:
     """Eliminate every node in the given order and return the trace.
 
-    The per-step fill sets are disjoint, so ``trace.total_fill`` is the fill
-    of the factor L + L^T off the diagonal.
+    No edge is created twice, so ``trace.total_fill`` is the fill of the
+    factor L + L^T off the diagonal.
     """
     steps = iter(_as_ordering(ordering, pattern.n))
     return eliminate_all(pattern, lambda g: next(steps))

@@ -8,11 +8,12 @@ saturation map (|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and
 matches the critic's tanh range, advantages weight the policy gradient, and
 one optimizer step is applied per episode.
 
-A sampled step keeps only a compact state (its normalized features and live
-adjacency), not the network's activations: the gradient pass replays the
-episode one step at a time, evaluating the actor and the critic again on
-each state, so an episode holds one step's activations at a time instead of
-one dense operator per step.
+A sampled step keeps only the snapshot the actor read (its normalized
+``NodeFeatures``: features and int32 live adjacency), not the network's
+activations. The gradient pass replays the episode one step at a time,
+calling the same ``forward`` on the same snapshot and then the critic, so it
+gets the rollout's floats again and holds one step's activations at a time
+instead of one dense operator per step.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .features import (LiveAdjacency, NodeFeatures, compute_features,
-                       normalize_features)
-from .policy_net import (NetConfig, PolicyValueNet, actor_forward, backward,
-                         forward, save_checkpoint, value)
+from .features import NodeFeatures, compute_features, normalize_features
+from .policy_net import (NetConfig, PolicyValueNet, backward, forward,
+                         save_checkpoint, value)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationGraph, EliminationTrace, eliminate_all
 
@@ -64,46 +64,20 @@ class TrainerConfig:
         return self.lr_first_epoch if epoch == 1 else self.lr_rest
 
 
-@dataclass(frozen=True)
-class StepState:
-    """The state of one sampled step, as much as replaying it needs: the
-    normalized features and the live adjacency as degrees plus neighbour
-    rows, both int32; the row of each entry follows from the degrees."""
-
-    x: np.ndarray
-    degree: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def of(cls, features: NodeFeatures) -> "StepState":
-        adj = features.adjacency
-        return cls(features.x, adj.degree.astype(np.int32), adj.cols.astype(np.int32))
-
-    def adjacency(self) -> LiveAdjacency:
-        rows = np.repeat(np.arange(len(self.degree)), self.degree)
-        return LiveAdjacency(self.degree, rows, self.cols)
-
-
 @dataclass
 class EpisodeRecord:
-    """Everything one gradient update needs from a single rollout: the
-    actor's per-step choices, each sampled step's state, and the episode's
-    elimination trace, which holds the rewards and edge counts. The rollout
-    evaluates only the actor; ``values`` is filled from the critic values
-    that ``episode_gradients`` computes. Greedy rollouts keep no states."""
+    """What one gradient update needs from a single rollout: the actor's
+    per-step choices, each sampled step's snapshot, and the episode's
+    elimination trace, which holds the fill counts and edge counts. Greedy
+    rollouts keep no snapshots."""
 
     chosen_rows: list[int] = field(default_factory=list)   # row index in live order
     log_probs: list[float] = field(default_factory=list)   # log pi(v_t | G_t)
-    values: list[float] = field(default_factory=list)      # V(G_t)
-    states: list[StepState] = field(default_factory=list)
+    states: list[NodeFeatures] = field(default_factory=list)
     trace: EliminationTrace = field(default_factory=EliminationTrace)
 
     def __len__(self) -> int:
         return len(self.log_probs)
-
-    @property
-    def total_fill(self) -> int:
-        return self.trace.total_fill
 
 
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
@@ -112,7 +86,7 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     """Run one full elimination episode against the symbolic environment.
 
     Only the actor is evaluated. Sampling draws from the policy distribution
-    and keeps each step's ``StepState`` for ``episode_gradients``; greedy
+    and keeps each step's normalized features for ``episode_gradients``; greedy
     mode takes the argmax with lowest-index tie-break (row order is sorted
     node ids), needs no rng, and keeps no states.
     An empty pattern gives an empty record and ordering.
@@ -123,14 +97,14 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
 
     def choose(g: EliminationGraph) -> int:
         x = normalize_features(compute_features(g))
-        log_probs, _ = forward(net, g, x)
+        log_probs, _ = forward(net, x)
         if greedy:
             row = int(np.argmax(log_probs))
         else:
             probs = np.exp(log_probs)
             probs /= probs.sum()
             row = int(rng.choice(len(probs), p=probs))
-            record.states.append(StepState.of(x))
+            record.states.append(x)
         record.chosen_rows.append(row)
         record.log_probs.append(float(log_probs[row]))
         return x.nodes[row]
@@ -165,17 +139,17 @@ def raw_return(edge_counts: Sequence[int], rewards: Sequence[int]) -> np.ndarray
     return r / scale
 
 
-def losses(record: EpisodeRecord, returns: np.ndarray
+def losses(record: EpisodeRecord, values: Sequence[float], returns: np.ndarray
            ) -> tuple[float, float, np.ndarray]:
     """Actor loss, critic loss, and the per-step advantages.
 
-    Advantages are returns minus the value estimates in ``record.values``
-    and act as constants in the actor loss; the critic loss is their mean
-    square, with gradient flowing through the value estimates only.
+    Advantages are returns minus the critic's ``values`` and act as
+    constants in the actor loss; the critic loss is their mean square, with
+    gradient flowing through the value estimates only.
     """
-    if len(returns) != len(record):
-        raise ValueError("returns length does not match the episode length")
-    adv = returns - np.asarray(record.values, dtype=np.float64)
+    if len(returns) != len(record) or len(values) != len(record):
+        raise ValueError("returns or values length does not match the episode length")
+    adv = returns - np.asarray(values, dtype=np.float64)
     logp = np.asarray(record.log_probs, dtype=np.float64)
     l_actor = float(-(logp * adv).mean())
     l_critic = float((adv * adv).mean())
@@ -188,9 +162,9 @@ def episode_gradients(net: PolicyValueNet, record: EpisodeRecord,
     """Accumulated gradients of L_actor + L_critic over all episode steps,
     and the critic's value of each step.
 
-    Replays the sampled episode one step at a time: the actor and the critic
-    run again on the step's recorded state, through the same functions as in
-    the rollout, so every float is the one a kept tape would have held. The
+    Replays the sampled episode one step at a time: ``forward`` runs again
+    on the snapshot the rollout's ``forward`` read, so every float is the
+    one a kept tape would have held, and the critic completes the tape. The
     advantage is the step's return minus that value, and the step's tape is
     freed before the next one is built.
     """
@@ -201,7 +175,7 @@ def episode_gradients(net: PolicyValueNet, record: EpisodeRecord,
     grads = net.zero_grads()
     values: list[float] = []
     for row, state, ret in zip(record.chosen_rows, record.states, returns):
-        log_probs, tape = actor_forward(net, state.x, state.adjacency())
+        log_probs, tape = forward(net, state)
         v = value(net, tape)
         adv = ret - v
         d_log_probs = np.zeros_like(log_probs)
@@ -288,8 +262,8 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                 to_returns = (adaptive_saturation_return if cfg.reward == "asr"
                               else raw_return)
                 returns = to_returns(record.trace.edges_before, record.trace.rewards)
-                grads, record.values = episode_gradients(net, record, returns)
-                l_a, l_c, _ = losses(record, returns)
+                grads, values = episode_gradients(net, record, returns)
+                l_a, l_c, _ = losses(record, values, returns)
                 bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
                 if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
                     raise ValueError(
@@ -297,7 +271,8 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                         f"(losses {l_a:.6g}, {l_c:.6g}; non-finite gradients: "
                         f"{', '.join(bad) or 'none'})")
                 adam.step(net, grads, lr)
-                log.append(TrainLogEntry(epoch, graph_id, record.total_fill, l_a, l_c))
+                log.append(TrainLogEntry(epoch, graph_id, record.trace.total_fill,
+                                         l_a, l_c))
                 episode += 1
                 if (cfg.checkpoint_every > 0 and cfg.checkpoint_path
                         and episode % cfg.checkpoint_every == 0):

@@ -3,15 +3,21 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from fillreduce import (NetConfig, Ordering, SparsityPattern, backward,
-                        compute_features, eliminate_all, forward,
+from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
+                        backward, compute_features, eliminate_all, forward,
                         normalize_features, value)
 from fillreduce.features import NUM_FEATURES
 
 
-def fill_edges(trace) -> set[tuple[int, int]]:
-    """All fill edges of an elimination trace; the per-step sets are disjoint."""
-    return set().union(*trace.fill_sets)
+def fill_steps(pattern, ordering) -> list[list[tuple[int, int]]]:
+    """The fill edges of each step, by replaying ``EliminationGraph.eliminate``."""
+    g = EliminationGraph(pattern)
+    return [g.eliminate(v) for v in ordering]
+
+
+def fill_edges(pattern, ordering) -> set[tuple[int, int]]:
+    """All fill edges of an ordering; the per-step sets are disjoint."""
+    return set().union(*fill_steps(pattern, ordering))
 
 
 def path_pattern(n: int) -> SparsityPattern:
@@ -53,9 +59,9 @@ def random_tree(rng: np.random.Generator, n: int) -> SparsityPattern:
     return SparsityPattern(n, edges)
 
 
-def evaluate(net, g, x):
+def evaluate(net, x):
     """Both heads on one state: (log-probs, value, completed tape)."""
-    log_probs, tape = forward(net, g, x)
+    log_probs, tape = forward(net, x)
     return log_probs, value(net, tape), tape
 
 
@@ -98,7 +104,7 @@ def reference_episode(net, pattern, rng, to_returns):
 
     def choose(g):
         x = normalize_features(compute_features(g))
-        log_probs, tape = forward(net, g, x)
+        log_probs, tape = forward(net, x)
         probs = np.exp(log_probs)
         probs /= probs.sum()
         row = int(rng.choice(len(probs), p=probs))

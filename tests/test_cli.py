@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ def test_bench_no_matches_and_bad_method(tmp_path, capsys):
     assert "no files match" in err and "unknown method" in err
 
 
+@pytest.mark.parametrize("methods", [",", "natural,natural"])
+def test_bench_empty_or_repeated_methods_exit_2(tmp_path, capsys, methods):
+    write_matrix_market(path_pattern(3), tmp_path / "a.mtx")
+    report = tmp_path / "r.csv"
+    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", methods,
+                "--out", report]) == 2
+    assert "non-empty list without repeats" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_train_with_backbone_and_reward_flags(tmp_path):
     data = tmp_path / "data"
     run(["gen", "--count", 2, "--min", 6, "--max", 9, "--seed", 3, "--out", data])
@@ -144,12 +156,13 @@ def test_cli_reproducibility(tmp_path):
     assert reports[0] == reports[1]
 
 
-def _bad_meta_checkpoint(path):
+def _checkpoint_with_meta(path, meta):
     net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(0))
-    np.savez(path, __meta__=np.array("{not json"), **net.params)
+    np.savez(path, __meta__=np.array(meta), **net.params)
 
 
-@pytest.mark.parametrize("case", ["malformed_matrix", "missing_model", "bad_meta_model"])
+@pytest.mark.parametrize("case", ["malformed_matrix", "missing_model", "bad_meta_model",
+                                  "huge_layers_model", "manifest_without_file"])
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     matrix = tmp_path / "m.mtx"
     write_matrix_market(path_pattern(4), matrix)
@@ -159,9 +172,16 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
         matrix.write_text("garbage\n")
         method = "mindeg"
     elif case == "bad_meta_model":
-        _bad_meta_checkpoint(model)
+        _checkpoint_with_meta(model, "{not json")
+    elif case == "huge_layers_model":
+        _checkpoint_with_meta(model, json.dumps({
+            "format_version": 1, "backbone": "mixhop", "num_layers": 20000,
+            "hidden_per_hop": 16, "in_dim": 2}))
     args = ["order", "--matrix", matrix, "--method", method, "--model", model,
             "--out", tmp_path / "o.txt"]
+    if case == "manifest_without_file":
+        (tmp_path / "manifest.csv").write_text("id,name\n0,m.mtx\n")
+        args = ["train", "--data", tmp_path, "--out", tmp_path / "o.txt"]
     assert run(args) == 2
     captured = capsys.readouterr()
     err_lines = captured.err.strip().splitlines()

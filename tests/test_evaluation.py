@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 
 from conftest import cycle_pattern, fill_edges, path_pattern, patterns, star_pattern
 from fillreduce import (Ordering, PolicyValueNet, SparsityPattern, fill_in_ratio,
-                        min_degree_order, run_benchmark, symbolic_factorize,
-                        write_matrix_market)
+                        min_degree_order, run_benchmark, write_matrix_market)
 from fillreduce.evaluation import METHODS, compute_ordering, gpo_order
 from fillreduce.policy_net import NetConfig, save_checkpoint
 
@@ -96,6 +95,10 @@ def test_benchmark_rejects_unknown_method(tmp_path):
     f = write_pattern(tmp_path, "p.mtx", path_pattern(3))
     with pytest.raises(ValueError):
         run_benchmark([f], ["colamd"])
+    # an empty list would give a header-only report, a repeat duplicate rows
+    for methods in ([], ["natural", "mindeg", "natural"]):
+        with pytest.raises(ValueError, match="without repeats"):
+            run_benchmark([f], methods)
 
 
 def test_csv_layout_and_determinism(tmp_path):
@@ -130,7 +133,7 @@ def test_natural_fir_self_consistency(tmp_path):
     p = cycle_pattern(8)
     f = write_pattern(tmp_path, "c8.mtx", p)
     row = run_benchmark([f], ["natural"]).rows[0]
-    fill = len(fill_edges(symbolic_factorize(p, range(8))))
+    fill = len(fill_edges(p, range(8)))
     assert row.fill == fill
     assert row.fir == pytest.approx(2 * fill / (2 * len(p.edges) + p.n))
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from fillreduce.policy_net import log_softmax_backward, param_shapes
 
 
 def state(pattern):
-    g = EliminationGraph(pattern)
-    return g, normalize_features(compute_features(g))
+    return normalize_features(compute_features(EliminationGraph(pattern)))
 
 
 def adjacency(pattern):
@@ -55,8 +55,8 @@ def test_forward_probabilities_normalize_and_value_bounded():
     for backbone in ("mixhop", "singlehop"):
         net = fresh_net(5, backbone=backbone)
         for _ in range(10):
-            g, x = state(random_pattern(rng, int(rng.integers(1, 12))))
-            log_probs, value, _ = evaluate(net, g, x)
+            x = state(random_pattern(rng, int(rng.integers(1, 12))))
+            log_probs, value, _ = evaluate(net, x)
             assert abs(np.exp(log_probs).sum() - 1.0) < 1e-9
             assert -1.0 < value < 1.0
 
@@ -64,15 +64,13 @@ def test_forward_probabilities_normalize_and_value_bounded():
 def test_forward_rejects_empty_graph_and_bad_features():
     net = fresh_net()
     g = EliminationGraph(SparsityPattern(1, []))
-    nf = normalize_features(compute_features(g))
     g.eliminate(0)
-    with pytest.raises(NetworkError):
-        forward(net, g, nf)
+    with pytest.raises(NetworkError, match="empty graph"):
+        forward(net, normalize_features(compute_features(g)))
 
-    g2, x2 = state(path_pattern(3))
-    g2.eliminate(0)
-    with pytest.raises(NetworkError):
-        forward(net, g2, x2)  # stale features for the smaller live set
+    x = state(path_pattern(3))
+    with pytest.raises(NetworkError, match="adjacency has 3 live nodes"):
+        forward(net, replace(x, x=x.x[1:]))  # features for fewer nodes
 
 
 def test_automorphic_leaves_score_equally():
@@ -80,16 +78,16 @@ def test_automorphic_leaves_score_equally():
     # score them identically
     for seed in range(5):
         net = fresh_net(seed)
-        g, x = state(path_pattern(3))
-        log_probs, _ = forward(net, g, x)
+        x = state(path_pattern(3))
+        log_probs, _ = forward(net, x)
         assert abs(log_probs[0] - log_probs[2]) < 1e-12
 
 
 def test_forward_deterministic():
     net = fresh_net(8)
-    g, x = state(random_pattern(np.random.default_rng(33), 9))
-    first = evaluate(net, g, x)
-    second = evaluate(net, g, x)
+    x = state(random_pattern(np.random.default_rng(33), 9))
+    first = evaluate(net, x)
+    second = evaluate(net, x)
     assert np.array_equal(first[0], second[0])
     assert first[1] == second[1]
 
@@ -105,10 +103,10 @@ def test_permutation_equivariance():
         n = int(rng.integers(2, 12))
         p = random_pattern(rng, n)
         perm = [int(v) for v in rng.permutation(n)]
-        g1, x1 = state(p)
-        g2, x2 = state(relabel(p, perm))
-        lp1, v1, _ = evaluate(net, g1, x1)
-        lp2, v2, _ = evaluate(net, g2, x2)
+        x1 = state(p)
+        x2 = state(relabel(p, perm))
+        lp1, v1, _ = evaluate(net, x1)
+        lp2, v2, _ = evaluate(net, x2)
         for v in range(n):
             assert abs(lp1[v] - lp2[perm[v]]) <= 1e-9
         assert abs(v1 - v2) <= 1e-9
@@ -120,8 +118,8 @@ def test_permutation_equivariance():
 
 def test_zero_upstream_gives_zero_gradients():
     net = fresh_net(10)
-    g, x = state(random_pattern(np.random.default_rng(35), 6))
-    _, _, tape = evaluate(net, g, x)
+    x = state(random_pattern(np.random.default_rng(35), 6))
+    _, _, tape = evaluate(net, x)
     grads = backward(net, tape, np.zeros(6), 0.0)
     assert all(np.all(v == 0) for v in grads.values())
 
@@ -140,8 +138,8 @@ def test_log_softmax_self_gradient_identity():
 
 def test_tape_net_mismatch_rejected():
     net1, net2 = fresh_net(1), fresh_net(2)
-    g, x = state(path_pattern(4))
-    _, _, tape = evaluate(net1, g, x)
+    x = state(path_pattern(4))
+    _, _, tape = evaluate(net1, x)
     with pytest.raises(NetworkError):
         backward(net2, tape, np.zeros(4), 0.0)
     with pytest.raises(NetworkError):
@@ -150,21 +148,21 @@ def test_tape_net_mismatch_rejected():
 
 def test_backward_needs_the_critic_half():
     net = fresh_net(3)
-    g, x = state(path_pattern(4))
-    _, tape = forward(net, g, x)
+    x = state(path_pattern(4))
+    _, tape = forward(net, x)
     with pytest.raises(NetworkError, match="value"):
         backward(net, tape, np.zeros(4), 0.0)
 
 
-def finite_difference_check(net, g, x, rng, step=1e-4, tol=1e-3):
+def finite_difference_check(net, x, rng, step=1e-4, tol=1e-3):
     c_lp = rng.normal(size=len(x.nodes))
     c_v = float(rng.normal())
 
     def scalar_loss():
-        lp, value, _ = evaluate(net, g, x)
+        lp, value, _ = evaluate(net, x)
         return float((c_lp * lp).sum() + c_v * value)
 
-    _, _, tape = evaluate(net, g, x)
+    _, _, tape = evaluate(net, x)
     grads = backward(net, tape, c_lp, c_v)
     worst = 0.0
     for name, arr in net.params.items():
@@ -186,16 +184,16 @@ def finite_difference_check(net, g, x, rng, step=1e-4, tol=1e-3):
 
 def test_finite_difference_gradients_small():
     rng = np.random.default_rng(37)
-    g, x = state(random_pattern(rng, 5))
+    x = state(random_pattern(rng, 5))
     net = fresh_net(11, num_layers=1, hidden_per_hop=4)
-    assert finite_difference_check(net, g, x, rng) < 1e-3
+    assert finite_difference_check(net, x, rng) < 1e-3
 
 
 def test_finite_difference_gradients_singlehop():
     rng = np.random.default_rng(38)
-    g, x = state(random_pattern(rng, 5))
+    x = state(random_pattern(rng, 5))
     net = fresh_net(12, backbone="singlehop", hidden_per_hop=4)
-    assert finite_difference_check(net, g, x, rng) < 1e-3
+    assert finite_difference_check(net, x, rng) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +233,8 @@ def test_checkpoint_round_trip(tmp_path):
     for name in net.params:
         assert np.array_equal(loaded.params[name], net.params[name])
     # loaded net behaves identically
-    g, x = state(path_pattern(5))
-    assert np.array_equal(forward(net, g, x)[0], forward(loaded, g, x)[0])
+    x = state(path_pattern(5))
+    assert np.array_equal(forward(net, x)[0], forward(loaded, x)[0])
 
 
 def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
@@ -292,8 +290,9 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(NetworkError, match="version"):
         load_checkpoint(tmp_path / "vers.ckpt")
 
-    # metadata that is not JSON, not an object, short of a field, or built
-    # for another feature count; each error names the file
+    # metadata that is not JSON, not an object, short of a field, with a
+    # non-integer layer count, or built for another feature count; each
+    # error names the file
     meta = json.loads(str(arrays["__meta__"]))
     no_backbone = {k: v for k, v in meta.items() if k != "backbone"}
     cases = {
@@ -301,6 +300,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
         "not_object": ("[1, 2]", "bad metadata"),
         "no_field": (json.dumps(no_backbone), "bad metadata"),
         "in_dim": (json.dumps({**meta, "in_dim": 5}), "input features"),
+        "float_layers": (json.dumps({**meta, "num_layers": 2.0}), "bad metadata"),
     }
     for name, (text, message) in cases.items():
         bad_meta = tmp_path / f"{name}.ckpt"
@@ -309,6 +309,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
         with pytest.raises(NetworkError, match=message) as info:
             load_checkpoint(bad_meta)
         assert str(bad_meta) in str(info.value)
+
+    # an architecture far larger than the archive is refused by its
+    # parameter count, before any of its names is built
+    huge = tmp_path / "huge.ckpt"
+    huge_meta = json.dumps({**meta, "num_layers": 20000})
+    with open(huge, "wb") as fh:
+        np.savez(fh, **{**arrays, "__meta__": np.array(huge_meta)})
+    with pytest.raises(NetworkError, match="declares 240004 parameter arrays") as info:
+        load_checkpoint(huge)
+    assert len(str(info.value)) < 1024
 
     # not an archive at all
     (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")

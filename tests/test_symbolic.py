@@ -1,14 +1,15 @@
-import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (cycle_pattern, fill_edges, path_pattern, random_pattern,
-                      random_tree, star_pattern)
+from conftest import (cycle_pattern, fill_edges, fill_steps, path_pattern,
+                      patterns, random_pattern, random_tree, star_pattern)
 from fillreduce import (EliminationError, EliminationGraph, Ordering,
-                        OrderingError, eliminate_all, fill_path_oracle,
-                        min_degree_order, symbolic_factorize)
+                        OrderingError, SparsityPattern, eliminate_all,
+                        fill_path_oracle, min_degree_order, symbolic_factorize)
 
 
 def test_graph_mirrors_pattern():
@@ -83,7 +84,7 @@ def test_edge_count_conservation():
 
 def test_factorize_path_natural_order_is_zero_fill():
     trace = symbolic_factorize(path_pattern(8), range(8))
-    assert fill_edges(trace) == set()
+    assert fill_edges(path_pattern(8), range(8)) == set()
     assert len(trace) == 8
     assert trace.total_fill == 0
 
@@ -92,14 +93,16 @@ def test_factorize_star_orders():
     star = star_pattern(4)
     trace = symbolic_factorize(star, [0, 1, 2, 3, 4])
     assert trace.total_fill == 6  # C(4, 2): all leaf pairs
-    assert fill_edges(symbolic_factorize(star, [1, 2, 3, 4, 0])) == set()
+    assert symbolic_factorize(star, [1, 2, 3, 4, 0]).total_fill == 0
+    assert fill_edges(star, [1, 2, 3, 4, 0]) == set()
 
 
 def test_factorize_c4_every_order_fills_exactly_one():
     c4 = cycle_pattern(4)
     for perm in itertools.permutations(range(4)):
-        fill = fill_edges(symbolic_factorize(c4, perm))
+        fill = fill_edges(c4, perm)
         assert len(fill) == 1
+        assert symbolic_factorize(c4, perm).total_fill == 1
         assert fill == fill_path_oracle(c4, perm)
 
 
@@ -110,18 +113,19 @@ def test_factorize_outputs_are_consistent():
         p = random_pattern(rng, n)
         perm = [int(v) for v in rng.permutation(n)]
         trace = symbolic_factorize(p, perm)
+        steps = fill_steps(p, perm)
         # per-step fill sets are disjoint, canonical, and none pre-exists
         seen = set()
-        for step_fill in trace.fill_sets:
+        for step_fill in steps:
             for i, j in step_fill:
                 assert i < j
                 assert (i, j) not in seen
                 assert (i, j) not in p.edges
                 seen.add((i, j))
-        assert seen == fill_edges(trace)
+        assert seen == fill_edges(p, perm)
         assert len(seen) == trace.total_fill
         assert trace.nodes == perm
-        assert [-len(f) for f in trace.fill_sets] == trace.rewards
+        assert [-len(f) for f in steps] == trace.rewards
 
 
 def test_fill_edges_connect_later_eliminated_nodes():
@@ -129,10 +133,23 @@ def test_fill_edges_connect_later_eliminated_nodes():
     p = random_pattern(rng, 10)
     perm = [int(v) for v in rng.permutation(10)]
     pos = Ordering(perm).positions()
-    trace = symbolic_factorize(p, perm)
-    for t, step_fill in enumerate(trace.fill_sets):
+    for t, step_fill in enumerate(fill_steps(p, perm)):
         for i, j in step_fill:
             assert pos[i] > t and pos[j] > t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fill_counts_match_replay_oracle_and_relabeling(data):
+    p = data.draw(patterns())
+    perm = data.draw(st.permutations(range(p.n)))
+    sigma = data.draw(st.permutations(range(p.n)))
+    trace = symbolic_factorize(p, perm)
+    assert trace.fill == [len(f) for f in fill_steps(p, perm)]
+    assert trace.total_fill == len(fill_path_oracle(p, perm))
+    # node names carry no meaning: (sigma P, sigma pi) fills like (P, pi)
+    relabeled = SparsityPattern(p.n, [(sigma[i], sigma[j]) for i, j in p.edges])
+    assert symbolic_factorize(relabeled, [sigma[v] for v in perm]).fill == trace.fill
 
 
 def test_invalid_orderings_rejected():
@@ -155,8 +172,9 @@ def test_oracle_equivalence_random():
         n = int(rng.integers(1, 11))
         p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.9)))
         perm = [int(v) for v in rng.permutation(n)]
-        fill = fill_edges(symbolic_factorize(p, perm))
+        fill = fill_edges(p, perm)
         assert fill == fill_path_oracle(p, perm)
+        assert symbolic_factorize(p, perm).total_fill == len(fill)
 
 
 def test_leaf_peeling_trees_are_zero_fill():
@@ -173,13 +191,6 @@ def test_leaf_peeling_trees_are_zero_fill():
         assert total == 0
 
 
-def test_trace_dump_format():
-    trace = symbolic_factorize(star_pattern(3), [0, 1, 2, 3])
-    buf = io.StringIO()
-    trace.write(buf)
-    assert buf.getvalue() == "0,0,3,3\n1,1,0,3\n2,2,0,1\n3,3,0,0\n"
-
-
 def test_eliminate_all_matches_symbolic_factorize():
     rng = np.random.default_rng(17)
     for _ in range(40):
@@ -190,7 +201,7 @@ def test_eliminate_all_matches_symbolic_factorize():
         trace = eliminate_all(p, lambda g: next(steps))
         expected = symbolic_factorize(p, perm)
         assert trace == expected
-        assert trace.rewards == [-len(f) for f in trace.fill_sets]
+        assert trace.rewards == [-f for f in trace.fill]
 
 
 def test_eliminate_all_min_degree_chooser_matches_min_degree_order():

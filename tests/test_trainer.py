@@ -76,26 +76,22 @@ def test_raw_return_scales_by_initial_edges():
 # losses
 # ---------------------------------------------------------------------------
 
-def make_record(log_probs, values):
-    n = len(log_probs)
+def make_record(log_probs):
     rec = EpisodeRecord()
     rec.log_probs = list(log_probs)
-    rec.values = list(values)
-    rec.chosen_rows = [0] * n
+    rec.chosen_rows = [0] * len(log_probs)
     return rec
 
 
 def test_losses_zero_advantage():
     returns = np.array([0.5, -0.25, 1.0])
-    rec = make_record([-1.0, -2.0, -0.5], returns)
-    l_a, l_c, adv = losses(rec, returns)
+    l_a, l_c, adv = losses(make_record([-1.0, -2.0, -0.5]), returns, returns)
     assert l_a == 0.0 and l_c == 0.0
     assert np.all(adv == 0.0)
 
 
 def test_losses_single_step_arithmetic():
-    rec = make_record([-0.5], [0.0])
-    l_a, l_c, adv = losses(rec, np.array([1.0]))
+    l_a, l_c, adv = losses(make_record([-0.5]), [0.0], np.array([1.0]))
     assert l_a == pytest.approx(0.5)
     assert l_c == pytest.approx(1.0)
     assert adv.tolist() == [1.0]
@@ -104,8 +100,7 @@ def test_losses_single_step_arithmetic():
 def test_losses_critic_is_mean_squared_advantage():
     rng = np.random.default_rng(42)
     returns = rng.normal(size=6)
-    rec = make_record(rng.normal(size=6), rng.normal(size=6))
-    _, l_c, adv = losses(rec, returns)
+    _, l_c, adv = losses(make_record(rng.normal(size=6)), rng.normal(size=6), returns)
     assert l_c == pytest.approx(float((adv ** 2).mean()))
 
 
@@ -114,15 +109,17 @@ def test_losses_value_shift_identity():
     returns = rng.normal(size=5)
     values = rng.normal(size=5)
     delta = 0.37
-    _, l_c, adv = losses(make_record(np.zeros(5), values), returns)
-    _, l_c_shifted, _ = losses(make_record(np.zeros(5), values + delta), returns)
+    _, l_c, adv = losses(make_record(np.zeros(5)), values, returns)
+    _, l_c_shifted, _ = losses(make_record(np.zeros(5)), values + delta, returns)
     assert l_c_shifted - l_c == pytest.approx(
         float(((adv - delta) ** 2).mean() - (adv ** 2).mean()))
 
 
 def test_losses_length_mismatch():
     with pytest.raises(ValueError):
-        losses(make_record([0.0], [0.0]), np.zeros(2))
+        losses(make_record([0.0]), [0.0], np.zeros(2))
+    with pytest.raises(ValueError):
+        losses(make_record([0.0]), [0.0, 0.0], np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +141,7 @@ def test_rollout_matches_symbolic_factorization():
                     random_pattern(rng, 9), random_pattern(rng, 12)]:
         record, ordering = rollout(net, pattern, rng)
         trace = symbolic_factorize(pattern, ordering)
-        assert record.total_fill == len(fill_edges(trace))
+        assert record.trace.total_fill == len(fill_edges(pattern, ordering))
         assert record.trace.rewards == trace.rewards
         assert record.trace.edges_before == trace.edges_before
 
@@ -169,19 +166,18 @@ def test_no_rollout_keeps_a_tape():
     sampled, _ = rollout(net, p, np.random.default_rng(48))
     for record in (greedy, sampled):
         assert len(record) == len(record.trace) == 10
-        assert record.values == []
         for f in dataclasses.fields(record):
             kept = getattr(record, f.name)
             assert not any(isinstance(item, ForwardTape)
                            for item in (kept if isinstance(kept, list) else [kept]))
     assert greedy.states == []
     # a sampled step keeps its features and adjacency, nothing k x k
-    assert [len(s.degree) for s in sampled.states] == list(range(10, 0, -1))
+    assert [len(s.nodes) for s in sampled.states] == list(range(10, 0, -1))
     for state in sampled.states:
-        k = len(state.degree)
-        assert state.x.shape == (k, 2)
-        assert state.degree.dtype == state.cols.dtype == np.int32
-        assert state.cols.shape == (state.degree.sum(),)
+        k, adj = len(state.nodes), state.adjacency
+        assert state.x.shape == (k, 2) and adj.degree.shape == (k,)
+        assert adj.degree.dtype == adj.cols.dtype == np.int32
+        assert adj.cols.shape == (adj.degree.sum(),)
 
 
 @pytest.mark.parametrize("greedy", [True, False])
@@ -198,7 +194,6 @@ def test_rollout_never_evaluates_the_critic(greedy):
     assert record.chosen_rows == expected.chosen_rows
     assert record.log_probs == expected.log_probs
     assert not np.isnan(record.log_probs).any()
-    assert not np.isnan(record.values).any()
 
 
 def test_rollout_greedy_leaf_preferring_net_peels_path():
@@ -213,7 +208,7 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
     net.params["actor.head.w"][0] = 1.0
     path = path_pattern(3)
     record, ordering = rollout(net, path, rng=None, greedy=True)
-    assert record.total_fill == 0
+    assert record.trace.total_fill == 0
     assert ordering[0] in (0, 2)  # starts at a leaf, never the middle
 
 
@@ -224,12 +219,12 @@ def test_rollout_log_probs_match_chosen_rows():
     g = EliminationGraph(p)
     for t, state in enumerate(record.states):
         x = normalize_features(compute_features(g))
+        assert state.nodes == x.nodes
         assert np.array_equal(state.x, x.x)
-        adj = state.adjacency()
-        for got, want in ((adj.degree, x.adjacency.degree), (adj.rows, x.adjacency.rows),
-                          (adj.cols, x.adjacency.cols)):
+        for got, want in ((state.adjacency.degree, x.adjacency.degree),
+                          (state.adjacency.cols, x.adjacency.cols)):
             assert np.array_equal(got, want)
-        log_probs, _ = forward(net, g, x)
+        log_probs, _ = forward(net, x)
         assert record.log_probs[t] == log_probs[record.chosen_rows[t]]
         assert x.nodes[record.chosen_rows[t]] == ordering[t]
         g.eliminate(ordering[t])
