@@ -56,6 +56,8 @@ class TrainerConfig:
             raise ValueError("learning rates must not be negative")
         if self.epochs < 1 or self.episodes_per_graph < 1:
             raise ValueError("epochs and episodes per graph must be at least 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must not be negative (0 disables it)")
         if self.reward not in REWARD_VARIANTS:
             raise ValueError(f"unknown reward variant {self.reward!r}")
 

@@ -20,6 +20,13 @@ def fill_edges(pattern, ordering) -> set[tuple[int, int]]:
     return set().union(*fill_steps(pattern, ordering))
 
 
+def reference_min_degree(pattern) -> Ordering:
+    """Minimum degree by a full scan of the live nodes at every step,
+    lowest index on ties."""
+    trace = eliminate_all(pattern, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
+    return Ordering(trace.nodes)
+
+
 def path_pattern(n: int) -> SparsityPattern:
     return SparsityPattern(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -30,6 +37,32 @@ def star_pattern(leaves: int) -> SparsityPattern:
 
 def cycle_pattern(n: int) -> SparsityPattern:
     return SparsityPattern(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def grid_pattern(rows: int, cols: int | None = None) -> SparsityPattern:
+    """5-point grid, numbered row by row; square unless ``cols`` is given."""
+    cols = rows if cols is None else cols
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return SparsityPattern(rows * cols, right + down)
+
+
+def clique_pattern(n: int) -> SparsityPattern:
+    return SparsityPattern(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def disjoint_union(parts) -> SparsityPattern:
+    """The parts side by side, each numbered after the ones before it."""
+    edges, offset = [], 0
+    for p in parts:
+        edges += [(i + offset, j + offset) for i, j in p.edges]
+        offset += p.n
+    return SparsityPattern(offset, edges)
+
+
+def relabeled(p: SparsityPattern, sigma) -> SparsityPattern:
+    """The pattern with node v renamed sigma[v]."""
+    return SparsityPattern(p.n, [(sigma[i], sigma[j]) for i, j in p.edges])
 
 
 def random_pattern(rng: np.random.Generator, n: int, density: float = 0.4) -> SparsityPattern:
@@ -57,6 +90,21 @@ def random_tree(rng: np.random.Generator, n: int) -> SparsityPattern:
     """Uniform random attachment tree on n nodes."""
     edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
     return SparsityPattern(n, edges)
+
+
+@st.composite
+def tie_heavy_patterns(draw) -> SparsityPattern:
+    """Disjoint unions of grids, stars, cliques, paths, cycles and isolated
+    nodes, randomly renumbered: many nodes share a degree at every step."""
+    part = st.one_of(
+        st.builds(grid_pattern, st.integers(1, 5), st.integers(1, 5)),
+        st.builds(star_pattern, st.integers(1, 6)),
+        st.builds(clique_pattern, st.integers(1, 5)),
+        st.builds(path_pattern, st.integers(1, 6)),
+        st.builds(cycle_pattern, st.integers(3, 7)),
+        st.just(SparsityPattern(1)))
+    p = disjoint_union(draw(st.lists(part, max_size=4)))
+    return relabeled(p, draw(st.permutations(range(p.n))))
 
 
 def evaluate(net, x):

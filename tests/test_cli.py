@@ -206,3 +206,15 @@ def test_train_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: non-finite training values in epoch 1, graph 0")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_negative_checkpoint_every_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--epochs", 1, "--checkpoint-every", -2,
+                "--out", tmp_path / "m.ckpt"]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: checkpoint_every must not be negative")
+    assert not (tmp_path / "m.ckpt").exists()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import cycle_pattern, fill_edges, path_pattern, patterns, star_pattern
-from fillreduce import (Ordering, PolicyValueNet, SparsityPattern, fill_in_ratio,
-                        min_degree_order, run_benchmark, write_matrix_market)
+from conftest import (cycle_pattern, fill_edges, grid_pattern, path_pattern, patterns,
+                      star_pattern)
+from fillreduce import (EliminationGraph, Ordering, PolicyValueNet, SparsityPattern,
+                        count_fill, fill_in_ratio, generate_delaunay, min_degree_order,
+                        run_benchmark, write_matrix_market)
 from fillreduce.evaluation import METHODS, compute_ordering, gpo_order
 from fillreduce.policy_net import NetConfig, save_checkpoint
 
@@ -158,3 +160,37 @@ def test_compute_ordering_valid_for_every_method(method, p):
     ordering = compute_ordering(method, p, model=model, rng=np.random.default_rng(0))
     assert isinstance(ordering, Ordering)
     assert sorted(ordering) == list(range(p.n))
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that gets one entry per ``EliminationGraph.eliminate`` call."""
+    calls = []
+    original = EliminationGraph.eliminate
+
+    def counted(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(EliminationGraph, "eliminate", counted)
+    return calls
+
+
+def test_scoring_eliminates_nothing(tmp_path, eliminations):
+    p = generate_delaunay(60, np.random.default_rng(8))
+    order = min_degree_order(p)
+    eliminations.clear()
+    assert fill_in_ratio(p, order) == 2.0 * count_fill(p, order) / (2 * len(p.edges) + p.n)
+    assert fill_in_ratio(p, range(p.n)) > 0
+    assert eliminations == []
+
+    files = [write_pattern(tmp_path, "delaunay.mtx", p),
+             write_pattern(tmp_path, "grid.mtx", grid_pattern(6))]
+    report = run_benchmark(files, ["natural", "random"])
+    assert report.num_errors == 0 and eliminations == []
+    # a mindeg cell eliminates each node once to choose it, and never again
+    # to score the ordering it chose
+    for path, n in zip(files, (p.n, 36)):
+        eliminations.clear()
+        assert run_benchmark([path], ["mindeg"]).num_errors == 0
+        assert len(eliminations) == n

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cycle_pattern, fill_edges, fill_steps, path_pattern,
-                      patterns, random_pattern, random_tree, star_pattern)
+from conftest import (cycle_pattern, disjoint_union, fill_edges, fill_steps,
+                      grid_pattern, path_pattern, patterns, random_pattern,
+                      random_tree, reference_min_degree, relabeled, star_pattern,
+                      tie_heavy_patterns)
 from fillreduce import (EliminationError, EliminationGraph, Ordering,
-                        OrderingError, SparsityPattern, eliminate_all,
-                        fill_path_oracle, min_degree_order, symbolic_factorize)
+                        OrderingError, SparsityPattern, count_fill, eliminate_all,
+                        fill_path_oracle, generate_delaunay, min_degree_order,
+                        symbolic_factorize)
 
 
 def test_graph_mirrors_pattern():
@@ -138,26 +141,43 @@ def test_fill_edges_connect_later_eliminated_nodes():
             assert pos[i] > t and pos[j] > t
 
 
-@settings(max_examples=200, deadline=None)
+def structured_patterns():
+    """Trees, forests, grids and Delaunay graphs, plus n = 0 and n = 1."""
+    seeds = st.integers(0, 2 ** 32 - 1)
+    return st.one_of(
+        st.builds(lambda s, n: random_tree(np.random.default_rng(s), n), seeds,
+                  st.integers(1, 30)),
+        st.builds(lambda s, sizes: disjoint_union(
+            random_tree(np.random.default_rng([s, k]), n) for k, n in enumerate(sizes)),
+            seeds, st.lists(st.integers(1, 8), max_size=4)),
+        st.builds(grid_pattern, st.integers(1, 6), st.integers(1, 6)),
+        st.builds(lambda s, n: generate_delaunay(n, np.random.default_rng(s)), seeds,
+                  st.integers(3, 30)),
+        st.just(SparsityPattern(0)), st.just(SparsityPattern(1)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fill_counts_match_replay_oracle_and_relabeling(data):
-    p = data.draw(patterns())
+    p = data.draw(st.one_of(patterns(), structured_patterns()))
     perm = data.draw(st.permutations(range(p.n)))
     sigma = data.draw(st.permutations(range(p.n)))
     trace = symbolic_factorize(p, perm)
     assert trace.fill == [len(f) for f in fill_steps(p, perm)]
-    assert trace.total_fill == len(fill_path_oracle(p, perm))
+    assert trace.total_fill == len(fill_path_oracle(p, perm)) == count_fill(p, perm)
     # node names carry no meaning: (sigma P, sigma pi) fills like (P, pi)
-    relabeled = SparsityPattern(p.n, [(sigma[i], sigma[j]) for i, j in p.edges])
-    assert symbolic_factorize(relabeled, [sigma[v] for v in perm]).fill == trace.fill
+    relabeled_perm = [sigma[v] for v in perm]
+    assert symbolic_factorize(relabeled(p, sigma), relabeled_perm).fill == trace.fill
+    assert count_fill(relabeled(p, sigma), relabeled_perm) == trace.total_fill
 
 
 def test_invalid_orderings_rejected():
     p = path_pattern(3)
-    with pytest.raises(OrderingError):
-        symbolic_factorize(p, [0, 0, 1])
-    with pytest.raises(EliminationError):
-        symbolic_factorize(p, [0, 1])
+    for score in (symbolic_factorize, count_fill):
+        with pytest.raises(OrderingError):
+            score(p, [0, 0, 1])
+        with pytest.raises(EliminationError, match="covers 2 nodes, pattern has 3"):
+            score(p, [0, 1])
 
 
 def test_oracle_trivial_cases():
@@ -204,10 +224,14 @@ def test_eliminate_all_matches_symbolic_factorize():
         assert trace.rewards == [-f for f in trace.fill]
 
 
-def test_eliminate_all_min_degree_chooser_matches_min_degree_order():
-    rng = np.random.default_rng(18)
-    for _ in range(40):
-        n = int(rng.integers(0, 20))
-        p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.6)))
-        trace = eliminate_all(p, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
-        assert Ordering(trace.nodes) == min_degree_order(p)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_heavy_patterns(), patterns()))
+def test_eliminate_all_min_degree_chooser_matches_min_degree_order(p):
+    assert min_degree_order(p) == reference_min_degree(p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 200])
+def test_count_fill_grid_natural_order(k):
+    # eliminating a k x k grid row by row fills (k - 1)^3 edges; at k = 200
+    # (n = 40000) that is 7.9M edges, which only the count reaches quickly
+    assert count_fill(grid_pattern(k), range(k * k)) == (k - 1) ** 3

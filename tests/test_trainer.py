@@ -265,6 +265,8 @@ def test_config_validation():
         TrainerConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainerConfig(episodes_per_graph=0)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        TrainerConfig(checkpoint_every=-2)
 
 
 def test_learning_rate_schedule():
