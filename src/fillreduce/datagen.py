@@ -1,10 +1,15 @@
 """Training graph generation: Delaunay triangulations of random planar points.
 
-Bowyer-Watson incremental insertion inside a large super-triangle. Uniform
-random points make exact in-circle ties measure-zero; if one does occur the
-whole triangulation restarts with a deterministic 1e-9-scale jitter so the
-generator stays total.
-"""
+Bowyer-Watson incremental insertion (Bowyer 1981, Watson 1981) inside a large
+super-triangle. The live triangles' circumcircles sit in numpy arrays, so
+each insertion finds its cavity, the triangles whose circumcircle holds the
+new point, with one vectorized distance test over all of them; the few
+distances within a relative 1e-12 of a radius are tested again in scalar
+floats, so every decision, and the triangle list, is that of the plain
+scalar loop. The work still grows as n^2, but it runs in numpy rather than
+the interpreter. Uniform random points make exact in-circle ties
+measure-zero; if one does occur the whole triangulation restarts with a
+deterministic 1e-9-scale jitter so the generator stays total."""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparsity import (PatternError, SparsityPattern, load_matrix_market,
+from .sparsity import (MAX_NODES, PatternError, SparsityPattern, load_matrix_market,
                        write_matrix_market)
 
 _SUPER_SCALE = 1e4
@@ -57,41 +62,84 @@ def _circumcircle(a, b, c) -> tuple[float, float, float]:
     return ux, uy, r2
 
 
+# A numpy square is a product, while the scalar ``** 2`` calls libm ``pow``;
+# the two differ by one ulp for about one value in a thousand. A triangle
+# whose squared distance from the new point lies within this margin of its
+# squared radius (relative, with an absolute floor for subnormal radii) is
+# tested again with scalar floats, so every decision is the scalar test's.
+_RECHECK_REL = 1e-12
+_RECHECK_ABS = 1e-300
+
+
+def _circle_row(a, b, c) -> tuple[float, float, float, float]:
+    ux, uy, r2 = _circumcircle(a, b, c)
+    return ux, uy, r2, _RECHECK_REL * r2 + _RECHECK_ABS
+
+
 def _triangulate(points) -> list[tuple[int, int, int]]:
     """Bowyer-Watson; returns triangles over the original point indices only.
 
     Super-triangle vertices take indices n..n+2 and every triangle touching
-    them is dropped at the end. Each triangle carries its precomputed
-    circumcircle so insertion tests are a distance comparison.
+    them is dropped at the end. The live triangles are the columns of numpy
+    arrays holding their vertices, their circumcircle (center and squared
+    radius) and their creation number, so each insertion finds its cavity
+    with one vectorized in-circle test over all of them, and the new
+    triangles take the cavity's columns. Removing triangles from a list and
+    appending new ones keeps it sorted by creation number, so visiting the
+    cavity and returning the result in that order gives the triangle list of
+    the same method run on a Python list.
     """
     n = len(points)
-    coords = [tuple(p) for p in points] + list(_SUPER)
-    tris: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
-    circles = [_circumcircle(*_SUPER)]
+    coords = np.asarray(points, dtype=np.float64).tolist() + list(_SUPER)
+    tris = np.empty((3, 2 * n + 8), dtype=np.int64)
+    circles = np.empty((4, tris.shape[1]))  # center x, center y, r2, recheck margin
+    created = np.empty(tris.shape[1], dtype=np.int64)
+    tris[:, 0] = (n, n + 1, n + 2)
+    circles[:, 0] = _circle_row(*_SUPER)
+    created[0] = 0
+    m = made = 1
     for idx in range(n):
         px, py = coords[idx]
+        ux, uy, r2, margin = circles[:, :m]
+        diff = (px - ux) ** 2 + (py - uy) ** 2 - r2
         bad = []
-        for t, (ux, uy, r2) in enumerate(circles):
-            d2 = (px - ux) ** 2 + (py - uy) ** 2
-            if d2 == r2:
-                raise DegenerateGeometry("exact in-circle tie")
-            if d2 < r2:
+        # everything not clearly outside its circle, NaN included
+        for t in np.flatnonzero(~(diff > margin)).tolist():
+            if diff[t] < -margin[t]:
                 bad.append(t)
+                continue
+            d2 = (px - float(ux[t])) ** 2 + (py - float(uy[t])) ** 2
+            if d2 == r2[t]:
+                raise DegenerateGeometry("exact in-circle tie")
+            if d2 < r2[t]:
+                bad.append(t)
+        bad.sort(key=created.__getitem__)
         # cavity boundary: edges used by exactly one bad triangle
         edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
-            u, v, w = tris[t]
+        for u, v, w in zip(*tris[:, bad].tolist()):
             for e in ((u, v), (v, w), (w, u)):
                 key = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
                 edge_count[key] = edge_count.get(key, 0) + 1
-        bad_set = set(bad)
-        tris = [t for i, t in enumerate(tris) if i not in bad_set]
-        circles = [c for i, c in enumerate(circles) if i not in bad_set]
-        for (u, w), count in edge_count.items():
-            if count == 1:
-                tris.append((u, w, idx))
-                circles.append(_circumcircle(coords[u], coords[w], coords[idx]))
-    return [t for t in tris if max(t) < n]
+        new = [(u, w, idx) for (u, w), count in edge_count.items() if count == 1]
+        k = len(new)
+        cols = bad[:k] + list(range(m, m + k - len(bad)))
+        if m + k > created.size:
+            tris, circles, created = (
+                np.concatenate([a, np.empty_like(a, shape=a.shape[:-1] + (m + k,))], axis=-1)
+                for a in (tris, circles, created))
+        if new:
+            tris[:, cols] = np.array(new).T
+            circles[:, cols] = np.array([_circle_row(coords[u], coords[w], coords[idx])
+                                         for u, w, _ in new]).T
+            created[cols] = range(made, made + k)
+        m += max(k - len(bad), 0)
+        made += k
+        for hole in sorted(bad[k:], reverse=True):
+            # the cavity had more triangles than it left: close the gap
+            m -= 1
+            tris[:, hole], circles[:, hole], created[hole] = tris[:, m], circles[:, m], created[m]
+    live = tris[:, np.argsort(created[:m])]
+    return list(zip(*live[:, live.max(axis=0) < n].tolist()))
 
 
 def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
@@ -151,6 +199,8 @@ def generate_delaunay(n: int, rng: np.random.Generator) -> SparsityPattern:
     """
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"{n} points exceed the supported {MAX_NODES}")
     while True:
         points = rng.random((n, 2))
         # pairwise-distinct guard; duplicate draws are measure-zero
@@ -167,8 +217,9 @@ def generate_training_set(count: int, n_min: int = 60, n_max: int = 200,
     """Delaunay patterns with sizes drawn uniformly from [n_min, n_max]."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if not 3 <= n_min <= n_max:
-        raise ValueError(f"invalid size bounds [{n_min}, {n_max}]")
+    if not 3 <= n_min <= n_max <= MAX_NODES:
+        raise ValueError(f"invalid size bounds [{n_min}, {n_max}]; need "
+                         f"3 <= n_min <= n_max <= {MAX_NODES}")
     if rng is None:
         rng = np.random.default_rng(0)
     sizes = rng.integers(n_min, n_max + 1, size=count)

@@ -124,7 +124,8 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
                   model_path: str | Path | None = None, seed: int = 0) -> EvalReport:
     """Evaluate every matrix x method cell; failures become error rows.
 
-    ``methods`` names at least one method of ``METHODS``, each at most once.
+    ``methods`` names at least one method of ``METHODS``, each at most once,
+    and ``seed`` is a non-negative integer.
 
     Matrices are identified by file name and processed in sorted order, so a
     repeat run over the same inputs reproduces the report byte for byte.
@@ -135,6 +136,8 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
     if not methods or len(set(methods)) != len(methods):
         raise ValueError(f"methods must be a non-empty list without repeats, "
                          f"got {list(methods)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     model: PolicyValueNet | None = None
     model_error: str | None = None
     if "gpo" in methods:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
                         backward, compute_features, eliminate_all, forward,
                         normalize_features, value)
+from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
 
@@ -25,6 +26,39 @@ def reference_min_degree(pattern) -> Ordering:
     lowest index on ties."""
     trace = eliminate_all(pattern, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
     return Ordering(trace.nodes)
+
+
+def reference_triangulate(points) -> list[tuple[int, int, int]]:
+    """Bowyer-Watson with one scalar in-circle test per live triangle and
+    Python lists, the loop that ``datagen._triangulate`` vectorizes."""
+    n = len(points)
+    coords = [tuple(p) for p in points] + list(_SUPER)
+    tris: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
+    circles = [_circumcircle(*_SUPER)]
+    for idx in range(n):
+        px, py = coords[idx]
+        bad = []
+        for t, (ux, uy, r2) in enumerate(circles):
+            d2 = (px - ux) ** 2 + (py - uy) ** 2
+            if d2 == r2:
+                raise DegenerateGeometry("exact in-circle tie")
+            if d2 < r2:
+                bad.append(t)
+        # cavity boundary: edges used by exactly one bad triangle
+        edge_count: dict[tuple[int, int], int] = {}
+        for t in bad:
+            u, v, w = tris[t]
+            for e in ((u, v), (v, w), (w, u)):
+                key = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+                edge_count[key] = edge_count.get(key, 0) + 1
+        bad_set = set(bad)
+        tris = [t for i, t in enumerate(tris) if i not in bad_set]
+        circles = [c for i, c in enumerate(circles) if i not in bad_set]
+        for (u, w), count in edge_count.items():
+            if count == 1:
+                tris.append((u, w, idx))
+                circles.append(_circumcircle(coords[u], coords[w], coords[idx]))
+    return [t for t in tris if max(t) < n]
 
 
 def path_pattern(n: int) -> SparsityPattern:

@@ -130,6 +130,28 @@ def test_bench_empty_or_repeated_methods_exit_2(tmp_path, capsys, methods):
     assert not report.exists()
 
 
+def test_bench_negative_seed_exit_2(tmp_path, capsys):
+    write_matrix_market(path_pattern(3), tmp_path / "a.mtx")
+    report = tmp_path / "r.csv"
+    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", "natural,mindeg",
+                "--seed", -1, "--out", report]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("bounds", [(60, sparsity.MAX_NODES + 1),
+                                    (sparsity.MAX_NODES + 1, sparsity.MAX_NODES + 1)])
+def test_gen_above_max_nodes_exit_2(tmp_path, capsys, bounds):
+    out = tmp_path / "data"
+    assert run(["gen", "--count", 3, "--min", bounds[0], "--max", bounds[1],
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: invalid size bounds")
+    assert str(sparsity.MAX_NODES) in err
+    assert not out.exists()
+
+
 def test_train_with_backbone_and_reward_flags(tmp_path):
     data = tmp_path / "data"
     run(["gen", "--count", 2, "--min", 6, "--max", 9, "--seed", 3, "--out", data])

@@ -1,10 +1,17 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_triangulate
 from fillreduce import (generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
-from fillreduce.datagen import (DegenerateGeometry, delaunay_edges,
+from fillreduce.datagen import (DegenerateGeometry, _triangulate, delaunay_edges,
                                 delaunay_triangles, in_circle_det)
+from fillreduce.sparsity import MAX_NODES
 
 
 def connected(n, edges):
@@ -110,6 +117,8 @@ def test_training_set_validation():
         generate_training_set(5, 2, 20, rng)
     with pytest.raises(ValueError):
         generate_training_set(5, 30, 20, rng)
+    with pytest.raises(ValueError, match=f"n_max <= {MAX_NODES}"):
+        generate_training_set(5, 60, MAX_NODES + 1, rng)
 
 
 def test_write_and_load_round_trip(tmp_path):
@@ -133,3 +142,89 @@ def test_load_without_manifest_globs_sorted(tmp_path):
     assert [p.edges for p in loaded] == [p.edges for p in patterns]
     with pytest.raises(FileNotFoundError):
         load_training_set(tmp_path / "nowhere")
+
+
+def test_generate_delaunay_rejects_oversized_inputs_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"exceed the supported {MAX_NODES}"):
+        generate_delaunay(MAX_NODES + 1, rng)
+    assert rng.bit_generator.state == state
+
+
+def _outcome(triangulate, points):
+    try:
+        return triangulate(points)
+    except DegenerateGeometry as exc:
+        return ("raises", str(exc))
+
+
+@st.composite
+def point_sets(draw) -> np.ndarray:
+    """Random, cocircular (exact grid subsets), collinear and nearly
+    coincident point sets, and points far outside the super-triangle, where
+    a cavity can leave fewer or many more triangles than it removed."""
+    kind = draw(st.sampled_from(["random", "grid", "collinear", "close", "far"]))
+    if kind == "random":
+        seed, n = draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, 80))
+        return np.random.default_rng(seed).random((n, 2))
+    if kind == "far":
+        seed, n = draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, 30))
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, 2)) * 10.0 ** rng.integers(3, 10)
+    if kind == "grid":
+        k = draw(st.integers(2, 9))
+        cells = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              min_size=3, max_size=k * k, unique=True))
+        return np.array(cells, dtype=np.float64) / (k - 1)
+    if kind == "collinear":
+        xs = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=20, unique=True))
+        diagonal = draw(st.booleans())
+        return np.array([(x, x if diagonal else 0.25) for x in xs])
+    base = draw(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)))
+    steps = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=3, max_size=12, unique=True))
+    return np.array([(base[0] + i * 1e-12, base[1] + j * 1e-12) for i, j in steps])
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_sets())
+def test_triangulation_matches_scalar_reference(points):
+    # the same triangle list, in the same order, or the same exception
+    assert _outcome(_triangulate, points) == _outcome(reference_triangulate, points)
+    fast = _outcome(delaunay_triangles, points)
+    with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
+        assert fast == _outcome(delaunay_triangles, points)
+
+
+def _edge_digest(p) -> str:
+    text = "".join(f"{i} {j}\n" for i, j in sorted(p.edges))
+    return hashlib.sha256(f"{p.n}\n{text}".encode()).hexdigest()
+
+
+# sha256 of "n\n" plus one "i j" line per sorted edge, recorded with the
+# scalar Bowyer-Watson loop
+DELAUNAY_PINS = {
+    (3, 0): "96d77f916a7b67f54b3da28713d0a601a814962eb1b6cceca5b778a0ff7c4079",
+    (60, 1): "72e97b58e181a39536b6b2a9ac8f5e0f8448db7e54a20d67dc99c414d10e06da",
+    (200, 2): "401ff53272485fde3e25a88a66bcdc950283e5fbefc0cf0d9ff3935194fa4872",
+    (1000, 3): "7658fdcdf1a8de65f11724179b9a9e305f914e9f607898b0e335e4f12aa9a538",
+    (2000, 4): "57ba0e320466bc007ac77f4ec06d8b76e20469149bd8d55d41557c30b75cd7ec",
+}
+TRAINING_SET_PIN = "0675d3b8fcd3d305c72424e6bdf3a268a8d4d4fc9471397a1a57481083dc4cdc"
+
+
+@pytest.mark.parametrize("n, seed", sorted(DELAUNAY_PINS))
+def test_generate_delaunay_golden(n, seed):
+    p = generate_delaunay(n, np.random.default_rng(seed))
+    assert _edge_digest(p) == DELAUNAY_PINS[n, seed]
+    if n == 2000:
+        assert len(p.edges) <= 3 * n - 6
+        assert connected(n, p.edges)
+
+
+def test_generate_training_set_golden():
+    patterns = generate_training_set(6, 20, 90, np.random.default_rng(5))
+    assert [p.n for p in patterns] == [67, 77, 21, 77, 53, 56]
+    joined = "".join(_edge_digest(p) for p in patterns)
+    assert hashlib.sha256(joined.encode()).hexdigest() == TRAINING_SET_PIN
