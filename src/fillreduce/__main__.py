@@ -1,0 +1,8 @@
+"""``python -m fillreduce``: the same command-line interface as ``fillreduce``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

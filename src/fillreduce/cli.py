@@ -23,8 +23,16 @@ from .sparsity import load_matrix_market, write_ordering
 from .trainer import REWARD_VARIANTS, TrainerConfig, train, write_training_log
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """A generator for a non-negative ``--seed``; numpy's own error for a
+    negative one does not name the option."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     patterns = generate_training_set(args.count, args.min, args.max, rng)
     manifest = write_training_set(patterns, args.out)
     sizes = [p.n for p in patterns]
@@ -34,11 +42,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    graphs = load_training_set(args.data)
     cfg = TrainerConfig(epochs=args.epochs, episodes_per_graph=args.episodes_per_graph,
                         seed=args.seed, backbone=args.backbone, reward=args.reward,
                         checkpoint_every=args.checkpoint_every,
                         checkpoint_path=args.out)
+    graphs = load_training_set(args.data)
     net, log = train(graphs, cfg)
     save_checkpoint(net, args.out)
     log_path = args.log if args.log else args.out + ".log"
@@ -54,6 +62,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    rng = _seeded_rng(args.seed)
     pattern = load_matrix_market(args.matrix)
     model = None
     if args.method == "gpo":
@@ -61,8 +70,7 @@ def cmd_order(args: argparse.Namespace) -> int:
             print("error: --method gpo requires --model", file=sys.stderr)
             return 2
         model = load_checkpoint(args.model)
-    ordering = compute_ordering(args.method, pattern, model,
-                                np.random.default_rng(args.seed))
+    ordering = compute_ordering(args.method, pattern, model, rng)
     write_ordering(ordering, args.out)
     print(f"{args.matrix}: n={pattern.n}, method={args.method}, "
           f"fir={fill_in_ratio(pattern, ordering):.6g} -> {args.out}")

@@ -8,6 +8,14 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
+A layer is computed as one block: each hop's product P^j H W_j is written
+into its column block of one (k, trunk_width) array, then the layer adds
+its biases, which sit side by side in one array, and applies tanh once;
+the next layer reads that array as it is. The backward pass forms the
+tanh derivative and the bias gradient once per layer as well. The per-hop
+parameter names stay, so checkpoints keep their layout: a per-hop bias is
+a view of its layer's bias array (see ``ParamSet``).
+
 ``forward`` evaluates the actor alone on one snapshot of the live graph
 (its ``NodeFeatures``), which is all a rollout needs; ``value`` runs the
 critic on the same state when training wants it. The actor reads nothing but
@@ -25,7 +33,9 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -34,6 +44,8 @@ from .features import NUM_FEATURES, LiveAdjacency, NodeFeatures
 FORMAT_VERSION = 1
 
 BACKBONES = ("mixhop", "singlehop")
+
+TOWERS = ("actor", "critic")
 
 
 class NetworkError(ValueError):
@@ -68,6 +80,12 @@ class NetConfig:
     def trunk_width(self) -> int:
         return len(self.hops) * self.hidden_per_hop
 
+    @cached_property
+    def hop_blocks(self) -> tuple[slice, ...]:
+        """Each hop's columns in a layer's output, in ``hops`` order."""
+        h = self.hidden_per_hop
+        return tuple(slice(j * h, (j + 1) * h) for j in range(len(self.hops)))
+
     def layer_in_width(self, layer: int) -> int:
         return NUM_FEATURES if layer == 0 else self.trunk_width
 
@@ -75,7 +93,7 @@ class NetConfig:
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map for every parameter; fixes both naming and layout."""
     shapes: dict[str, tuple[int, ...]] = {}
-    for tower in ("actor", "critic"):
+    for tower in TOWERS:
         for layer in range(config.num_layers):
             w_in = config.layer_in_width(layer)
             for hop in config.hops:
@@ -93,12 +111,44 @@ def _fan_in(name: str, shape: tuple[int, ...], config: NetConfig) -> int:
     return config.layer_in_width(layer)
 
 
+class ParamSet(dict):
+    """Arrays by parameter name, in ``param_shapes`` order, laid out by layer.
+
+    Each (tower, layer) keeps its hops' biases side by side in one array,
+    ``biases[tower][layer]``, and the per-hop ``.b`` names are views of its
+    blocks; ``weights[tower][layer]`` lists the hops' weight matrices. Both
+    are built once, so a step formats no per-hop name. Edit the arrays in
+    place: a name rebound to a new array is no longer what the network reads.
+    """
+
+    def __init__(self, config: NetConfig, arrays: Mapping[str, np.ndarray]):
+        super().__init__()
+        self.weights: dict[str, list[list[np.ndarray]]] = {}
+        self.biases: dict[str, list[np.ndarray]] = {}
+        for tower in TOWERS:
+            self.weights[tower], self.biases[tower] = [], []
+            for layer in range(config.num_layers):
+                prefix = f"{tower}.layer{layer}"
+                bias = np.concatenate([arrays[f"{prefix}.hop{hop}.b"] for hop in config.hops],
+                                      dtype=np.float64)
+                weights = []
+                for hop, block in zip(config.hops, config.hop_blocks):
+                    w = np.asarray(arrays[f"{prefix}.hop{hop}.w"], dtype=np.float64)
+                    self[f"{prefix}.hop{hop}.w"] = w
+                    self[f"{prefix}.hop{hop}.b"] = bias[block]
+                    weights.append(w)
+                self.weights[tower].append(weights)
+                self.biases[tower].append(bias)
+            for name in (f"{tower}.head.w", f"{tower}.head.b"):
+                self[name] = np.asarray(arrays[name], dtype=np.float64)
+
+
 class PolicyValueNet:
     """Parameter container for the actor and critic towers."""
 
     def __init__(self, config: NetConfig | None = None,
                  rng: np.random.Generator | None = None,
-                 params: dict[str, np.ndarray] | None = None):
+                 params: Mapping[str, np.ndarray] | None = None):
         self.config = config or NetConfig()
         expected = param_shapes(self.config)
         if params is not None:
@@ -107,18 +157,20 @@ class PolicyValueNet:
                 raise NetworkError(
                     f"parameter set does not match config: got {sorted(got)} "
                     f"expected {sorted(expected)}")
-            self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-            return
-        if rng is None:
-            rng = np.random.default_rng(0)
-        # uniform +-1/sqrt(fan_in) keeps tanh pre-activations near linear
-        self.params = {}
-        for name, shape in expected.items():
-            bound = 1.0 / np.sqrt(_fan_in(name, shape, self.config))
-            self.params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            # uniform +-1/sqrt(fan_in) keeps tanh pre-activations near linear
+            params = {}
+            for name, shape in expected.items():
+                bound = 1.0 / np.sqrt(_fan_in(name, shape, self.config))
+                params[name] = rng.uniform(-bound, bound, size=shape)
+        self.params = ParamSet(self.config, params)
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
+    def zero_grads(self) -> ParamSet:
+        """Zero arrays in the layout of ``params``, for ``backward`` to add into."""
+        return ParamSet(self.config, {name: np.zeros(shape) for name, shape
+                                      in param_shapes(self.config).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +205,12 @@ def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np
 @dataclass
 class TowerTape:
     hop_inputs: list[list[np.ndarray]]    # propagated inputs P^j H_l
-    activations: list[list[np.ndarray]]   # tanh outputs per hop
-    final: np.ndarray                     # trunk output H_L
+    outputs: list[np.ndarray]             # each layer's tanh output, hops side by side
+
+    @property
+    def final(self) -> np.ndarray:
+        """The trunk output H_L that the head reads."""
+        return self.outputs[-1]
 
 
 @dataclass
@@ -183,18 +239,18 @@ def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
     """Run one tower from its first layer's hop inputs, which depend only on
     the features and the operator, so both towers share them."""
     cfg = net.config
-    hop_inputs, activations = [], []
-    for layer in range(cfg.num_layers):
-        ms = _hop_inputs(cfg, prop, h) if layer else first
-        acts = []
-        for hop, m in zip(cfg.hops, ms):
-            w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
-            b = net.params[f"{tower}.layer{layer}.hop{hop}.b"]
-            acts.append(np.tanh(m @ w + b))
+    hop_inputs, outputs = [], []
+    for layer, (weights, bias) in enumerate(zip(net.params.weights[tower],
+                                                net.params.biases[tower])):
+        ms = _hop_inputs(cfg, prop, outputs[-1]) if layer else first
+        h = np.empty((len(prop), cfg.trunk_width))
+        for m, w, block in zip(ms, weights, cfg.hop_blocks):
+            np.matmul(m, w, out=h[:, block])
+        h += bias
+        np.tanh(h, out=h)
         hop_inputs.append(ms)
-        activations.append(acts)
-        h = np.concatenate(acts, axis=1)
-    return TowerTape(hop_inputs, activations, h)
+        outputs.append(h)
+    return TowerTape(hop_inputs, outputs)
 
 
 def forward(net: PolicyValueNet, features: NodeFeatures
@@ -232,26 +288,24 @@ def value(net: PolicyValueNet, tape: ForwardTape) -> float:
 
 
 def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
-                    prop: np.ndarray, d_out: np.ndarray,
-                    grads: dict[str, np.ndarray]) -> None:
+                    prop: np.ndarray, d_out: np.ndarray, grads: ParamSet) -> None:
     cfg = net.config
-    hidden = cfg.hidden_per_hop
     for layer in reversed(range(cfg.num_layers)):
-        d_in = np.zeros_like(tape.hop_inputs[layer][0])
-        for idx, hop in enumerate(cfg.hops):
-            d_act = d_out[:, idx * hidden:(idx + 1) * hidden]
-            act = tape.activations[layer][idx]
-            d_pre = d_act * (1.0 - act * act)
-            m = tape.hop_inputs[layer][idx]
-            w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
-            grads[f"{tower}.layer{layer}.hop{hop}.w"] += m.T @ d_pre
-            grads[f"{tower}.layer{layer}.hop{hop}.b"] += d_pre.sum(axis=0)
-            if layer == 0:
-                continue            # nothing reads the gradient of the features
-            d_m = d_pre @ w.T
-            for _ in range(hop):
-                d_m = prop.T @ d_m
-            d_in += d_m
+        h = tape.outputs[layer]
+        d_pre = d_out * (1.0 - h * h)
+        grads.biases[tower][layer] += d_pre.sum(axis=0)
+        # nothing reads the gradient of the features
+        d_in = np.zeros_like(tape.hop_inputs[layer][0]) if layer else None
+        for hop, block, m, w, g_w in zip(cfg.hops, cfg.hop_blocks, tape.hop_inputs[layer],
+                                         net.params.weights[tower][layer],
+                                         grads.weights[tower][layer]):
+            d_hop = d_pre[:, block]
+            g_w += m.T @ d_hop
+            if layer:
+                d_m = d_hop @ w.T
+                for _ in range(hop):
+                    d_m = prop.T @ d_m
+                d_in += d_m
         d_out = d_in
 
 
@@ -283,6 +337,8 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
             f"log-probs shape {tape.log_probs.shape}")
     if grads is None:
         grads = net.zero_grads()
+    elif not isinstance(grads, ParamSet):
+        raise NetworkError("gradients must be added into a net.zero_grads() set")
 
     d_logits = log_softmax_backward(np.exp(tape.log_probs), d_log_probs)
     grads["actor.head.w"] += tape.actor.final.T @ d_logits

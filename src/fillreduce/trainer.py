@@ -60,6 +60,8 @@ class TrainerConfig:
             raise ValueError("checkpoint_every must not be negative (0 disables it)")
         if self.reward not in REWARD_VARIANTS:
             raise ValueError(f"unknown reward variant {self.reward!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def learning_rate(self, epoch: int) -> float:
         """Schedule: one rate for the first full pass, a lower one after."""

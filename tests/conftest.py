@@ -1,13 +1,18 @@
-"""Shared graph constructors for the test suite."""
+"""Shared graph constructors and reference implementations for the test suite."""
+
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
                         backward, compute_features, eliminate_all, forward,
-                        normalize_features, value)
+                        normalize_features, policy_net, value)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
+from fillreduce.policy_net import _hop_inputs
 
 
 def fill_steps(pattern, ordering) -> list[list[tuple[int, int]]]:
@@ -208,3 +213,63 @@ def reference_episode(net, pattern, rng, to_returns):
             grads[name] += arr
     log_probs = [float(tape.log_probs[row]) for tape, row in zip(tapes, rows)]
     return grads, values, log_probs, Ordering(trace.nodes)
+
+
+@dataclass
+class ReferenceTowerTape:
+    hop_inputs: list[list[np.ndarray]]    # propagated inputs P^j H_l
+    activations: list[list[np.ndarray]]   # tanh outputs per hop
+    final: np.ndarray                     # trunk output H_L
+
+
+def reference_tower_forward(net, tower, prop, first):
+    """One tower hop by hop: a product, a bias add and a tanh per hop, each
+    parameter looked up by name, and the hops concatenated into the next
+    layer's input. ``policy_net._tower_forward`` computes a layer as one block."""
+    cfg = net.config
+    hop_inputs, activations = [], []
+    for layer in range(cfg.num_layers):
+        ms = _hop_inputs(cfg, prop, h) if layer else first
+        acts = []
+        for hop, m in zip(cfg.hops, ms):
+            w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
+            b = net.params[f"{tower}.layer{layer}.hop{hop}.b"]
+            acts.append(np.tanh(m @ w + b))
+        hop_inputs.append(ms)
+        activations.append(acts)
+        h = np.concatenate(acts, axis=1)
+    return ReferenceTowerTape(hop_inputs, activations, h)
+
+
+def reference_tower_backward(net, tower, tape, prop, d_out, grads):
+    """The gradient of ``reference_tower_forward``, hop by hop: a tanh
+    derivative and a bias sum per hop, gradients added by name."""
+    cfg = net.config
+    hidden = cfg.hidden_per_hop
+    for layer in reversed(range(cfg.num_layers)):
+        d_in = np.zeros_like(tape.hop_inputs[layer][0])
+        for idx, hop in enumerate(cfg.hops):
+            d_act = d_out[:, idx * hidden:(idx + 1) * hidden]
+            act = tape.activations[layer][idx]
+            d_pre = d_act * (1.0 - act * act)
+            m = tape.hop_inputs[layer][idx]
+            w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
+            grads[f"{tower}.layer{layer}.hop{hop}.w"] += m.T @ d_pre
+            grads[f"{tower}.layer{layer}.hop{hop}.b"] += d_pre.sum(axis=0)
+            if layer == 0:
+                continue            # nothing reads the gradient of the features
+            d_m = d_pre @ w.T
+            for _ in range(hop):
+                d_m = prop.T @ d_m
+            d_in += d_m
+        d_out = d_in
+
+
+@contextmanager
+def per_hop_towers():
+    """Run ``forward``, ``value`` and ``backward`` with the hop-by-hop towers
+    above in place of the block ones; the heads are shared."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy_net, "_tower_forward", reference_tower_forward)
+        mp.setattr(policy_net, "_tower_backward", reference_tower_backward)
+        yield

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fillreduce
 from conftest import cycle_pattern, path_pattern
 from fillreduce import (NetConfig, PolicyValueNet, load_ordering, save_checkpoint,
                         sparsity, trainer, write_matrix_market)
@@ -138,6 +143,46 @@ def test_bench_negative_seed_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: seed must be non-negative, got -1\n"
     assert not report.exists()
+
+
+def test_gen_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run(["gen", "--count", 2, "--min", 6, "--max", 9, "--seed", -1,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_train_negative_seed_exit_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["gen", "--count", 2, "--min", 6, "--max", 9, "--seed", 3, "--out", data])
+    capsys.readouterr()
+    model = tmp_path / "m.ckpt"
+    assert run(["train", "--data", data, "--epochs", 1, "--seed", -1, "--out", model]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not model.exists()
+
+
+def test_order_negative_seed_exit_2(tmp_path, capsys):
+    write_matrix_market(path_pattern(3), tmp_path / "a.mtx")
+    out = tmp_path / "perm.txt"
+    assert run(["order", "--matrix", tmp_path / "a.mtx", "--method", "random",
+                "--seed", -1, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_python_m_runs_the_cli():
+    # the package directory on the path is enough; nothing needs installing
+    src = Path(fillreduce.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "fillreduce", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: fillreduce")
+    for command in ("gen", "train", "order", "bench"):
+        assert command in done.stdout
 
 
 @pytest.mark.parametrize("bounds", [(60, sparsity.MAX_NODES + 1),

@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import evaluate, path_pattern, random_pattern
+from conftest import (evaluate, path_pattern, patterns, per_hop_towers,
+                      random_pattern)
 from fillreduce import (EliminationGraph, NetConfig, NetworkError, PolicyValueNet,
                         SparsityPattern, backward, build_propagation,
-                        compute_features, forward, load_checkpoint,
-                        normalize_features, save_checkpoint)
+                        compute_features, forward, generate_delaunay,
+                        load_checkpoint, normalize_features, save_checkpoint)
 from fillreduce.policy_net import log_softmax_backward, param_shapes
+from fillreduce.trainer import AdamState
 
 
 def state(pattern):
@@ -196,6 +200,52 @@ def test_finite_difference_gradients_singlehop():
     assert finite_difference_check(net, x, rng) < 1e-3
 
 
+@st.composite
+def layout_cases(draw):
+    """A net of any shape and one state: a random pattern (isolated nodes
+    and k = 1 included) or a Delaunay graph, partly eliminated."""
+    config = NetConfig(backbone=draw(st.sampled_from(["mixhop", "singlehop"])),
+                       num_layers=draw(st.integers(1, 3)),
+                       hidden_per_hop=draw(st.integers(1, 16)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        pattern = draw(patterns(max_n=14).filter(lambda p: p.n > 0))
+    else:
+        pattern = generate_delaunay(draw(st.integers(3, 40)), rng)
+    g = EliminationGraph(pattern)
+    for v in draw(st.permutations(range(pattern.n)))[:draw(st.integers(0, pattern.n - 1))]:
+        g.eliminate(v)
+    x = normalize_features(compute_features(g))
+    return PolicyValueNet(config, rng=rng), x, rng.normal(size=len(x.nodes)), float(rng.normal())
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_cases())
+def test_block_layers_match_per_hop_reference(case):
+    net, x, c_lp, c_v = case
+    log_probs, v, tape = evaluate(net, x)
+    grads = backward(net, tape, c_lp, c_v)
+    with per_hop_towers():
+        want_log_probs, want_v, want_tape = evaluate(net, x)
+        want = backward(net, want_tape, c_lp, c_v)
+    assert np.array_equal(log_probs, want_log_probs)
+    assert v == want_v
+    assert list(grads) == list(want)
+    # One hidden unit per hop of several makes each hop's gradient block a
+    # lone strided column: numpy sums a lone column pairwise rather than row
+    # by row, and multiplies a strided one without BLAS. Those gradients
+    # differ from the per-hop ones in rounding only.
+    cfg = net.config
+    exact = cfg.hidden_per_hop > 1 or len(cfg.hops) == 1
+    for name in want:
+        if exact:
+            assert np.array_equal(grads[name], want[name]), name
+        else:
+            np.testing.assert_allclose(grads[name], want[name], rtol=1e-9, atol=1e-10,
+                                       err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # configuration and checkpoints
 # ---------------------------------------------------------------------------
@@ -235,6 +285,49 @@ def test_checkpoint_round_trip(tmp_path):
     # loaded net behaves identically
     x = state(path_pattern(5))
     assert np.array_equal(forward(net, x)[0], forward(loaded, x)[0])
+
+
+def moves_forward(net, name, x):
+    """Whether an in-place edit of parameter ``name`` changes the actor's output."""
+    before = forward(net, x)[0]
+    net.params[name][0] += 0.5
+    return not np.array_equal(forward(net, x)[0], before)
+
+
+@pytest.mark.parametrize("backbone", ["mixhop", "singlehop"])
+def test_parameter_views_stay_bound(tmp_path, backbone):
+    # a per-hop bias is a view of its layer's bias array; every way a net
+    # gets its parameters must leave the named views bound to what forward reads
+    x = state(path_pattern(5))
+    net = fresh_net(18, backbone=backbone, num_layers=2, hidden_per_hop=3)
+    assert list(net.params) == list(param_shapes(net.config))
+    bias = f"actor.layer1.hop{net.config.hops[-1]}.b"
+
+    adam = AdamState(net)
+    _, _, tape = evaluate(net, x)
+    adam.step(net, backward(net, tape, np.ones(5), 1.0), lr=0.01)
+    copied = PolicyValueNet(net.config, params={k: v.copy() for k, v in net.params.items()})
+    assert np.array_equal(forward(copied, x)[0], forward(net, x)[0])
+    assert moves_forward(net, bias, x)
+
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(net, first)
+    loaded = load_checkpoint(first)
+    save_checkpoint(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert moves_forward(loaded, bias, x)
+
+    rebuilt = PolicyValueNet(net.config, params=dict(net.params))
+    assert moves_forward(rebuilt, bias, x)
+
+
+def test_backward_needs_a_zero_grads_set():
+    net = fresh_net(19)
+    x = state(path_pattern(4))
+    _, _, tape = evaluate(net, x)
+    plain = {name: np.zeros_like(arr) for name, arr in net.params.items()}
+    with pytest.raises(NetworkError, match="zero_grads"):
+        backward(net, tape, np.zeros(4), 0.0, plain)
 
 
 def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):

@@ -267,6 +267,8 @@ def test_config_validation():
         TrainerConfig(episodes_per_graph=0)
     with pytest.raises(ValueError, match="checkpoint_every"):
         TrainerConfig(checkpoint_every=-2)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        TrainerConfig(seed=-1)
 
 
 def test_learning_rate_schedule():
