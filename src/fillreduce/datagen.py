@@ -34,20 +34,6 @@ class DegenerateGeometry(RuntimeError):
     """Exact in-circle tie or collinear triangle; caller retries with jitter."""
 
 
-def in_circle_det(a, b, c, p) -> float:
-    """In-circle determinant: positive iff p lies strictly inside the
-    circumcircle of triangle (a, b, c), after normalizing to CCW orientation."""
-    orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if orient < 0:
-        b, c = c, b
-    ax, ay = a[0] - p[0], a[1] - p[1]
-    bx, by = b[0] - p[0], b[1] - p[1]
-    cx, cy = c[0] - p[0], c[1] - p[1]
-    return ((ax * ax + ay * ay) * (bx * cy - by * cx)
-            - (bx * bx + by * by) * (ax * cy - ay * cx)
-            + (cx * cx + cy * cy) * (ax * by - ay * bx))
-
-
 def _circumcircle(a, b, c) -> tuple[float, float, float]:
     """Circumcenter and squared radius; raises on collinear vertices."""
     d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))

@@ -8,13 +8,20 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
-A layer is computed as one block: each hop's product P^j H W_j is written
-into its column block of one (k, trunk_width) array, then the layer adds
-its biases, which sit side by side in one array, and applies tanh once;
-the next layer reads that array as it is. The backward pass forms the
-tanh derivative and the bias gradient once per layer as well. The per-hop
-parameter names stay, so checkpoints keep their layout: a per-hop bias is
-a view of its layer's bias array (see ``ParamSet``).
+A layer is computed as one block of shape (k, trunk_width), hops side by
+side. Layer 0 widens its two input features, so it propagates first: its
+hop j reads P^j X, which both towers share. A layer >= 1 narrows its input,
+so it multiplies by the weights first, as GCN and MixHop do: hop j is
+P^j (H W_j), and the operator meets hidden_per_hop columns per power
+instead of trunk_width. Each hop's products are written into its column
+block; products over several hops' columns at once would round each hop
+differently from the same hop computed alone. The layer then adds its
+biases, which sit side by side in one array, and applies tanh once; the
+next layer reads that array as it is. The backward pass mirrors this: P^T
+applied j times to hop j's block, one weight-gradient product per hop, and
+one product for the input gradient. The per-hop parameter names stay, so
+checkpoints keep their layout: a per-hop weight or bias is a view of its
+layer's array (see ``ParamSet``).
 
 ``forward`` evaluates the actor alone on one snapshot of the live graph
 (its ``NodeFeatures``), which is all a rollout needs; ``value`` runs the
@@ -114,30 +121,30 @@ def _fan_in(name: str, shape: tuple[int, ...], config: NetConfig) -> int:
 class ParamSet(dict):
     """Arrays by parameter name, in ``param_shapes`` order, laid out by layer.
 
-    Each (tower, layer) keeps its hops' biases side by side in one array,
-    ``biases[tower][layer]``, and the per-hop ``.b`` names are views of its
-    blocks; ``weights[tower][layer]`` lists the hops' weight matrices. Both
-    are built once, so a step formats no per-hop name. Edit the arrays in
-    place: a name rebound to a new array is no longer what the network reads.
+    Each (tower, layer) keeps its hops' weights side by side in one
+    (in_width, trunk_width) array, ``weights[tower][layer]``, and its hops'
+    biases in one array, ``biases[tower][layer]``; the per-hop ``.w`` and
+    ``.b`` names are views of their column blocks. Both are built once, so a
+    step formats no per-hop name. Edit the arrays in place: a name rebound
+    to a new array is no longer what the network reads.
     """
 
     def __init__(self, config: NetConfig, arrays: Mapping[str, np.ndarray]):
         super().__init__()
-        self.weights: dict[str, list[list[np.ndarray]]] = {}
+        self.weights: dict[str, list[np.ndarray]] = {}
         self.biases: dict[str, list[np.ndarray]] = {}
         for tower in TOWERS:
             self.weights[tower], self.biases[tower] = [], []
             for layer in range(config.num_layers):
                 prefix = f"{tower}.layer{layer}"
+                weight = np.concatenate([arrays[f"{prefix}.hop{hop}.w"] for hop in config.hops],
+                                        axis=1, dtype=np.float64)
                 bias = np.concatenate([arrays[f"{prefix}.hop{hop}.b"] for hop in config.hops],
                                       dtype=np.float64)
-                weights = []
                 for hop, block in zip(config.hops, config.hop_blocks):
-                    w = np.asarray(arrays[f"{prefix}.hop{hop}.w"], dtype=np.float64)
-                    self[f"{prefix}.hop{hop}.w"] = w
+                    self[f"{prefix}.hop{hop}.w"] = weight[:, block]
                     self[f"{prefix}.hop{hop}.b"] = bias[block]
-                    weights.append(w)
-                self.weights[tower].append(weights)
+                self.weights[tower].append(weight)
                 self.biases[tower].append(bias)
             for name in (f"{tower}.head.w", f"{tower}.head.b"):
                 self[name] = np.asarray(arrays[name], dtype=np.float64)
@@ -204,7 +211,7 @@ def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np
 
 @dataclass
 class TowerTape:
-    hop_inputs: list[list[np.ndarray]]    # propagated inputs P^j H_l
+    first: list[np.ndarray]               # layer 0's hop inputs P^j X, shared by both towers
     outputs: list[np.ndarray]             # each layer's tanh output, hops side by side
 
     @property
@@ -226,9 +233,10 @@ class ForwardTape:
     critic_tanh: np.ndarray | None = None
 
 
-def _hop_inputs(config: NetConfig, prop: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
-    """P^j H for every hop j of a layer, each power from the one before."""
-    powers = [h]
+def _hop_inputs(config: NetConfig, prop: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """P^j X for every hop j of layer 0, each power from the one before.
+    Layer 0 widens its input, so it propagates before it multiplies."""
+    powers = [x]
     for _ in range(max(config.hops)):
         powers.append(prop @ powers[-1])
     return [powers[hop] for hop in config.hops]
@@ -239,18 +247,19 @@ def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
     """Run one tower from its first layer's hop inputs, which depend only on
     the features and the operator, so both towers share them."""
     cfg = net.config
-    hop_inputs, outputs = [], []
-    for layer, (weights, bias) in enumerate(zip(net.params.weights[tower],
-                                                net.params.biases[tower])):
-        ms = _hop_inputs(cfg, prop, outputs[-1]) if layer else first
+    outputs = []
+    for layer, (w, bias) in enumerate(zip(net.params.weights[tower],
+                                          net.params.biases[tower])):
         h = np.empty((len(prop), cfg.trunk_width))
-        for m, w, block in zip(ms, weights, cfg.hop_blocks):
-            np.matmul(m, w, out=h[:, block])
+        for hop, m, block in zip(cfg.hops, first, cfg.hop_blocks):
+            # layer 0 reads P^j X; a layer >= 1 forms H W_j, then P^j (H W_j)
+            np.matmul(outputs[-1] if layer else m, w[:, block], out=h[:, block])
+            for _ in range(hop if layer else 0):
+                h[:, block] = prop @ h[:, block]
         h += bias
         np.tanh(h, out=h)
-        hop_inputs.append(ms)
         outputs.append(h)
-    return TowerTape(hop_inputs, outputs)
+    return TowerTape(first, outputs)
 
 
 def forward(net: PolicyValueNet, features: NodeFeatures
@@ -281,7 +290,7 @@ def value(net: PolicyValueNet, tape: ForwardTape) -> float:
     the tape for ``backward``, and return the state value in (-1, 1)."""
     if tape.net is not net:
         raise NetworkError("tape was recorded by a different network")
-    tape.critic = _tower_forward(net, "critic", tape.prop, tape.actor.hop_inputs[0])
+    tape.critic = _tower_forward(net, "critic", tape.prop, tape.actor.first)
     pre = tape.critic.final @ net.params["critic.head.w"] + net.params["critic.head.b"][0]
     tape.critic_tanh = np.tanh(pre)
     return float(tape.critic_tanh.mean())
@@ -292,21 +301,16 @@ def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
     cfg = net.config
     for layer in reversed(range(cfg.num_layers)):
         h = tape.outputs[layer]
-        d_pre = d_out * (1.0 - h * h)
-        grads.biases[tower][layer] += d_pre.sum(axis=0)
-        # nothing reads the gradient of the features
-        d_in = np.zeros_like(tape.hop_inputs[layer][0]) if layer else None
-        for hop, block, m, w, g_w in zip(cfg.hops, cfg.hop_blocks, tape.hop_inputs[layer],
-                                         net.params.weights[tower][layer],
-                                         grads.weights[tower][layer]):
-            d_hop = d_pre[:, block]
-            g_w += m.T @ d_hop
-            if layer:
-                d_m = d_hop @ w.T
-                for _ in range(hop):
-                    d_m = prop.T @ d_m
-                d_in += d_m
-        d_out = d_in
+        d = d_out * (1.0 - h * h)
+        grads.biases[tower][layer] += d.sum(axis=0)
+        g_w = grads.weights[tower][layer]
+        for hop, m, block in zip(cfg.hops, tape.first, cfg.hop_blocks):
+            # from the gradient of P^j (H W_j) to that of H W_j
+            for _ in range(hop if layer else 0):
+                d[:, block] = prop.T @ d[:, block]
+            g_w[:, block] += (tape.outputs[layer - 1] if layer else m).T @ d[:, block]
+        if layer:   # nothing reads the gradient of the features
+            d_out = d @ net.params.weights[tower][layer].T
 
 
 def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.ndarray:

@@ -98,9 +98,14 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
     record = EpisodeRecord()
+    raw: NodeFeatures | None = None
 
     def choose(g: EliminationGraph) -> int:
-        x = normalize_features(compute_features(g))
+        nonlocal raw
+        # the first step builds the snapshot; each later one patches the last
+        raw = (compute_features(g) if raw is None
+               else compute_features(g, raw, record.chosen_rows[-1]))
+        x = normalize_features(raw)
         log_probs, _ = forward(net, x)
         if greedy:
             row = int(np.argmax(log_probs))

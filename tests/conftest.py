@@ -12,7 +12,6 @@ from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
                         normalize_features, policy_net, value)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
-from fillreduce.policy_net import _hop_inputs
 
 
 def fill_steps(pattern, ordering) -> list[list[tuple[int, int]]]:
@@ -31,6 +30,20 @@ def reference_min_degree(pattern) -> Ordering:
     lowest index on ties."""
     trace = eliminate_all(pattern, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
     return Ordering(trace.nodes)
+
+
+def in_circle_det(a, b, c, p) -> float:
+    """In-circle determinant: positive iff p lies strictly inside the
+    circumcircle of triangle (a, b, c), after normalizing to CCW orientation."""
+    orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if orient < 0:
+        b, c = c, b
+    ax, ay = a[0] - p[0], a[1] - p[1]
+    bx, by = b[0] - p[0], b[1] - p[1]
+    cx, cy = c[0] - p[0], c[1] - p[1]
+    return ((ax * ax + ay * ay) * (bx * cy - by * cx)
+            - (bx * bx + by * by) * (ax * cy - ay * cx)
+            + (cx * cx + cy * cy) * (ax * by - ay * bx))
 
 
 def reference_triangulate(points) -> list[tuple[int, int, int]]:
@@ -217,7 +230,8 @@ def reference_episode(net, pattern, rng, to_returns):
 
 @dataclass
 class ReferenceTowerTape:
-    hop_inputs: list[list[np.ndarray]]    # propagated inputs P^j H_l
+    first: list[np.ndarray]               # layer 0's hop inputs P^j X
+    inputs: list[np.ndarray | None]       # each layer's input H_l; None for layer 0
     activations: list[list[np.ndarray]]   # tanh outputs per hop
     final: np.ndarray                     # trunk output H_L
 
@@ -225,44 +239,58 @@ class ReferenceTowerTape:
 def reference_tower_forward(net, tower, prop, first):
     """One tower hop by hop: a product, a bias add and a tanh per hop, each
     parameter looked up by name, and the hops concatenated into the next
-    layer's input. ``policy_net._tower_forward`` computes a layer as one block."""
+    layer's input. Hop j of layer 0 reads P^j X; hop j of a layer >= 1 is
+    P^j (H W_j), the operator applied j times to its own product.
+    ``policy_net._tower_forward`` computes a layer as one block."""
     cfg = net.config
-    hop_inputs, activations = [], []
+    inputs, activations, h = [], [], None
     for layer in range(cfg.num_layers):
-        ms = _hop_inputs(cfg, prop, h) if layer else first
         acts = []
-        for hop, m in zip(cfg.hops, ms):
+        for idx, hop in enumerate(cfg.hops):
             w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
             b = net.params[f"{tower}.layer{layer}.hop{hop}.b"]
-            acts.append(np.tanh(m @ w + b))
-        hop_inputs.append(ms)
+            if layer == 0:
+                pre = first[idx] @ w
+            else:
+                pre = h @ w
+                for _ in range(hop):
+                    pre = prop @ pre
+            acts.append(np.tanh(pre + b))
+        inputs.append(h)
         activations.append(acts)
         h = np.concatenate(acts, axis=1)
-    return ReferenceTowerTape(hop_inputs, activations, h)
+    return ReferenceTowerTape(first, inputs, activations, h)
 
 
 def reference_tower_backward(net, tower, tape, prop, d_out, grads):
     """The gradient of ``reference_tower_forward``, hop by hop: a tanh
-    derivative and a bias sum per hop, gradients added by name."""
+    derivative, a bias sum, P^T applied j times and a weight gradient per
+    hop, gradients added by name.
+
+    The input gradient of a layer >= 1 is one product of the hops' gradients
+    side by side with their weights side by side, as ``policy_net`` forms
+    it: a sum of one product per hop would round differently."""
     cfg = net.config
     hidden = cfg.hidden_per_hop
     for layer in reversed(range(cfg.num_layers)):
-        d_in = np.zeros_like(tape.hop_inputs[layer][0])
+        d_hops, weights = [], []
         for idx, hop in enumerate(cfg.hops):
             d_act = d_out[:, idx * hidden:(idx + 1) * hidden]
             act = tape.activations[layer][idx]
             d_pre = d_act * (1.0 - act * act)
-            m = tape.hop_inputs[layer][idx]
-            w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
-            grads[f"{tower}.layer{layer}.hop{hop}.w"] += m.T @ d_pre
-            grads[f"{tower}.layer{layer}.hop{hop}.b"] += d_pre.sum(axis=0)
+            name = f"{tower}.layer{layer}.hop{hop}"
+            grads[f"{name}.b"] += d_pre.sum(axis=0)
             if layer == 0:
-                continue            # nothing reads the gradient of the features
-            d_m = d_pre @ w.T
+                # nothing reads the gradient of the features
+                grads[f"{name}.w"] += tape.first[idx].T @ d_pre
+                continue
             for _ in range(hop):
-                d_m = prop.T @ d_m
-            d_in += d_m
-        d_out = d_in
+                d_pre = prop.T @ d_pre
+            grads[f"{name}.w"] += tape.inputs[layer].T @ d_pre
+            d_hops.append(d_pre)
+            weights.append(net.params[f"{name}.w"])
+        if layer:
+            d_out = np.concatenate(d_hops, axis=1) @ np.concatenate(weights, axis=1).T
 
 
 @contextmanager

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_triangulate
+from conftest import in_circle_det, reference_triangulate
 from fillreduce import (generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
 from fillreduce.datagen import (DegenerateGeometry, _triangulate, delaunay_edges,
-                                delaunay_triangles, in_circle_det)
+                                delaunay_triangles)
 from fillreduce.sparsity import MAX_NODES
 
 

@@ -1,13 +1,13 @@
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_pattern, path_pattern, patterns, random_pattern,
                       reference_features, reference_propagation, star_pattern)
 from fillreduce import (EliminationGraph, NetConfig, SparsityPattern, build_propagation,
-                        compute_features, normalize_features)
+                        compute_features, generate_delaunay, normalize_features)
 from fillreduce.policy_net import BACKBONES
 
 
@@ -114,3 +114,45 @@ def test_snapshot_matches_reference_loops(g):
         cfg = NetConfig(backbone=backbone)
         assert np.array_equal(build_propagation(nf.adjacency, cfg),
                               reference_propagation(g, cfg))
+
+
+@st.composite
+def elimination_runs(draw):
+    """A pattern, an order of all its nodes, and how many of them go before
+    the first snapshot: random patterns (isolated nodes, n = 0 and n = 1
+    included) or Delaunay graphs."""
+    if draw(st.booleans()):
+        p = draw(patterns(max_n=20))
+    else:
+        p = generate_delaunay(draw(st.integers(3, 60)),
+                              np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    return p, draw(st.permutations(range(p.n))), draw(st.integers(0, p.n))
+
+
+@settings(max_examples=150, deadline=None)
+@example((SparsityPattern(0), [], 0))
+@example((SparsityPattern(1), [0], 0))
+@example((SparsityPattern(3, [(0, 1)]), [2, 0, 1], 0))
+@given(elimination_runs())
+def test_patched_snapshot_matches_full_build(run):
+    # every step down to the empty graph: the last steps eliminate a clique
+    p, order, start = run
+    g = EliminationGraph(p)
+    for v in order[:start]:
+        g.eliminate(v)
+    nf = compute_features(g)
+    for v in order[start:]:
+        row = nf.nodes.index(v)
+        g.eliminate(v)
+        nf = compute_features(g, nf, row)
+        want = compute_features(g)
+        assert nf.nodes == want.nodes
+        assert np.array_equal(nf.x, want.x)
+        for got, full in ((nf.adjacency.degree, want.adjacency.degree),
+                          (nf.adjacency.cols, want.adjacency.cols)):
+            assert got.dtype == np.int32
+            assert np.array_equal(got, full)
+        for backbone in BACKBONES:
+            cfg = NetConfig(backbone=backbone)
+            assert np.array_equal(build_propagation(nf.adjacency, cfg),
+                                  build_propagation(want.adjacency, cfg))

@@ -17,7 +17,7 @@ from fillreduce import (TrainerConfig, generate_delaunay, generate_training_set,
                         write_matrix_market)
 from fillreduce.trainer import write_training_log
 
-CHECKPOINT_SHA256 = "f18b05b06012a3af65ac622c6dca736c39ec1b7032a732f9fd64618e7a8b32d2"
+CHECKPOINT_SHA256 = "6060e3c802fb3014a148a3a494a8f8b92d83ea7d8ca2064346f87b450223ec83"
 
 TRAINING_LOG = (
     "1,0,182,0.501,0.372721\n"
@@ -28,7 +28,7 @@ TRAINING_LOG = (
 GPO_ORDER_N60 = [
     43, 58, 22, 52, 5, 21, 19, 18, 24, 27, 34, 51, 10, 45, 44, 49, 0, 1, 14, 2,
     3, 4, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 20, 23, 25, 26, 28, 29, 30, 31,
-    32, 33, 35, 36, 37, 38, 39, 40, 41, 42, 46, 47, 48, 56, 50, 53, 54, 55, 57, 59,
+    32, 33, 35, 36, 37, 38, 39, 40, 41, 42, 46, 47, 48, 50, 53, 54, 55, 56, 57, 59,
 ]
 
 REPORT_CSV = (

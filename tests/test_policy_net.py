@@ -200,6 +200,24 @@ def test_finite_difference_gradients_singlehop():
     assert finite_difference_check(net, x, rng) < 1e-3
 
 
+def test_finite_difference_gradients_lone_hop_columns():
+    # one hidden unit per hop: every hop block of layers 1 and 2 is a lone column
+    rng = np.random.default_rng(39)
+    x = state(random_pattern(rng, 6))
+    net = fresh_net(20, num_layers=3, hidden_per_hop=1)
+    assert finite_difference_check(net, x, rng) < 1e-3
+
+
+def test_finite_difference_gradients_singlehop_deep():
+    # the row-normalized operator is not symmetric, so layers 1 and 2 need P^T
+    rng = np.random.default_rng(40)
+    x = state(random_pattern(rng, 6))
+    prop = build_propagation(x.adjacency, NetConfig(backbone="singlehop"))
+    assert not np.array_equal(prop, prop.T)
+    net = fresh_net(21, backbone="singlehop", num_layers=3, hidden_per_hop=3)
+    assert finite_difference_check(net, x, rng) < 1e-3
+
+
 @st.composite
 def layout_cases(draw):
     """A net of any shape and one state: a random pattern (isolated nodes
