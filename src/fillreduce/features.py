@@ -3,7 +3,8 @@
 Collective influence of v is (deg(v) - 1) * sum over neighbors u of
 (deg(u) - 1), a cheap centrality that looks one hop out. Both features are
 computed on the current elimination graph, so they change as nodes are
-removed and cliques form.
+removed and cliques form. The first snapshot of an episode is read from the
+environment; each later one applies the elimination to its own edge list.
 """
 
 from __future__ import annotations
@@ -23,19 +24,14 @@ class LiveAdjacency:
     """One snapshot of the live subgraph with nodes numbered by row, row i
     being the i-th smallest live node id.
 
-    Row i has ``degree[i]`` entries, the neighbour rows
-    ``cols[sum(degree[:i]):sum(degree[:i + 1])]``; every undirected edge
-    appears once in each direction. Both arrays are int32, so a training
+    ``edges`` is an int32 ``(2, m)`` array holding each live edge once, as
+    the column ``(i, j)`` with ``i < j``, in no particular order; ``degree``
+    is the int32 count of each row's edges. Both are compact, so a training
     step can keep its snapshot cheaply.
     """
 
     degree: np.ndarray
-    cols: np.ndarray
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The row of every entry, so entry e is ``rows[e] -> cols[e]``."""
-        return np.repeat(np.arange(len(self.degree)), self.degree)
+    edges: np.ndarray
 
 
 @dataclass
@@ -53,17 +49,17 @@ class NodeFeatures:
     adjacency: LiveAdjacency
 
 
-def compute_features(g: EliminationGraph, prev: NodeFeatures | None = None,
+def compute_features(g: EliminationGraph | None, prev: NodeFeatures | None = None,
                      row: int | None = None) -> NodeFeatures:
     """Degree and collective influence for every live node, and the live
     adjacency snapshot they are computed from.
 
-    Without ``prev`` the snapshot comes from one pass over ``g.adj``. With
-    ``prev``, the snapshot of ``g`` just before it eliminated the node in
-    ``prev``'s row ``row``, it is patched instead: that row goes, the rows
-    above it move down by one, and only the eliminated node's neighbours
-    are read again from ``g.adj``, since no other node gained or lost an
-    edge. Both give the same arrays, entry for entry.
+    Without ``prev`` the snapshot is read from ``g``. With ``prev``, the
+    snapshot just before the elimination of the node in ``prev``'s row
+    ``row``, that elimination is applied to ``prev``'s edges and ``g`` is
+    not read: every edge inside the node's closed neighbourhood goes, the
+    neighbours' clique comes in, and the rows above ``row`` move down by
+    one. Both give the same set of edges and the same degrees.
 
     The neighbor sums are sums of integers below 2^53, so they are exact in
     any order. Isolated nodes get (0, 0): the (deg - 1) factor is clamped at
@@ -71,51 +67,33 @@ def compute_features(g: EliminationGraph, prev: NodeFeatures | None = None,
     """
     if prev is None:
         nodes = sorted(g.live)
-        k = len(nodes)
-        neighbors = [g.adj[v] for v in nodes]
-        degree = np.fromiter(map(len, neighbors), dtype=np.int32, count=k)
-        flat = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
-                           count=int(degree.sum()))
         row_of = np.zeros(nodes[-1] + 1 if nodes else 0, dtype=np.int32)
-        row_of[nodes] = np.arange(k)
-        adjacency = LiveAdjacency(degree, row_of[flat])
+        row_of[nodes] = np.arange(len(nodes))
+        # rows keep the order of ids, so v < u gives row_of[v] < row_of[u]
+        ends = np.fromiter(chain.from_iterable((v, u) for v in nodes for u in g.adj[v]
+                                               if v < u), dtype=np.intp)
+        edges = row_of[ends.reshape(-1, 2).T]
     else:
         nodes = prev.nodes[:row] + prev.nodes[row + 1:]
-        adjacency = _without_row(g, prev, row)
+        edges = prev.adjacency.edges
+        neighbors = edges[::-1][edges == row]      # the other end of each edge at row
+        closed = np.zeros(len(prev.nodes), dtype=bool)
+        closed[neighbors] = closed[row] = True
+        inside = closed.take(edges)
+        clique = neighbors[np.argwhere(neighbors[:, None] < neighbors).T]
+        edges = np.concatenate((edges.compress(~(inside[0] & inside[1]), axis=1), clique),
+                               axis=1)
+        edges -= edges > row
     k = len(nodes)
-    degree = adjacency.degree
+    ends = edges.ravel()
+    degree = np.bincount(ends, minlength=k).astype(np.int32)
+    weight = degree - 1.0
+    # each end of an edge adds the other end's weight
+    neighbor_sum = np.bincount(ends, weights=weight.take(edges[::-1]).ravel(), minlength=k)
     x = np.zeros((k, NUM_FEATURES), dtype=np.float64)
     x[:, 0] = degree
-    neighbor_sum = np.bincount(adjacency.rows, weights=degree[adjacency.cols] - 1,
-                               minlength=k)
-    x[:, 1] = np.maximum(degree - 1, 0) * neighbor_sum
-    return NodeFeatures(nodes, x, adjacency)
-
-
-def _without_row(g: EliminationGraph, prev: NodeFeatures, row: int) -> LiveAdjacency:
-    """``prev``'s adjacency after the elimination of the node in its row
-    ``row``. The rows of that node's neighbours are read again from
-    ``g.adj``, in set order as the full build reads them; every other row
-    keeps its entries. Rows above ``row`` then move down by one."""
-    old, old_nodes = prev.adjacency, prev.nodes
-    ends = [0, *np.add.accumulate(old.degree).tolist()]
-    changed = sorted(old.cols[ends[row]:ends[row + 1]].tolist())
-    neighbors = [g.adj[old_nodes[i]] for i in changed]
-    sizes = list(map(len, neighbors))
-    # a live node's row is its rank among the live ids
-    fresh = np.searchsorted(np.fromiter(old_nodes, dtype=np.intp, count=len(old_nodes)),
-                            np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
-                                        count=sum(sizes)))
-    pieces, at, taken = [], 0, 0
-    for i, size in sorted([*zip(changed, sizes), (row, 0)]):
-        pieces += (old.cols[at:ends[i]], fresh[taken:taken + size])
-        at, taken = ends[i + 1], taken + size
-    pieces.append(old.cols[at:])
-    cols = np.concatenate(pieces, dtype=np.int32)
-    cols -= cols > row
-    degree = np.concatenate((old.degree[:row], old.degree[row + 1:]))
-    degree[[i - (i > row) for i in changed]] = sizes
-    return LiveAdjacency(degree, cols)
+    x[:, 1] = np.maximum(weight, 0.0) * neighbor_sum
+    return NodeFeatures(nodes, x, LiveAdjacency(degree, edges))
 
 
 def normalize_features(nf: NodeFeatures) -> NodeFeatures:

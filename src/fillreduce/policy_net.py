@@ -186,22 +186,24 @@ class PolicyValueNet:
 
 def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np.ndarray:
     """Normalized adjacency (with self-loops) of the live subgraph, rows and
-    columns in sorted live-node order.
+    columns in sorted live-node order, written from the snapshot's edge list
+    into both triangles.
 
-    mixhop uses the symmetric normalization D^-1/2 (A + I) D^-1/2; singlehop
-    row-normalizes A + I so each row averages the closed neighborhood.
+    mixhop uses the symmetric normalization D^-1/2 (A + I) D^-1/2, one
+    product per edge for both of its entries; singlehop row-normalizes
+    A + I so each row averages the closed neighborhood.
     """
     config = config or NetConfig()
     deg = adj.degree + 1.0                # row sums of A + I
+    i, j = adj.edges
     if config.backbone == "mixhop":
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        diag = d_inv_sqrt * d_inv_sqrt
-        off = np.repeat(d_inv_sqrt, adj.degree) * d_inv_sqrt[adj.cols]
+        prop = np.diag(d_inv_sqrt * d_inv_sqrt)
+        prop[i, j] = prop[j, i] = d_inv_sqrt.take(i) * d_inv_sqrt.take(j)
     else:
         diag = 1.0 / deg
-        off = np.repeat(diag, adj.degree)
-    prop = np.diag(diag)
-    prop[adj.rows, adj.cols] = off
+        prop = np.diag(diag)
+        prop[i, j], prop[j, i] = diag.take(i), diag.take(j)
     return prop
 
 
@@ -403,10 +405,11 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
     try:
         meta = json.loads(str(arrays.pop("__meta__")))
         version, in_dim = meta["format_version"], meta["in_dim"]
-        config = NetConfig(backbone=meta["backbone"], num_layers=meta["num_layers"],
-                           hidden_per_hop=meta["hidden_per_hop"])
+        config = NetConfig(backbone=meta["backbone"],
+                           num_layers=operator.index(meta["num_layers"]),
+                           hidden_per_hop=operator.index(meta["hidden_per_hop"]))
         # counted, not named: the metadata may declare far more than the archive holds
-        declared = 2 * (2 + 2 * len(config.hops) * operator.index(config.num_layers))
+        declared = 2 * (2 + 2 * len(config.hops) * config.num_layers)
     except (ValueError, KeyError, TypeError) as exc:
         raise NetworkError(f"checkpoint {path} has bad metadata "
                            f"({type(exc).__name__}: {exc})") from exc

@@ -178,6 +178,19 @@ def reference_features(g) -> np.ndarray:
     return x
 
 
+def snapshot_edges(adj, num_nodes: int, num_edges: int) -> np.ndarray:
+    """Assert a ``LiveAdjacency``'s invariants and return its edges sorted,
+    so two snapshots compare as sets of edges: int32 arrays, each edge once
+    as a column (i, j) with i < j, and ``degree`` counting each row's edges."""
+    assert adj.degree.dtype == adj.edges.dtype == np.int32
+    assert adj.degree.shape == (num_nodes,) and adj.edges.shape == (2, num_edges)
+    assert (adj.edges[0] < adj.edges[1]).all()
+    assert np.array_equal(adj.degree, np.bincount(adj.edges.ravel(), minlength=num_nodes))
+    edges = adj.edges[:, np.lexsort(adj.edges[::-1])]
+    assert not (edges[:, 1:] == edges[:, :-1]).all(axis=0).any()    # no repeated edge
+    return edges
+
+
 def reference_propagation(g, config: NetConfig) -> np.ndarray:
     """The normalized operator by a per-entry loop over the elimination graph."""
     nodes = sorted(g.live)

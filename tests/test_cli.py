@@ -229,7 +229,8 @@ def _checkpoint_with_meta(path, meta):
 
 
 @pytest.mark.parametrize("case", ["malformed_matrix", "missing_model", "bad_meta_model",
-                                  "huge_layers_model", "manifest_without_file"])
+                                  "huge_layers_model", "float_width_model",
+                                  "manifest_without_file"])
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     matrix = tmp_path / "m.mtx"
     write_matrix_market(path_pattern(4), matrix)
@@ -244,6 +245,10 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
         _checkpoint_with_meta(model, json.dumps({
             "format_version": 1, "backbone": "mixhop", "num_layers": 20000,
             "hidden_per_hop": 16, "in_dim": 2}))
+    elif case == "float_width_model":
+        _checkpoint_with_meta(model, json.dumps({
+            "format_version": 1, "backbone": "mixhop", "num_layers": 2,
+            "hidden_per_hop": 16.0, "in_dim": 2}))
     args = ["order", "--matrix", matrix, "--method", method, "--model", model,
             "--out", tmp_path / "o.txt"]
     if case == "manifest_without_file":

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_pattern, path_pattern, patterns, random_pattern,
-                      reference_features, reference_propagation, star_pattern)
+                      reference_features, reference_propagation, snapshot_edges,
+                      star_pattern)
 from fillreduce import (EliminationGraph, NetConfig, SparsityPattern, build_propagation,
                         compute_features, generate_delaunay, normalize_features)
 from fillreduce.policy_net import BACKBONES
@@ -144,14 +145,15 @@ def test_patched_snapshot_matches_full_build(run):
     for v in order[start:]:
         row = nf.nodes.index(v)
         g.eliminate(v)
-        nf = compute_features(g, nf, row)
+        # the patch reads nothing of the environment
+        nf = compute_features(None, nf, row)
         want = compute_features(g)
+        k = len(g.live)
         assert nf.nodes == want.nodes
+        assert np.array_equal(snapshot_edges(nf.adjacency, k, g.num_edges),
+                              snapshot_edges(want.adjacency, k, g.num_edges))
+        assert np.array_equal(nf.adjacency.degree, want.adjacency.degree)
         assert np.array_equal(nf.x, want.x)
-        for got, full in ((nf.adjacency.degree, want.adjacency.degree),
-                          (nf.adjacency.cols, want.adjacency.cols)):
-            assert got.dtype == np.int32
-            assert np.array_equal(got, full)
         for backbone in BACKBONES:
             cfg = NetConfig(backbone=backbone)
             assert np.array_equal(build_propagation(nf.adjacency, cfg),

@@ -402,8 +402,8 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(tmp_path / "vers.ckpt")
 
     # metadata that is not JSON, not an object, short of a field, with a
-    # non-integer layer count, or built for another feature count; each
-    # error names the file
+    # non-integer layer count or width, or built for another feature count;
+    # each error names the file
     meta = json.loads(str(arrays["__meta__"]))
     no_backbone = {k: v for k, v in meta.items() if k != "backbone"}
     cases = {
@@ -412,6 +412,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
         "no_field": (json.dumps(no_backbone), "bad metadata"),
         "in_dim": (json.dumps({**meta, "in_dim": 5}), "input features"),
         "float_layers": (json.dumps({**meta, "num_layers": 2.0}), "bad metadata"),
+        "float_width": (json.dumps({**meta, "hidden_per_hop": 16.0}), "bad metadata"),
     }
     for name, (text, message) in cases.items():
         bad_meta = tmp_path / f"{name}.ckpt"

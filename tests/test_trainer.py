@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (fill_edges, path_pattern, random_pattern, reference_episode,
-                      star_pattern)
+                      snapshot_edges, star_pattern)
 from fillreduce import (EliminationGraph, EpisodeRecord, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return,
                         compute_features, forward, generate_delaunay,
@@ -171,13 +171,12 @@ def test_no_rollout_keeps_a_tape():
             assert not any(isinstance(item, ForwardTape)
                            for item in (kept if isinstance(kept, list) else [kept]))
     assert greedy.states == []
-    # a sampled step keeps its features and adjacency, nothing k x k
+    # a sampled step keeps its features and edge list, nothing k x k
     assert [len(s.nodes) for s in sampled.states] == list(range(10, 0, -1))
-    for state in sampled.states:
-        k, adj = len(state.nodes), state.adjacency
-        assert state.x.shape == (k, 2) and adj.degree.shape == (k,)
-        assert adj.degree.dtype == adj.cols.dtype == np.int32
-        assert adj.cols.shape == (adj.degree.sum(),)
+    for state, num_edges in zip(sampled.states, sampled.trace.edges_before):
+        k = len(state.nodes)
+        assert state.x.shape == (k, 2)
+        snapshot_edges(state.adjacency, k, num_edges)
 
 
 @pytest.mark.parametrize("greedy", [True, False])
@@ -221,9 +220,10 @@ def test_rollout_log_probs_match_chosen_rows():
         x = normalize_features(compute_features(g))
         assert state.nodes == x.nodes
         assert np.array_equal(state.x, x.x)
-        for got, want in ((state.adjacency.degree, x.adjacency.degree),
-                          (state.adjacency.cols, x.adjacency.cols)):
-            assert np.array_equal(got, want)
+        k = len(x.nodes)
+        assert np.array_equal(snapshot_edges(state.adjacency, k, g.num_edges),
+                              snapshot_edges(x.adjacency, k, g.num_edges))
+        assert np.array_equal(state.adjacency.degree, x.adjacency.degree)
         log_probs, _ = forward(net, x)
         assert record.log_probs[t] == log_probs[record.chosen_rows[t]]
         assert x.nodes[record.chosen_rows[t]] == ordering[t]
