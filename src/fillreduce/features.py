@@ -4,7 +4,7 @@ Collective influence of v is (deg(v) - 1) * sum over neighbors u of
 (deg(u) - 1), a cheap centrality that looks one hop out. Both features are
 computed on the current elimination graph, so they change as nodes are
 removed and cliques form. The first snapshot of an episode is read from the
-environment; each later one applies the elimination to its own edge list.
+pattern; each later one applies the elimination to its own edge list.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .symbolic import EliminationGraph
+from .sparsity import SparsityPattern
 
 NUM_FEATURES = 2  # degree, collective influence
 
@@ -49,35 +49,30 @@ class NodeFeatures:
     adjacency: LiveAdjacency
 
 
-def compute_features(g: EliminationGraph | None, prev: NodeFeatures | None = None,
+def compute_features(source: SparsityPattern | NodeFeatures,
                      row: int | None = None) -> NodeFeatures:
     """Degree and collective influence for every live node, and the live
     adjacency snapshot they are computed from.
 
-    Without ``prev`` the snapshot is read from ``g``. With ``prev``, the
-    snapshot just before the elimination of the node in ``prev``'s row
-    ``row``, that elimination is applied to ``prev``'s edges and ``g`` is
-    not read: every edge inside the node's closed neighbourhood goes, the
-    neighbours' clique comes in, and the rows above ``row`` move down by
-    one. Both give the same set of edges and the same degrees.
+    From a pattern, every node is live and the snapshot holds its edges.
+    From a snapshot and one of its rows, the elimination of that row's node
+    is applied to the snapshot's edges: every edge inside the node's closed
+    neighbourhood goes, the neighbours' clique comes in, and the rows above
+    ``row`` move down by one.
 
     The neighbor sums are sums of integers below 2^53, so they are exact in
     any order. Isolated nodes get (0, 0): the (deg - 1) factor is clamped at
     zero, so the influence is +0.0, not -1 * 0.0.
     """
-    if prev is None:
-        nodes = sorted(g.live)
-        row_of = np.zeros(nodes[-1] + 1 if nodes else 0, dtype=np.int32)
-        row_of[nodes] = np.arange(len(nodes))
-        # rows keep the order of ids, so v < u gives row_of[v] < row_of[u]
-        ends = np.fromiter(chain.from_iterable((v, u) for v in nodes for u in g.adj[v]
-                                               if v < u), dtype=np.intp)
-        edges = row_of[ends.reshape(-1, 2).T]
+    if isinstance(source, SparsityPattern):
+        nodes = list(range(source.n))
+        # pattern edges are (i, j) with i < j, and row i is node i
+        edges = np.fromiter(chain.from_iterable(source.edges), dtype=np.int32).reshape(-1, 2).T
     else:
-        nodes = prev.nodes[:row] + prev.nodes[row + 1:]
-        edges = prev.adjacency.edges
+        nodes = source.nodes[:row] + source.nodes[row + 1:]
+        edges = source.adjacency.edges
         neighbors = edges[::-1][edges == row]      # the other end of each edge at row
-        closed = np.zeros(len(prev.nodes), dtype=bool)
+        closed = np.zeros(len(source.nodes), dtype=bool)
         closed[neighbors] = closed[row] = True
         inside = closed.take(edges)
         clique = neighbors[np.argwhere(neighbors[:, None] < neighbors).T]

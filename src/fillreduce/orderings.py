@@ -40,7 +40,7 @@ def min_degree_order(p: SparsityPattern) -> Ordering:
             heapq.heappush(heap, (len(g.adj[u]), u))
         while True:
             degree, v = heapq.heappop(heap)
-            if v in g.live and len(g.adj[v]) == degree:
+            if v in g.adj and len(g.adj[v]) == degree:
                 break
         changed = g.adj[v]   # eliminate() drops this set without changing it
         return v

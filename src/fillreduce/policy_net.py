@@ -394,7 +394,7 @@ def save_checkpoint(net: PolicyValueNet, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> PolicyValueNet:
-    """Load a checkpoint, rejecting unknown versions and shape mismatches."""
+    """Load a checkpoint, rejecting unknown versions, bad shapes and NaN or inf."""
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
@@ -432,6 +432,9 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
         raise NetworkError(
             f"checkpoint {path} does not match its declared shapes (missing="
             f"{_first(missing)}, extra={_first(extra)}, mismatched={_first(bad)})")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NetworkError(f"checkpoint {path} has non-finite values in {name}")
     return PolicyValueNet(config, params=arrays)
 
 

@@ -3,9 +3,10 @@
 Eliminating a node removes it and connects its remaining neighbors into a
 clique; the newly created edges are the fill of that step. Running all n
 steps of an ordering predicts the factor's sparsity pattern without any
-numeric work. ``eliminate_all`` is the one loop that does this: a chooser
-picks each next node, so fixed orderings, minimum degree and the learned
-policy share it. Its trace keeps each step's fill count, which is all the
+numeric work. ``eliminate_all`` is the one loop that does this over the
+sets: a chooser picks each next node, so fixed orderings and minimum degree
+share it (the learned policy's rollout eliminates in its own edge list, see
+``features``). Its trace keeps each step's fill count, which is all the
 rewards and the fill-in ratio read; ``EliminationGraph.eliminate`` still
 returns the step's fill edges to a caller that wants them. ``count_fill``
 scores a fixed ordering without eliminating: it counts the factor's column
@@ -31,19 +32,23 @@ class EliminationError(ValueError):
 class EliminationGraph:
     """Mutable graph state during elimination.
 
-    ``adj`` only references live nodes and stays symmetric; ``num_edges``
+    ``adj`` holds exactly the live nodes and stays symmetric; ``num_edges``
     tracks the current undirected edge count. Mutation is in place.
     """
 
-    __slots__ = ("live", "adj", "num_edges")
+    __slots__ = ("adj", "num_edges")
 
     def __init__(self, pattern: SparsityPattern):
-        self.live = set(range(pattern.n))
         self.adj: dict[int, set[int]] = {v: set() for v in range(pattern.n)}
         for i, j in pattern.edges:
             self.adj[i].add(j)
             self.adj[j].add(i)
         self.num_edges = len(pattern.edges)
+
+    @property
+    def live(self):
+        """The live nodes, a view of ``adj``'s keys."""
+        return self.adj.keys()
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -54,14 +59,13 @@ class EliminationGraph:
         Fill edges come back in canonical (min, max) form, sorted, each
         exactly once.
         """
-        if v not in self.live:
+        if v not in self.adj:
             raise EliminationError(f"node {v} is not live")
         nbrs = sorted(self.adj[v])
         for u in nbrs:
             self.adj[u].discard(v)
         self.num_edges -= len(nbrs)
         del self.adj[v]
-        self.live.discard(v)
 
         fill: list[tuple[int, int]] = []
         for a in range(len(nbrs)):

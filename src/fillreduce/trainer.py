@@ -2,7 +2,7 @@
 
 One episode fully eliminates one graph: at each step the actor scores the
 live nodes, a node is sampled (or taken greedily at evaluation time), the
-environment eliminates it, and the negative fill count is the reward. After
+snapshot eliminates it, and the negative fill count is the reward. After
 the episode the suffix-sum returns are squashed through the adaptive
 saturation map (|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and
 matches the critic's tanh range, advantages weight the policy gradient, and
@@ -28,7 +28,7 @@ from .features import NodeFeatures, compute_features, normalize_features
 from .policy_net import (NetConfig, PolicyValueNet, backward, forward,
                          save_checkpoint, value)
 from .sparsity import Ordering, SparsityPattern, _open_text
-from .symbolic import EliminationGraph, EliminationTrace, eliminate_all
+from .symbolic import EliminationTrace
 
 REWARD_VARIANTS = ("asr", "raw")
 
@@ -58,6 +58,8 @@ class TrainerConfig:
             raise ValueError("epochs and episodes per graph must be at least 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must not be negative (0 disables it)")
+        if self.checkpoint_every and not self.checkpoint_path:
+            raise ValueError("checkpoint_every needs a checkpoint_path")
         if self.reward not in REWARD_VARIANTS:
             raise ValueError(f"unknown reward variant {self.reward!r}")
         if self.seed < 0:
@@ -87,7 +89,8 @@ class EpisodeRecord:
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             rng: np.random.Generator | None, greedy: bool = False
             ) -> tuple[EpisodeRecord, Ordering]:
-    """Run one full elimination episode against the symbolic environment.
+    """Run one full elimination episode on the snapshot of ``compute_features``,
+    which is read from the pattern once and then patched with each elimination.
 
     Only the actor is evaluated. Sampling draws from the policy distribution
     and keeps each step's normalized features for ``episode_gradients``; greedy
@@ -98,13 +101,8 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
     record = EpisodeRecord()
-    raw: NodeFeatures | None = None
-
-    def choose(g: EliminationGraph) -> int:
-        nonlocal raw
-        # the first step builds the snapshot; each later one patches the last
-        raw = (compute_features(g) if raw is None
-               else compute_features(g, raw, record.chosen_rows[-1]))
+    raw = compute_features(pattern)
+    for _ in range(pattern.n):
         x = normalize_features(raw)
         log_probs, _ = forward(net, x)
         if greedy:
@@ -116,9 +114,10 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             record.states.append(x)
         record.chosen_rows.append(row)
         record.log_probs.append(float(log_probs[row]))
-        return x.nodes[row]
-
-    record.trace = eliminate_all(pattern, choose)
+        m, d = raw.adjacency.edges.shape[1], int(raw.adjacency.degree[row])
+        raw = compute_features(raw, row)
+        # the patch drops d + e edges and adds the C(d, 2) clique: fill C(d, 2) - e = m' - m + d
+        record.trace.append(x.nodes[row], raw.adjacency.edges.shape[1] - m + d, m)
     return record, Ordering(record.trace.nodes)
 
 
@@ -260,6 +259,7 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
     net = PolicyValueNet(NetConfig(backbone=cfg.backbone),
                          np.random.default_rng(init_seed))
     sample_rng = np.random.default_rng(sample_seed)
+    to_returns = adaptive_saturation_return if cfg.reward == "asr" else raw_return
     adam = AdamState(net)
     log: list[TrainLogEntry] = []
     episode = 0
@@ -268,8 +268,6 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
         for graph_id, pattern in enumerate(graphs):
             for _ in range(cfg.episodes_per_graph):
                 record, _ = rollout(net, pattern, sample_rng)
-                to_returns = (adaptive_saturation_return if cfg.reward == "asr"
-                              else raw_return)
                 returns = to_returns(record.trace.edges_before, record.trace.rewards)
                 grads, values = episode_gradients(net, record, returns)
                 l_a, l_c, _ = losses(record, values, returns)
@@ -283,7 +281,6 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                 log.append(TrainLogEntry(epoch, graph_id, record.trace.total_fill,
                                          l_a, l_c))
                 episode += 1
-                if (cfg.checkpoint_every > 0 and cfg.checkpoint_path
-                        and episode % cfg.checkpoint_every == 0):
+                if cfg.checkpoint_every > 0 and episode % cfg.checkpoint_every == 0:
                     save_checkpoint(net, cfg.checkpoint_path)
     return net, log

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
                         backward, compute_features, eliminate_all, forward,
-                        normalize_features, policy_net, value)
+                        normalize_features, policy_net, symbolic_factorize, value)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
@@ -191,6 +191,23 @@ def snapshot_edges(adj, num_nodes: int, num_edges: int) -> np.ndarray:
     return edges
 
 
+def environment_edges(g) -> np.ndarray:
+    """The elimination graph's live edges as a snapshot numbers them, row i
+    being the i-th smallest live node: int32 columns (i, j), i < j, sorted."""
+    row = {v: i for i, v in enumerate(sorted(g.live))}
+    edges = sorted((row[v], row[u]) for v in g.live for u in g.adj[v] if v < u)
+    return np.array(edges, dtype=np.int32).reshape(-1, 2).T
+
+
+def patched_snapshot(pattern, nodes):
+    """The snapshot after eliminating ``nodes`` in turn, by a chain of patches
+    from the pattern's snapshot."""
+    nf = compute_features(pattern)
+    for v in nodes:
+        nf = compute_features(nf, nf.nodes.index(v))
+    return nf
+
+
 def reference_propagation(g, config: NetConfig) -> np.ndarray:
     """The normalized operator by a per-entry loop over the elimination graph."""
     nodes = sorted(g.live)
@@ -213,10 +230,10 @@ def reference_episode(net, pattern, rng, to_returns):
 
     Returns (gradients, values, log-probs, ordering).
     """
-    tapes, rows, values = [], [], []
-
-    def choose(g):
-        x = normalize_features(compute_features(g))
+    tapes, rows, values, nodes = [], [], [], []
+    raw = compute_features(pattern)
+    for _ in range(pattern.n):
+        x = normalize_features(raw)
         log_probs, tape = forward(net, x)
         probs = np.exp(log_probs)
         probs /= probs.sum()
@@ -224,9 +241,10 @@ def reference_episode(net, pattern, rng, to_returns):
         values.append(value(net, tape))
         tapes.append(tape)
         rows.append(row)
-        return x.nodes[row]
-
-    trace = eliminate_all(pattern, choose)
+        nodes.append(raw.nodes[row])
+        raw = compute_features(raw, row)
+    ordering = Ordering(nodes)
+    trace = symbolic_factorize(pattern, ordering)
     returns = to_returns(trace.edges_before, trace.rewards)
     adv = returns - np.asarray(values, dtype=np.float64)
     n = len(tapes)
@@ -238,7 +256,7 @@ def reference_episode(net, pattern, rng, to_returns):
         for name, arr in step.items():
             grads[name] += arr
     log_probs = [float(tape.log_probs[row]) for tape, row in zip(tapes, rows)]
-    return grads, values, log_probs, Ordering(trace.nodes)
+    return grads, values, log_probs, ordering
 
 
 @dataclass

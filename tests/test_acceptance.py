@@ -125,8 +125,7 @@ def test_criterion_5_gradient_correctness():
         start = time.monotonic()
         rng = np.random.default_rng(94)
         p = random_pattern(rng, 6, density=0.5)
-        g = EliminationGraph(p)
-        x = normalize_features(compute_features(g))
+        x = normalize_features(compute_features(p))
         net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(8))
         c_lp = rng.normal(size=6)
         c_v = float(rng.normal())
@@ -164,10 +163,8 @@ def test_criterion_6_equivariance():
             p = random_pattern(rng, n, density=float(rng.uniform(0.2, 0.8)))
             perm = [int(v) for v in rng.permutation(n)]
             relabeled = SparsityPattern(n, [(perm[i], perm[j]) for i, j in p.edges])
-            g1 = EliminationGraph(p)
-            g2 = EliminationGraph(relabeled)
-            lp1, v1, _ = evaluate(net, normalize_features(compute_features(g1)))
-            lp2, v2, _ = evaluate(net, normalize_features(compute_features(g2)))
+            lp1, v1, _ = evaluate(net, normalize_features(compute_features(p)))
+            lp2, v2, _ = evaluate(net, normalize_features(compute_features(relabeled)))
             assert max(abs(lp1[v] - lp2[perm[v]]) for v in range(n)) <= 1e-9
             assert abs(v1 - v2) <= 1e-9
 

@@ -230,7 +230,7 @@ def _checkpoint_with_meta(path, meta):
 
 @pytest.mark.parametrize("case", ["malformed_matrix", "missing_model", "bad_meta_model",
                                   "huge_layers_model", "float_width_model",
-                                  "manifest_without_file"])
+                                  "nan_model", "manifest_without_file"])
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     matrix = tmp_path / "m.mtx"
     write_matrix_market(path_pattern(4), matrix)
@@ -249,6 +249,10 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
         _checkpoint_with_meta(model, json.dumps({
             "format_version": 1, "backbone": "mixhop", "num_layers": 2,
             "hidden_per_hop": 16.0, "in_dim": 2}))
+    elif case == "nan_model":
+        net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(0))
+        net.params["actor.head.w"][0] = np.nan
+        save_checkpoint(net, model)
     args = ["order", "--matrix", matrix, "--method", method, "--model", model,
             "--out", tmp_path / "o.txt"]
     if case == "manifest_without_file":

@@ -188,6 +188,11 @@ def test_scoring_eliminates_nothing(tmp_path, eliminations):
              write_pattern(tmp_path, "grid.mtx", grid_pattern(6))]
     report = run_benchmark(files, ["natural", "random"])
     assert report.num_errors == 0 and eliminations == []
+    # a gpo cell's rollout eliminates on its own snapshot
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(1)), model)
+    report = run_benchmark(files, ["gpo"], model_path=model)
+    assert report.num_errors == 0 and eliminations == []
     # a mindeg cell eliminates each node once to choose it, and never again
     # to score the ordering it chose
     for path, n in zip(files, (p.n, 36)):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (evaluate, path_pattern, patterns, per_hop_towers,
+from conftest import (evaluate, patched_snapshot, path_pattern, patterns, per_hop_towers,
                       random_pattern)
-from fillreduce import (EliminationGraph, NetConfig, NetworkError, PolicyValueNet,
+from fillreduce import (NetConfig, NetworkError, PolicyValueNet,
                         SparsityPattern, backward, build_propagation,
                         compute_features, forward, generate_delaunay,
                         load_checkpoint, normalize_features, save_checkpoint)
@@ -17,11 +17,11 @@ from fillreduce.trainer import AdamState
 
 
 def state(pattern):
-    return normalize_features(compute_features(EliminationGraph(pattern)))
+    return normalize_features(compute_features(pattern))
 
 
 def adjacency(pattern):
-    return compute_features(EliminationGraph(pattern)).adjacency
+    return compute_features(pattern).adjacency
 
 
 def fresh_net(seed=0, **kwargs):
@@ -67,10 +67,8 @@ def test_forward_probabilities_normalize_and_value_bounded():
 
 def test_forward_rejects_empty_graph_and_bad_features():
     net = fresh_net()
-    g = EliminationGraph(SparsityPattern(1, []))
-    g.eliminate(0)
     with pytest.raises(NetworkError, match="empty graph"):
-        forward(net, normalize_features(compute_features(g)))
+        forward(net, normalize_features(patched_snapshot(SparsityPattern(1, []), [0])))
 
     x = state(path_pattern(3))
     with pytest.raises(NetworkError, match="adjacency has 3 live nodes"):
@@ -231,10 +229,8 @@ def layout_cases(draw):
         pattern = draw(patterns(max_n=14).filter(lambda p: p.n > 0))
     else:
         pattern = generate_delaunay(draw(st.integers(3, 40)), rng)
-    g = EliminationGraph(pattern)
-    for v in draw(st.permutations(range(pattern.n)))[:draw(st.integers(0, pattern.n - 1))]:
-        g.eliminate(v)
-    x = normalize_features(compute_features(g))
+    eliminated = draw(st.permutations(range(pattern.n)))[:draw(st.integers(0, pattern.n - 1))]
+    x = normalize_features(patched_snapshot(pattern, eliminated))
     return PolicyValueNet(config, rng=rng), x, rng.normal(size=len(x.nodes)), float(rng.normal())
 
 
@@ -421,6 +417,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
         with pytest.raises(NetworkError, match=message) as info:
             load_checkpoint(bad_meta)
         assert str(bad_meta) in str(info.value)
+
+    # a NaN or an infinity among the parameters, which greedy inference
+    # would silently turn into natural order
+    for name, poison in (("nan", np.nan), ("inf", -np.inf)):
+        bad = dict(arrays)
+        bad["actor.head.w"] = arrays["actor.head.w"].copy()
+        bad["actor.head.w"][0] = poison
+        non_finite = tmp_path / f"{name}.ckpt"
+        with open(non_finite, "wb") as fh:
+            np.savez(fh, **bad)
+        with pytest.raises(NetworkError, match="non-finite values in actor.head.w") as info:
+            load_checkpoint(non_finite)
+        assert str(non_finite) in str(info.value)
 
     # an architecture far larger than the archive is refused by its
     # parameter count, before any of its names is built

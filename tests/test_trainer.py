@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import (fill_edges, path_pattern, random_pattern, reference_episode,
-                      snapshot_edges, star_pattern)
+from conftest import (environment_edges, fill_edges, path_pattern, patterns,
+                      random_pattern, reference_episode, reference_features,
+                      snapshot_edges, star_pattern, tie_heavy_patterns)
 from fillreduce import (EliminationGraph, EpisodeRecord, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return,
-                        compute_features, forward, generate_delaunay,
+                        forward, generate_delaunay,
                         generate_training_set, losses, normalize_features,
                         raw_return, rollout, symbolic_factorize, train, trainer)
 from fillreduce.policy_net import (ForwardTape, NetConfig, PolicyValueNet,
@@ -134,16 +137,49 @@ def test_rollout_single_node():
     assert list(ordering) == [0]
 
 
-def test_rollout_matches_symbolic_factorization():
-    rng = np.random.default_rng(44)
-    net = fresh_net(5)
-    for pattern in [star_pattern(3), path_pattern(6),
-                    random_pattern(rng, 9), random_pattern(rng, 12)]:
-        record, ordering = rollout(net, pattern, rng)
-        trace = symbolic_factorize(pattern, ordering)
-        assert record.trace.total_fill == len(fill_edges(pattern, ordering))
-        assert record.trace.rewards == trace.rewards
+@st.composite
+def rollout_cases(draw):
+    """A pattern from ``patterns()`` or ``tie_heavy_patterns()``, or a seeded
+    Delaunay graph, and the seeds of a network and of a sampling rng."""
+    kind = draw(st.sampled_from(["random", "tie_heavy", "delaunay"]))
+    if kind == "random":
+        p = draw(patterns(max_n=20))
+    elif kind == "tie_heavy":
+        p = draw(tie_heavy_patterns())
+    else:
+        p = generate_delaunay(draw(st.integers(3, 80)),
+                              np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    return p, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@example((star_pattern(3), 5, 44))
+@example((SparsityPattern(0), 0, 0))
+@example((SparsityPattern(1), 0, 0))
+@given(rollout_cases())
+def test_rollout_matches_symbolic_factorization(case):
+    # the oracle of the snapshot's fill count m' - m + d
+    p, net_seed, rng_seed = case
+    net = fresh_net(net_seed)
+    for rng in (None, np.random.default_rng(rng_seed)):
+        record, ordering = rollout(net, p, rng, greedy=rng is None)
+        trace = symbolic_factorize(p, ordering)
+        assert record.trace.nodes == trace.nodes == list(ordering)
+        assert record.trace.fill == trace.fill
         assert record.trace.edges_before == trace.edges_before
+        assert record.trace.total_fill == len(fill_edges(p, ordering))
+
+
+def test_rollout_builds_no_elimination_graph(monkeypatch):
+    def refuse(self, pattern):
+        raise AssertionError("a rollout built an EliminationGraph")
+
+    monkeypatch.setattr(EliminationGraph, "__init__", refuse)
+    net = fresh_net(12)
+    p = generate_delaunay(40, np.random.default_rng(55))
+    for rng in (None, np.random.default_rng(56)):
+        record, _ = rollout(net, p, rng, greedy=rng is None)
+        assert len(record.trace) == p.n
 
 
 def test_rollout_greedy_is_deterministic_and_needs_no_rng():
@@ -217,16 +253,15 @@ def test_rollout_log_probs_match_chosen_rows():
     record, ordering = rollout(net, p, np.random.default_rng(46))
     g = EliminationGraph(p)
     for t, state in enumerate(record.states):
-        x = normalize_features(compute_features(g))
-        assert state.nodes == x.nodes
-        assert np.array_equal(state.x, x.x)
-        k = len(x.nodes)
+        k = len(g.live)
+        assert state.nodes == sorted(g.live)
         assert np.array_equal(snapshot_edges(state.adjacency, k, g.num_edges),
-                              snapshot_edges(x.adjacency, k, g.num_edges))
-        assert np.array_equal(state.adjacency.degree, x.adjacency.degree)
-        log_probs, _ = forward(net, x)
+                              environment_edges(g))
+        want = normalize_features(dataclasses.replace(state, x=reference_features(g)))
+        assert np.array_equal(state.x, want.x)
+        log_probs, _ = forward(net, state)
         assert record.log_probs[t] == log_probs[record.chosen_rows[t]]
-        assert x.nodes[record.chosen_rows[t]] == ordering[t]
+        assert state.nodes[record.chosen_rows[t]] == ordering[t]
         g.eliminate(ordering[t])
 
 
@@ -267,6 +302,9 @@ def test_config_validation():
         TrainerConfig(episodes_per_graph=0)
     with pytest.raises(ValueError, match="checkpoint_every"):
         TrainerConfig(checkpoint_every=-2)
+    # periodic checkpoints with nowhere to write them
+    with pytest.raises(ValueError, match="checkpoint_every needs a checkpoint_path"):
+        TrainerConfig(checkpoint_every=3)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         TrainerConfig(seed=-1)
 
