@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
 
 import numpy as np
 
 from .sparsity import Ordering, SparsityPattern
-from .symbolic import EliminationGraph, eliminate_all
 
 
 def natural_order(p: SparsityPattern) -> Ordering:
@@ -25,24 +23,28 @@ def min_degree_order(p: SparsityPattern) -> Ordering:
     """Exact greedy minimum degree on the evolving elimination graph.
 
     The classical ancestor of AMD, without approximate degrees: each step
-    eliminates a live node of minimum current degree, ties broken by lowest
-    index. A heap holds (degree, node) entries; eliminating a node changes
-    only its neighbors' degrees, so only they get new entries, and an entry
-    whose node is gone or whose degree is out of date is dropped when it
-    surfaces.
+    eliminates a live node v of minimum current degree, lowest index on
+    ties, and joins each neighbor's set with v's. A heap holds int keys
+    ``degree << shift | node``, ordered as (degree, node) are; only v's
+    neighbors get new keys, and out-of-date keys are skipped as they surface.
     """
-    heap: list[tuple[int, int]] = []
-    changed: Iterable[int] = range(p.n)   # every degree is new at the start
-
-    def choose(g: EliminationGraph) -> int:
-        nonlocal changed
-        for u in changed:
-            heapq.heappush(heap, (len(g.adj[u]), u))
-        while True:
-            degree, v = heapq.heappop(heap)
-            if v in g.adj and len(g.adj[v]) == degree:
-                break
-        changed = g.adj[v]   # eliminate() drops this set without changing it
-        return v
-
-    return Ordering(eliminate_all(p, choose).nodes)
+    adj: list[set[int] | None] = p.adjacency()
+    shift = max(p.n, 1).bit_length()
+    heap = [len(a) << shift | u for u, a in enumerate(adj)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        key = heapq.heappop(heap)
+        v = key & ((1 << shift) - 1)
+        nbrs = adj[v]
+        if nbrs is None or len(nbrs) != key >> shift:
+            continue
+        adj[v] = None
+        order.append(v)
+        for u in nbrs:
+            a = adj[u]
+            a |= nbrs
+            a.discard(u)
+            a.discard(v)
+            heapq.heappush(heap, len(a) << shift | u)
+    return Ordering(order)

@@ -3,17 +3,15 @@
 Eliminating a node removes it and connects its remaining neighbors into a
 clique; the newly created edges are the fill of that step. Running all n
 steps of an ordering predicts the factor's sparsity pattern without any
-numeric work. ``eliminate_all`` is the one loop that does this over the
-sets: a chooser picks each next node, so fixed orderings and minimum degree
-share it (the learned policy's rollout eliminates in its own edge list, see
-``features``). Its trace keeps each step's fill count, which is all the
-rewards and the fill-in ratio read; ``EliminationGraph.eliminate`` still
-returns the step's fill edges to a caller that wants them. ``count_fill``
-scores a fixed ordering without eliminating: it counts the factor's column
-nonzeros from the elimination tree, in near-linear time and O(n + |E|)
-memory. A slow fill-path checker is included as an independent test oracle:
-a pair (i, j) fills iff some path joins i and j whose internal nodes are all
-eliminated before both endpoints.
+numeric work. ``eliminate_all`` does this over the sets, a chooser picking
+each next node; its trace keeps each step's fill count, and
+``EliminationGraph.eliminate`` returns the step's fill edges. Minimum degree
+(``orderings``) and the learned rollout (``features``) eliminate in their
+own forms of the graph. ``count_fill`` scores a fixed ordering without
+eliminating: it counts the factor's column nonzeros from the elimination
+tree, in near-linear time and O(n + |E|) memory. A slow fill-path checker is
+included as an independent test oracle: a pair (i, j) fills iff some path
+joins i and j whose internal nodes are all eliminated before both endpoints.
 """
 
 from __future__ import annotations

@@ -179,7 +179,6 @@ def eliminations(monkeypatch):
 def test_scoring_eliminates_nothing(tmp_path, eliminations):
     p = generate_delaunay(60, np.random.default_rng(8))
     order = min_degree_order(p)
-    eliminations.clear()
     assert fill_in_ratio(p, order) == 2.0 * count_fill(p, order) / (2 * len(p.edges) + p.n)
     assert fill_in_ratio(p, range(p.n)) > 0
     assert eliminations == []
@@ -193,9 +192,6 @@ def test_scoring_eliminates_nothing(tmp_path, eliminations):
     save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(1)), model)
     report = run_benchmark(files, ["gpo"], model_path=model)
     assert report.num_errors == 0 and eliminations == []
-    # a mindeg cell eliminates each node once to choose it, and never again
-    # to score the ordering it chose
-    for path, n in zip(files, (p.n, 36)):
-        eliminations.clear()
-        assert run_benchmark([path], ["mindeg"]).num_errors == 0
-        assert len(eliminations) == n
+    # a mindeg cell chooses in its own neighbor sets and scores by count_fill
+    report = run_benchmark(files, ["mindeg"])
+    assert report.num_errors == 0 and eliminations == []

@@ -3,7 +3,9 @@
 Pins the bytes of the checkpoint, the training log, one greedy ordering and
 one benchmark report, so any change to the float order of the forward pass,
 the gradients or the optimizer shows up here. A change that alters floats on
-purpose updates these pins and says why in CHANGES.md.
+purpose updates these pins and says why in CHANGES.md. The minimum-degree
+orderings of a few larger graphs are pinned by digest, so a faster heap or
+graph representation cannot change a single pick unnoticed.
 """
 
 import hashlib
@@ -12,9 +14,10 @@ import io
 import numpy as np
 import pytest
 
+from conftest import grid_pattern
 from fillreduce import (TrainerConfig, generate_delaunay, generate_training_set,
-                        gpo_order, run_benchmark, save_checkpoint, train,
-                        write_matrix_market)
+                        gpo_order, min_degree_order, run_benchmark,
+                        save_checkpoint, train, write_matrix_market)
 from fillreduce.trainer import write_training_log
 
 CHECKPOINT_SHA256 = "6060e3c802fb3014a148a3a494a8f8b92d83ea7d8ca2064346f87b450223ec83"
@@ -48,6 +51,15 @@ REPORT_CSV = (
     "mindeg,0.63198510343\n"
     "natural,1.97187039007\n"
 )
+
+# sha256 of the comma-joined min_degree_order perm; Delaunay graphs use
+# default_rng(n)
+MIN_DEGREE_SHA256 = {
+    ("grid", 40): "6a6ffb040cfda4526334c2b59776e9d58b90fe76135d0722f1d1ccf085701879",
+    ("grid", 54): "f257eba0d99415e93174c608a9f78086c8847f49f0c04a0ad283ea219daafe88",
+    ("delaunay", 1000): "1e7c3b523f46ac11ec2e546ffc1ee0108e5647df636289b1b0930f22c83d6b4b",
+    ("delaunay", 2000): "b39789200b6e1cf4b29026e29ac1fefde073e33a4a8570eb3f49c34b062c83a8",
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +97,13 @@ def test_golden_benchmark_report(trained):
     report = run_benchmark(sorted(out.glob("*.mtx")), ["natural", "mindeg", "gpo"],
                            model_path=out / "m.ckpt")
     assert report.to_csv() == REPORT_CSV
+
+
+@pytest.mark.parametrize("kind, size", sorted(MIN_DEGREE_SHA256))
+def test_golden_min_degree_ordering(kind, size):
+    if kind == "grid":
+        p = grid_pattern(size)
+    else:
+        p = generate_delaunay(size, np.random.default_rng(size))
+    perm = ",".join(map(str, min_degree_order(p)))
+    assert hashlib.sha256(perm.encode()).hexdigest() == MIN_DEGREE_SHA256[kind, size]

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_pattern, disjoint_union, fill_edges, fill_steps,
@@ -224,9 +224,25 @@ def test_eliminate_all_matches_symbolic_factorize():
         assert trace.rewards == [-f for f in trace.fill]
 
 
+# min_degree_order keys its heap by degree << n.bit_length() | node, so the
+# examples include n = 0 and 1 and sizes at and just past a power of two
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(tie_heavy_patterns(), patterns()))
-def test_eliminate_all_min_degree_chooser_matches_min_degree_order(p):
+@example(SparsityPattern(0, []))
+@example(SparsityPattern(1, []))
+@example(path_pattern(2))
+@example(SparsityPattern(8, list(itertools.combinations(range(8), 2))))
+@example(star_pattern(15))
+@example(star_pattern(16))
+@example(relabeled(cycle_pattern(16), [(7 * v) % 16 for v in range(16)]))
+def test_min_degree_order_matches_full_scan_reference(p):
+    assert min_degree_order(p) == reference_min_degree(p)
+
+
+@pytest.mark.parametrize("p", [grid_pattern(k) for k in range(1, 13)]
+                         + [generate_delaunay(n, np.random.default_rng(n)) for n in (60, 300)],
+                         ids=[f"grid{k}" for k in range(1, 13)] + ["delaunay60", "delaunay300"])
+def test_min_degree_order_matches_full_scan_reference_on_meshes(p):
     assert min_degree_order(p) == reference_min_degree(p)
 
 
