@@ -7,6 +7,7 @@ pattern always describes an undirected graph.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -43,6 +44,10 @@ class SparsityPattern:
             raise PatternError(f"node count must be nonnegative, got {n}")
         canon = set()
         for i, j in edges:
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise PatternError(f"edge ({i!r}, {j!r}) has a non-integer end") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise PatternError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
@@ -50,6 +55,10 @@ class SparsityPattern:
             canon.add(_canonical_edge(i, j))
         diag = set()
         for d in diagonal:
+            try:
+                d = operator.index(d)
+            except TypeError:
+                raise PatternError(f"diagonal index {d!r} is not an integer") from None
             if not 0 <= d < n:
                 raise PatternError(f"diagonal index {d} out of range for n={n}")
             diag.add(d)
@@ -83,7 +92,10 @@ class Ordering:
     __slots__ = ("perm",)
 
     def __init__(self, perm: Iterable[int]):
-        p = tuple(int(v) for v in perm)
+        try:
+            p = tuple(map(operator.index, perm))
+        except TypeError as exc:
+            raise OrderingError(f"ordering entries must be integers: {exc}") from None
         if sorted(p) != list(range(len(p))):
             raise OrderingError(
                 f"sequence of length {len(p)} is not a permutation of 0..{len(p) - 1}")

@@ -1,5 +1,6 @@
 """Shared graph constructors and reference implementations for the test suite."""
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -136,6 +137,21 @@ def patterns(draw, max_n: int = 16) -> SparsityPattern:
     edges = [(i, j) for (i, j), kept in zip(pairs, keep)
              if kept and i not in isolated and j not in isolated]
     return SparsityPattern(n, edges, draw(st.sets(nodes)))
+
+
+@st.composite
+def twin_heavy_patterns(draw) -> SparsityPattern:
+    """A ``patterns()`` graph with every node blown up into a clique of 1-3
+    copies, each copy joined to all copies of the node's neighbors, randomly
+    renumbered: every node with two or three copies starts with twins."""
+    base = draw(patterns(max_n=12))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    copies = [range(starts[v], starts[v + 1]) for v in range(base.n)]
+    edges = [e for c in copies for e in itertools.combinations(c, 2)]
+    edges += [(i, j) for u, v in base.edges for i in copies[u] for j in copies[v]]
+    p = SparsityPattern(starts[-1], edges)
+    return relabeled(p, draw(st.permutations(range(p.n))))
 
 
 def random_tree(rng: np.random.Generator, n: int) -> SparsityPattern:

@@ -57,8 +57,10 @@ REPORT_CSV = (
 MIN_DEGREE_SHA256 = {
     ("grid", 40): "6a6ffb040cfda4526334c2b59776e9d58b90fe76135d0722f1d1ccf085701879",
     ("grid", 54): "f257eba0d99415e93174c608a9f78086c8847f49f0c04a0ad283ea219daafe88",
+    ("grid", 100): "ef7d54f18878de9e4a2088c69b613a4dbc5c9f82faa7e3044495d30d687709fe",
     ("delaunay", 1000): "1e7c3b523f46ac11ec2e546ffc1ee0108e5647df636289b1b0930f22c83d6b4b",
     ("delaunay", 2000): "b39789200b6e1cf4b29026e29ac1fefde073e33a4a8570eb3f49c34b062c83a8",
+    ("delaunay", 4000): "cd9f06e0f6fba971d24bfd4ca04d6a69b27b93230dcbe80b569e1d75a23e350a",
 }
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_pattern, patterns, random_pattern
+from conftest import cycle_pattern, path_pattern, patterns, random_pattern
 from fillreduce import (Ordering, OrderingError, PatternError, SparsityPattern,
-                        load_matrix_market, load_ordering, nnz_sym,
-                        write_matrix_market, write_ordering)
+                        count_fill, load_matrix_market, load_ordering,
+                        min_degree_order, nnz_sym, write_matrix_market,
+                        write_ordering)
 from fillreduce.sparsity import MAX_NODES
 
 
@@ -186,6 +187,26 @@ def test_pattern_validation():
     assert SparsityPattern(3, [(0, 1), (1, 0)]).edges == {(0, 1)}
 
 
+@pytest.mark.parametrize("edges, diagonal, bad", [
+    ([(0.5, 1)], [], r"edge \(0\.5, 1\)"),
+    ([(0, 1.0)], [], r"edge \(0, 1\.0\)"),
+    ([(0, "2")], [], r"edge \(0, '2'\)"),
+    ([(0, np.float64(1))], [], r"edge \(0, .*1\.0\)"),
+    ([(0, 1)], [2.0], r"diagonal index 2\.0"),
+])
+def test_pattern_rejects_non_integer_nodes(edges, diagonal, bad):
+    # a stored float end would fail later, in min_degree_order, as a TypeError
+    with pytest.raises(PatternError, match=bad):
+        SparsityPattern(3, edges, diagonal)
+
+
+def test_pattern_accepts_numpy_ints_as_python_ints():
+    p = SparsityPattern(3, np.array([[1, 0], [1, 2]]), np.array([2], dtype=np.int32))
+    assert p == SparsityPattern(3, [(0, 1), (1, 2)], [2])
+    assert {type(v) for e in p.edges for v in e} | {type(d) for d in p.diagonal} == {int}
+    assert list(min_degree_order(p)) == [0, 1, 2]
+
+
 def test_ordering_validation_and_positions():
     o = Ordering([2, 0, 1])
     assert list(o) == [2, 0, 1]
@@ -194,6 +215,18 @@ def test_ordering_validation_and_positions():
     for bad in ([0, 0, 1], [0, 2], [1, 2, 3]):
         with pytest.raises(OrderingError):
             Ordering(bad)
+
+
+def test_ordering_rejects_non_integral_entries():
+    # int() would truncate the first and third to [0, 1, 2], the natural order
+    for bad in ([0, 1.7, 2.2], [0.0, 1.0, 2.0], np.array([0.5, 1.5, 2.5]), ["0", "1", "2"]):
+        with pytest.raises(OrderingError, match="must be integers"):
+            Ordering(bad)
+    with pytest.raises(OrderingError, match="must be integers"):
+        count_fill(path_pattern(3), [0.5, 1.5, 2.5])
+    for good in (np.array([2, 0, 1]), [np.int32(2), np.int64(0), 1]):
+        assert Ordering(good).perm == (2, 0, 1)
+        assert {type(v) for v in Ordering(good)} == {int}
 
 
 def test_ordering_file_round_trip(tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cycle_pattern, disjoint_union, fill_edges, fill_steps,
-                      grid_pattern, path_pattern, patterns, random_pattern,
+from conftest import (clique_pattern, cycle_pattern, disjoint_union, fill_edges,
+                      fill_steps, grid_pattern, path_pattern, patterns, random_pattern,
                       random_tree, reference_min_degree, relabeled, star_pattern,
-                      tie_heavy_patterns)
+                      tie_heavy_patterns, twin_heavy_patterns)
 from fillreduce import (EliminationError, EliminationGraph, Ordering,
                         OrderingError, SparsityPattern, count_fill, eliminate_all,
                         fill_path_oracle, generate_delaunay, min_degree_order,
@@ -239,9 +239,35 @@ def test_min_degree_order_matches_full_scan_reference(p):
     assert min_degree_order(p) == reference_min_degree(p)
 
 
-@pytest.mark.parametrize("p", [grid_pattern(k) for k in range(1, 13)]
+# min_degree_order eliminates a node's twins in the same pass; here every
+# graph starts with twins, and the examples are all twins (whole cliques) or
+# two cliques that share a separator
+TWO_CLIQUES = SparsityPattern(9, list(itertools.combinations(range(5), 2))     # {0..4}
+                              + list(itertools.combinations(range(3, 9), 2)))  # {3..8}
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_heavy_patterns())
+@example(clique_pattern(2))
+@example(clique_pattern(3))
+@example(clique_pattern(4))
+@example(clique_pattern(5))
+@example(clique_pattern(6))
+@example(clique_pattern(7))
+@example(clique_pattern(8))
+@example(clique_pattern(9))
+@example(TWO_CLIQUES)
+@example(relabeled(TWO_CLIQUES, [8, 0, 4, 2, 6, 1, 7, 3, 5]))
+def test_min_degree_order_matches_full_scan_reference_with_twins(p):
+    assert min_degree_order(p) == reference_min_degree(p)
+
+
+MESH_SIZES = [*range(1, 13), 16, 20]
+
+
+@pytest.mark.parametrize("p", [grid_pattern(k) for k in MESH_SIZES]
                          + [generate_delaunay(n, np.random.default_rng(n)) for n in (60, 300)],
-                         ids=[f"grid{k}" for k in range(1, 13)] + ["delaunay60", "delaunay300"])
+                         ids=[f"grid{k}" for k in MESH_SIZES] + ["delaunay60", "delaunay300"])
 def test_min_degree_order_matches_full_scan_reference_on_meshes(p):
     assert min_degree_order(p) == reference_min_degree(p)
 
