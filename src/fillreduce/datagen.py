@@ -151,31 +151,27 @@ def delaunay_triangles(points) -> list[tuple[int, int, int]]:
     raise DegenerateGeometry(f"could not triangulate the point set: {last_error}")
 
 
-def delaunay_edges(points) -> set[tuple[int, int]]:
-    edges = set()
-    for a, b, c in delaunay_triangles(points):
-        edges.add((min(a, b), max(a, b)))
-        edges.add((min(b, c), max(b, c)))
-        edges.add((min(a, c), max(a, c)))
-    return edges
+def _delaunay_pattern(points) -> SparsityPattern:
+    tris = np.array(delaunay_triangles(points), dtype=np.int64).reshape(-1, 3)
+    return SparsityPattern(len(points), tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
 
 
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    if n <= 1:
+def delaunay_edges(points) -> frozenset[tuple[int, int]]:
+    return _delaunay_pattern(points).edges
+
+
+def _connected(p: SparsityPattern) -> bool:
+    if p.n <= 1:
         return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
+    adj = p.adjacency()
+    seen, stack = {0}, [0]
     while stack:
         u = stack.pop()
         for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == n
+    return len(seen) == p.n
 
 
 def generate_delaunay(n: int, rng: np.random.Generator) -> SparsityPattern:
@@ -192,9 +188,9 @@ def generate_delaunay(n: int, rng: np.random.Generator) -> SparsityPattern:
         # pairwise-distinct guard; duplicate draws are measure-zero
         if len(np.unique(points, axis=0)) != n:
             continue
-        edges = delaunay_edges(points)
-        if _connected(n, edges):
-            return SparsityPattern(n, edges)
+        p = _delaunay_pattern(points)
+        if _connected(p):
+            return p
 
 
 def generate_training_set(count: int, n_min: int = 60, n_max: int = 200,
@@ -226,7 +222,7 @@ def write_training_set(patterns: list[SparsityPattern], out_dir: str | Path) -> 
         for i, p in enumerate(patterns):
             name = f"delaunay_{i:05d}.mtx"
             write_matrix_market(p, out / name)
-            writer.writerow([i, name, p.n, len(p.edges)])
+            writer.writerow([i, name, p.n, p.num_edges])
     return manifest
 
 

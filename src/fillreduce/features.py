@@ -10,7 +10,6 @@ pattern; each later one applies the elimination to its own edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -66,8 +65,7 @@ def compute_features(source: SparsityPattern | NodeFeatures,
     """
     if isinstance(source, SparsityPattern):
         nodes = list(range(source.n))
-        # pattern edges are (i, j) with i < j, and row i is node i
-        edges = np.fromiter(chain.from_iterable(source.edges), dtype=np.int32).reshape(-1, 2).T
+        edges = source.edge_array   # (i, j) with i < j, and row i is node i
     else:
         nodes = source.nodes[:row] + source.nodes[row + 1:]
         edges = source.adjacency.edges

@@ -195,15 +195,19 @@ def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np
     """
     config = config or NetConfig()
     deg = adj.degree + 1.0                # row sums of A + I
+    k = len(deg)
     i, j = adj.edges
+    prop = np.zeros((k, k))
+    flat = prop.reshape(-1)               # a view: one flat index per entry
+    upper, lower = i * np.intp(k) + j, j * np.intp(k) + i
     if config.backbone == "mixhop":
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        prop = np.diag(d_inv_sqrt * d_inv_sqrt)
-        prop[i, j] = prop[j, i] = d_inv_sqrt.take(i) * d_inv_sqrt.take(j)
+        flat[::k + 1] = d_inv_sqrt * d_inv_sqrt
+        flat[upper] = flat[lower] = d_inv_sqrt.take(i) * d_inv_sqrt.take(j)
     else:
         diag = 1.0 / deg
-        prop = np.diag(diag)
-        prop[i, j], prop[j, i] = diag.take(i), diag.take(j)
+        flat[::k + 1] = diag
+        flat[upper], flat[lower] = diag.take(i), diag.take(j)
     return prop
 
 

@@ -2,15 +2,19 @@
 
 Only the zero/nonzero structure matters here: numeric values are parsed for
 validation and then dropped, and unsymmetric inputs are symmetrized so the
-pattern always describes an undirected graph.
+pattern always describes an undirected graph. A pattern keeps its edges in
+one sorted int32 array, so loading and scoring make no Python tuple per edge.
 """
 
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 
 class PatternError(ValueError):
@@ -21,38 +25,58 @@ class OrderingError(ValueError):
     """Sequence is not a permutation of the expected node set."""
 
 
-def _canonical_edge(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+def _edge_ends(n: int, edges) -> np.ndarray:
+    """The pairs of ``edges`` as an int64 ``(m, 2)`` array; the first pair with
+    a non-integer end, an end out of range or equal ends raises PatternError."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        pairs, ends = edges, edges.astype(np.int64)
+    else:
+        pairs, ends = list(edges), None
+        with suppress(TypeError, OverflowError):
+            if set(map(len, pairs)) <= {2}:
+                ends = np.fromiter(map(operator.index, chain.from_iterable(pairs)),
+                                   np.int64, 2 * len(pairs)).reshape(-1, 2)
+    if ends is not None and not (ends.size and (ends.min() < 0 or ends.max() >= n
+                                                or (ends[:, 0] == ends[:, 1]).any())):
+        return ends
+    flat = []
+    for i, j in pairs:
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise PatternError(f"edge ({i!r}, {j!r}) has a non-integer end") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise PatternError(f"edge ({i}, {j}) out of range for n={n}")
+        if i == j:
+            raise PatternError(f"self-loop edge ({i}, {j}) is not allowed")
+        flat += i, j
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 class SparsityPattern:
-    """Symmetric off-diagonal nonzero structure of an n x n matrix.
+    """Symmetric off-diagonal nonzero structure of an n x n matrix, n <= 2^31.
 
-    Edges are undirected index pairs stored in canonical (min, max) form with
-    no self-loops and no duplicates. ``diagonal`` records which nodes carried
-    an explicitly stored diagonal entry; it is informational only (a structural
-    diagonal is assumed present for every node regardless).
+    ``edge_array`` holds each undirected edge once, as a column (i, j) with
+    i < j of a read-only int32 ``(2, m)`` array, columns sorted; self-loops
+    are rejected. The package reads only this array. ``edges`` builds the
+    same edges as a frozenset of tuples on each access and keeps nothing, so
+    a pattern holds one form of its edges. ``diagonal`` records which nodes
+    carried an explicitly stored diagonal entry; it is informational only (a
+    structural diagonal is assumed present for every node regardless).
 
     Instances are immutable by convention and safe to share across workers.
     """
 
-    __slots__ = ("n", "edges", "diagonal")
+    __slots__ = ("n", "edge_array", "diagonal")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  diagonal: Iterable[int] = ()):
-        if n < 0:
-            raise PatternError(f"node count must be nonnegative, got {n}")
-        canon = set()
-        for i, j in edges:
-            try:
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise PatternError(f"edge ({i!r}, {j!r}) has a non-integer end") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise PatternError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise PatternError(f"self-loop edge ({i}, {j}) is not allowed")
-            canon.add(_canonical_edge(i, j))
+        if not 0 <= n <= 2 ** 31:
+            raise PatternError(f"node count must be in [0, 2**31], got {n}")
+        ends = _edge_ends(n, edges)
+        # sort by one int64 key per edge, below n^2 <= 2^62
+        key = np.sort(np.minimum(ends[:, 0], ends[:, 1]) * n + np.maximum(ends[:, 0], ends[:, 1]))
+        key = key[np.flatnonzero(np.diff(key, prepend=-1))]
         diag = set()
         for d in diagonal:
             try:
@@ -63,27 +87,38 @@ class SparsityPattern:
                 raise PatternError(f"diagonal index {d} out of range for n={n}")
             diag.add(d)
         self.n = n
-        self.edges = frozenset(canon)
+        self.edge_array = np.stack(np.divmod(key, max(n, 1))).astype(np.int32)
+        self.edge_array.flags.writeable = False
         self.diagonal = frozenset(diag)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (i, j) tuples, i < j, built on each access."""
+        return frozenset(zip(*self.edge_array.tolist()))
+
+    @property
+    def num_edges(self) -> int:
+        return self.edge_array.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsityPattern):
             return NotImplemented
-        return (self.n, self.edges, self.diagonal) == (other.n, other.edges, other.diagonal)
+        return ((self.n, self.diagonal) == (other.n, other.diagonal)
+                and np.array_equal(self.edge_array, other.edge_array))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.diagonal))
+        return hash((self.n, self.edge_array.tobytes(), self.diagonal))
 
     def __repr__(self) -> str:
-        return f"SparsityPattern(n={self.n}, edges={len(self.edges)})"
+        return f"SparsityPattern(n={self.n}, edges={self.num_edges})"
 
     def adjacency(self) -> list[set[int]]:
         """Adjacency sets indexed by node."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        i, j = self.edge_array
+        ends = np.concatenate((i, j))
+        flat = np.concatenate((j, i))[np.argsort(ends)].tolist()
+        bounds = np.bincount(ends, minlength=self.n).cumsum().tolist()
+        return [set(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
 
 
 class Ordering:
@@ -131,7 +166,7 @@ class Ordering:
 
 def nnz_sym(p: SparsityPattern) -> int:
     """Nonzeros of the symmetric pattern, counting a structural diagonal for every node."""
-    return 2 * len(p.edges) + p.n
+    return 2 * p.num_edges + p.n
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +203,9 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     Numeric values are discarded; explicitly stored zeros count as nonzeros
     (pattern semantics) and duplicate entries are merged. General files are
     symmetrized as A + A^T; symmetric-family headers expand the stored
-    triangle. Raises PatternError on malformed input and on a declared
-    size above ``MAX_NODES``.
+    triangle. The entry lines are parsed together into arrays. Raises
+    PatternError on malformed input, naming the first bad entry line in file
+    order, and on a declared size above ``MAX_NODES``.
     """
     with _open_text(source, "r") as fh:
         header = fh.readline()
@@ -213,49 +249,56 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
                                f"supported {MAX_NODES}")
 
         width = _ENTRY_WIDTH[field]
-        edges: set[tuple[int, int]] = set()
-        diagonal: set[int] = set()
-        seen = 0
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != width:
-                raise PatternError(
-                    f"expected {width} tokens for field {field!r}, got: {stripped!r}")
-            try:
-                i = int(tokens[0])
-                j = int(tokens[1])
-                for t in tokens[2:]:
-                    float(t)  # validate, then discard
-            except ValueError as exc:
-                raise PatternError(f"malformed entry line: {stripped!r}") from exc
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                raise PatternError(
-                    f"entry ({i}, {j}) out of range for a {rows} x {cols} matrix")
-            seen += 1
-            if seen > count:
-                raise PatternError(f"more than the declared {count} entries")
-            if i == j:
-                diagonal.add(i - 1)
-            else:
-                edges.add(_canonical_edge(i - 1, j - 1))
-        if seen != count:
-            raise PatternError(f"declared {count} entries but found {seen}")
-        return SparsityPattern(rows, edges, diagonal)
+        lines = [s for s in map(str.strip, fh) if s and s[0] != "%"]
+    # "|" after each line never parses as a number, so if every other token
+    # does, each line held exactly ``width`` of them
+    tokens = " | ".join(lines + [""]).split()
+    step = width + 1
+    try:
+        if len(lines) != count or len(tokens) != step * count:
+            raise ValueError
+        for c in range(2, width):
+            np.fromiter(map(float, tokens[c::step]), np.float64, count)  # validate, then discard
+        ends = np.stack([np.fromiter(map(int, tokens[c::step]), np.int64, count)
+                         for c in (0, 1)], axis=1) - 1
+        if count and (ends.min() < 0 or ends.max() >= rows):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _entry_error(lines, field, rows, count) from None
+    loop = ends[:, 0] == ends[:, 1]
+    return SparsityPattern(rows, ends[~loop], np.unique(ends[loop, 0]).tolist())
+
+
+def _entry_error(lines: list[str], field: str, n: int, count: int) -> PatternError:
+    """The error of the first entry line, in file order, that is malformed,
+    out of range or past the declared ``count``; else the count mismatch."""
+    width = _ENTRY_WIDTH[field]
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) != width:
+            return PatternError(f"expected {width} tokens for field {field!r}, got: {line!r}")
+        try:
+            i, j = map(int, tokens[:2])
+            list(map(float, tokens[2:]))
+        except ValueError:
+            return PatternError(f"malformed entry line: {line!r}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            return PatternError(f"entry ({i}, {j}) out of range for a {n} x {n} matrix")
+        if k == count:
+            return PatternError(f"more than the declared {count} entries")
+    return PatternError(f"declared {count} entries but found {len(lines)}")
 
 
 def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> None:
     """Write a pattern as a symmetric coordinate Matrix Market file (lower triangle)."""
     with _open_text(target, "w") as fh:
-        entries = len(p.edges) + len(p.diagonal)
+        diagonal = np.array(sorted(p.diagonal), dtype=np.int64)
+        rows = np.concatenate((p.edge_array[1], diagonal)) + 1   # row >= col
+        cols = np.concatenate((p.edge_array[0], diagonal)) + 1
+        order = np.lexsort((cols, rows))
         fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
-        fh.write(f"{p.n} {p.n} {entries}\n")
-        lines = [(d, d) for d in p.diagonal]
-        lines.extend((j, i) for i, j in p.edges)  # row >= col
-        for r, c in sorted(lines):
-            fh.write(f"{r + 1} {c + 1}\n")
+        fh.write(f"{p.n} {p.n} {len(rows)}\n")
+        fh.write("".join(map("{} {}\n".format, rows[order].tolist(), cols[order].tolist())))
 
 
 # ---------------------------------------------------------------------------

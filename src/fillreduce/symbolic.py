@@ -20,6 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .sparsity import Ordering, SparsityPattern
 
 
@@ -37,11 +39,8 @@ class EliminationGraph:
     __slots__ = ("adj", "num_edges")
 
     def __init__(self, pattern: SparsityPattern):
-        self.adj: dict[int, set[int]] = {v: set() for v in range(pattern.n)}
-        for i, j in pattern.edges:
-            self.adj[i].add(j)
-            self.adj[j].add(i)
-        self.num_edges = len(pattern.edges)
+        self.adj: dict[int, set[int]] = dict(enumerate(pattern.adjacency()))
+        self.num_edges = pattern.num_edges
 
     @property
     def live(self):
@@ -154,80 +153,76 @@ def count_fill(pattern: SparsityPattern, ordering: Ordering | Sequence[int]) -> 
     (SIMAX 1994), in the form of CSparse's ``cs_counts``. The columns hold
     the diagonal, the edges and the fill once each, so the fill is their sum
     minus n minus |E|. Time is O(|E| log n) at worst, memory O(n + |E|).
+    Both passes take the edges in an order numpy sorts them into, so no
+    list is built per node.
     """
     n = pattern.n
-    pos = _as_ordering(ordering, n).positions()
-    below: list[list[int]] = [[] for _ in range(n)]   # neighbors with a lower label
-    above: list[list[int]] = [[] for _ in range(n)]   # neighbors with a higher label
-    for i, j in pattern.edges:
-        a, b = pos[i], pos[j]
-        if a > b:
-            a, b = b, a
-        below[b].append(a)
-        above[a].append(b)
+    pos = np.empty(n, dtype=np.intp)
+    pos[np.fromiter(_as_ordering(ordering, n), np.intp, n)] = np.arange(n)
+    a, b = pos.take(pattern.edge_array)
+    low, high = np.minimum(a, b), np.maximum(a, b)
 
     # elimination tree: parent[i] is the first later node that i's
-    # elimination connects to; ancestor is a path-compressed shortcut to it
+    # elimination connects to; ancestor is a path-compressed shortcut to it.
+    # Each edge (i, k), i < k, is taken in order of k
     parent = [-1] * n
     ancestor = [-1] * n
-    for k in range(n):
-        for i in below[k]:
-            while i != -1 and i < k:
-                up = ancestor[i]
-                ancestor[i] = k
-                if up == -1:
-                    parent[i] = k
-                i = up
+    by_high = np.argsort(high)
+    for k, i in zip(high[by_high].tolist(), low[by_high].tolist()):
+        while i != -1 and i < k:
+            up = ancestor[i]
+            ancestor[i] = k
+            if up == -1:
+                parent[i] = k
+            i = up
 
-    # postorder: reverse a preorder that visits children last-first
-    children: list[list[int]] = [[] for _ in range(n)]
-    stack = []
+    # postorder: a parent's label is above its children's, so subtree sizes
+    # add up in label order, and in reverse label order each subtree takes
+    # its block of postorder slots from its parent's. The roots hang off a
+    # virtual node at index -1 (n) of every per-node list. first[j] is the
+    # slot of j's first descendant; delta starts at 1 on a leaf and at minus
+    # the number of children elsewhere
+    size, first, free, delta = [1] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     for j in range(n):
-        (children[parent[j]] if parent[j] != -1 else stack).append(j)
-    post = []
-    while stack:
-        j = stack.pop()
-        post.append(j)
-        stack.extend(children[j])
-    post.reverse()
-
-    # first[j]: postorder index of the first descendant of j
-    first = [-1] * n
-    delta = [0] * n
-    for k, j in enumerate(post):
-        delta[j] = 1 if first[j] == -1 else 0   # a leaf of the tree
-        while j != -1 and first[j] == -1:
-            first[j] = k
-            j = parent[j]
+        size[parent[j]] += size[j]
+        delta[parent[j]] -= 1
+    post, slot = [0] * n, [0] * n
+    for j in reversed(range(n)):
+        first[j] = free[j] = free[parent[j]]
+        free[parent[j]] += size[j]
+        delta[j] += size[j] == 1
+        slot[j] = first[j] + size[j] - 1
+        post[slot[j]] = j
 
     # each entry (i, j), i > j, that makes j a leaf of row i's subtree adds
     # one to column j and takes one off the least common ancestor of j and
-    # the previous such leaf; subtree sums of delta are then column counts
-    ancestor = list(range(n))
+    # the previous such leaf; subtree sums of delta are then column counts.
+    # The entries go in postorder of j, and a column links to its parent
+    # once all its entries are done
+    ancestor = list(range(n)) + [-1]
     max_first = [-1] * n
     prev_leaf = [-1] * n
-    for j in post:
-        if parent[j] != -1:
-            delta[parent[j]] -= 1
-        for i in above[j]:
-            if first[j] <= max_first[i]:
-                continue
-            max_first[i] = first[j]
-            prev, prev_leaf[i] = prev_leaf[i], j
-            delta[j] += 1
-            if prev != -1:
-                q = prev
-                while q != ancestor[q]:
-                    q = ancestor[q]
-                while prev != q:   # compress the path just walked
-                    ancestor[prev], prev = q, ancestor[prev]
-                delta[q] -= 1
-        if parent[j] != -1:
-            ancestor[j] = parent[j]
+    done = 0
+    by_slot = np.argsort(np.take(slot, low))
+    for j, i in zip(low[by_slot].tolist(), high[by_slot].tolist()):
+        while post[done] != j:
+            ancestor[post[done]] = parent[post[done]]
+            done += 1
+        if first[j] <= max_first[i]:
+            continue
+        max_first[i] = first[j]
+        prev, prev_leaf[i] = prev_leaf[i], j
+        delta[j] += 1
+        if prev != -1:
+            q = prev
+            while q != ancestor[q]:
+                q = ancestor[q]
+            while prev != q:   # compress the path just walked
+                ancestor[prev], prev = q, ancestor[prev]
+            delta[q] -= 1
     for j in range(n):   # a parent's label is above its child's
-        if parent[j] != -1:
-            delta[parent[j]] += delta[j]
-    return sum(delta) - n - len(pattern.edges)
+        delta[parent[j]] += delta[j]
+    return sum(delta[:n]) - n - pattern.num_edges
 
 
 def fill_path_oracle(
@@ -245,7 +240,7 @@ def fill_path_oracle(
     fill: set[tuple[int, int]] = set()
     for i in range(pattern.n):
         for j in range(i + 1, pattern.n):
-            if (i, j) in pattern.edges:
+            if j in adj[i]:
                 continue
             bound = min(pos[i], pos[j])
             # BFS from i to j through nodes with pos < bound

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
                         backward, compute_features, eliminate_all, forward,
-                        normalize_features, policy_net, symbolic_factorize, value)
+                        normalize_features, policy_net, sparsity, symbolic_factorize,
+                        value)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
@@ -31,6 +32,86 @@ def reference_min_degree(pattern) -> Ordering:
     lowest index on ties."""
     trace = eliminate_all(pattern, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
     return Ordering(trace.nodes)
+
+
+def reference_load_matrix_market(source) -> SparsityPattern:
+    """Matrix Market loading by a loop over the lines into sets of tuples,
+    each line checked in turn, the loop that ``load_matrix_market`` does in
+    numpy. Raises the same PatternError for the same first bad line."""
+    PatternError = sparsity.PatternError
+    with sparsity._open_text(source, "r") as fh:
+        header = fh.readline()
+        if not header:
+            raise PatternError("empty file: missing MatrixMarket header")
+        parts = header.strip().split()
+        if len(parts) != 5 or parts[0] != "%%MatrixMarket":
+            raise PatternError(f"malformed MatrixMarket header: {header.strip()!r}")
+        obj, fmt, field, symmetry = (w.lower() for w in parts[1:])
+        if obj != "matrix":
+            raise PatternError(f"unsupported object {obj!r} (only 'matrix')")
+        if fmt != "coordinate":
+            raise PatternError(f"unsupported format {fmt!r} (only 'coordinate')")
+        if field not in sparsity._FIELDS:
+            raise PatternError(f"unsupported field {field!r}")
+        if symmetry not in sparsity._SYMMETRIES:
+            raise PatternError(f"unsupported symmetry {symmetry!r}")
+
+        size_line = None
+        for line in fh:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            size_line = stripped
+            break
+        if size_line is None:
+            raise PatternError("missing size line")
+        tokens = size_line.split()
+        if len(tokens) != 3:
+            raise PatternError(f"malformed size line: {size_line!r}")
+        try:
+            rows, cols, count = (int(t) for t in tokens)
+        except ValueError as exc:
+            raise PatternError(f"malformed size line: {size_line!r}") from exc
+        if rows != cols:
+            raise PatternError(f"non-square matrix: {rows} x {cols}")
+        if rows < 0 or count < 0:
+            raise PatternError(f"negative dimensions in size line: {size_line!r}")
+        if rows > sparsity.MAX_NODES:
+            raise PatternError(f"matrix declares {rows} nodes, more than the "
+                               f"supported {sparsity.MAX_NODES}")
+
+        width = sparsity._ENTRY_WIDTH[field]
+        edges: set[tuple[int, int]] = set()
+        diagonal: set[int] = set()
+        seen = 0
+        for line in fh:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            tokens = stripped.split()
+            if len(tokens) != width:
+                raise PatternError(
+                    f"expected {width} tokens for field {field!r}, got: {stripped!r}")
+            try:
+                i = int(tokens[0])
+                j = int(tokens[1])
+                for t in tokens[2:]:
+                    float(t)  # validate, then discard
+            except ValueError as exc:
+                raise PatternError(f"malformed entry line: {stripped!r}") from exc
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise PatternError(
+                    f"entry ({i}, {j}) out of range for a {rows} x {cols} matrix")
+            seen += 1
+            if seen > count:
+                raise PatternError(f"more than the declared {count} entries")
+            if i == j:
+                diagonal.add(i - 1)
+            else:
+                edges.add((min(i, j) - 1, max(i, j) - 1))
+        if seen != count:
+            raise PatternError(f"declared {count} entries but found {seen}")
+        return SparsityPattern(rows, edges, diagonal)
 
 
 def in_circle_det(a, b, c, p) -> float:

@@ -5,8 +5,9 @@ from hypothesis import example, given, settings
 from conftest import (cycle_pattern, fill_edges, grid_pattern, path_pattern, patterns,
                       star_pattern)
 from fillreduce import (EliminationGraph, Ordering, PolicyValueNet, SparsityPattern,
-                        count_fill, fill_in_ratio, generate_delaunay, min_degree_order,
-                        run_benchmark, write_matrix_market)
+                        TrainerConfig, count_fill, fill_in_ratio, generate_delaunay,
+                        load_matrix_market, min_degree_order, run_benchmark, train,
+                        write_matrix_market)
 from fillreduce.evaluation import METHODS, compute_ordering, gpo_order
 from fillreduce.policy_net import NetConfig, save_checkpoint
 
@@ -195,3 +196,33 @@ def test_scoring_eliminates_nothing(tmp_path, eliminations):
     # a mindeg cell chooses in its own neighbor sets and scores by count_fill
     report = run_benchmark(files, ["mindeg"])
     assert report.num_errors == 0 and eliminations == []
+
+
+@pytest.fixture
+def edge_views(monkeypatch):
+    """A list that gets one entry per build of a pattern's ``edges`` frozenset."""
+    calls = []
+    view = SparsityPattern.edges
+
+    def counted(p):
+        calls.append(p)
+        return view.fget(p)
+
+    monkeypatch.setattr(SparsityPattern, "edges", property(counted))
+    return calls
+
+
+def test_scoring_and_training_build_no_edge_set(tmp_path, edge_views):
+    # every reader works from the edge array; only callers that ask for
+    # ``edges`` pay for a tuple per edge
+    p = generate_delaunay(60, np.random.default_rng(8))
+    files = [write_pattern(tmp_path, "delaunay.mtx", p),
+             write_pattern(tmp_path, "grid.mtx", grid_pattern(6))]
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(1)), model)
+    report = run_benchmark(files, ["natural", "mindeg", "gpo"], model_path=model)
+    assert report.num_errors == 0 and len(report.rows) == 6
+    _, log = train([load_matrix_market(files[0])], TrainerConfig(seed=3))
+    assert len(log) == 1
+    assert edge_views == []
+    assert p.edges and len(edge_views) == 1   # the spy sees a build

@@ -1,12 +1,14 @@
 import io
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_pattern, path_pattern, patterns, random_pattern
+from conftest import (cycle_pattern, grid_pattern, path_pattern, patterns, random_pattern,
+                      reference_load_matrix_market)
 from fillreduce import (Ordering, OrderingError, PatternError, SparsityPattern,
                         count_fill, load_matrix_market, load_ordering,
                         min_degree_order, nnz_sym, write_matrix_market,
@@ -159,6 +161,98 @@ def test_symmetrization_idempotent(case):
     assert load_matrix_market(written(first)) == first
 
 
+FIELD_WIDTH = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}
+SYMMETRIES = ["general", "symmetric", "skew-symmetric", "hermitian"]
+BAD_INTS = ["1.0", "x", "1__0", "_1", "0x1", "1e2"]
+VALUES = ["1.5", "-2", "0", "+3", "1_0", "nan", "-inf", "1e-300", "2E5", ".5"]
+BAD_VALUES = ["abc", "1,5", "--1", "1e", "1__0", "0x1p3"]
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """Coordinate files of every field and symmetry: entries spelled in the
+    ways int() and float() accept (``+3``, ``1_0``, ``nan``), on and off the
+    diagonal and repeated, with blank and comment lines between them; the
+    declared count is sometimes off, and some lines are malformed: a wrong
+    token count, a bad int or float, or an index out of range."""
+    field = draw(st.sampled_from(sorted(FIELD_WIDTH)))
+    width = FIELD_WIDTH[field]
+    n = draw(st.integers(0, 12))
+    index = st.integers(1, n) if n else st.nothing()
+
+    def int_token(i: int) -> str:
+        s = str(i)
+        return draw(st.sampled_from([s, "+" + s, "0" + s, "_".join(s)]))
+
+    def entry() -> list[str]:
+        kind = draw(st.sampled_from(["good"] * 12 + ["width", "int", "value", "range"]))
+        if kind == "range" or (kind != "good" and not n):
+            i, j = draw(st.sampled_from([(0, 1), (n + 1, 1), (1, n + 1), (-1, 1), (10 ** 30, 1)]))
+        else:
+            i, j = (draw(index), draw(index)) if n else (1, 1)
+        tokens = [int_token(i), int_token(j)]
+        tokens += [draw(st.sampled_from(VALUES)) for _ in range(width - 2)]
+        if kind == "int":
+            tokens[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_INTS))
+        elif kind == "value" and width > 2:
+            tokens[draw(st.integers(2, width - 1))] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "width":
+            tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["1"]
+        return tokens
+
+    lines = []
+    entries = 0
+    for _ in range(draw(st.integers(0, 3 * n + 2))):
+        filler = draw(st.sampled_from(["", "  ", "\t", "% comment", "  % indented", None, None,
+                                       None, None]))
+        if filler is not None:
+            lines.append(filler)
+            continue
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(entry()))
+        entries += 1
+    count = max(0, entries + draw(st.sampled_from([0, 0, 0, -1, 1, -2])))
+    symmetry = draw(st.sampled_from(SYMMETRIES))
+    return "\n".join([f"%%MatrixMarket matrix coordinate {field} {symmetry}",
+                      f"{n} {n} {count}", *lines]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_market_texts())
+@example("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1\n2 3 +3\n3 1 x\n")
+@example("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n3 1\n")
+@example("%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2 3\n4 1\n")
+@example("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 |\n2 1\n")
+@example("%%MatrixMarket matrix coordinate integer general\n2 2 3\n1 2 7\n")
+@example("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n3 x\n")
+@example("%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n% c\n\n2 1 nan 1_0\n"
+         "2 2 1 +3\n")
+def test_loader_matches_reference_loop(text):
+    # the same pattern, or a PatternError naming the same first bad line
+    try:
+        expected = reference_load_matrix_market(io.StringIO(text))
+    except PatternError as exc:
+        with pytest.raises(PatternError) as info:
+            load_matrix_market(io.StringIO(text))
+        assert str(info.value) == str(exc)
+    else:
+        assert load_matrix_market(io.StringIO(text)) == expected
+
+
+def test_loaded_pattern_keeps_little_memory(tmp_path):
+    # a frozenset of tuples kept 13.2 MB here
+    path = tmp_path / "grid.mtx"
+    write_matrix_market(grid_pattern(200), path)
+    tracemalloc.start()
+    try:
+        p = load_matrix_market(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p.num_edges == 2 * 200 * 199
+    assert kept < 4 * 2 ** 20
+
+
 def test_loader_agrees_with_scipy_on_written_patterns():
     from scipy.io import mmread
 
@@ -198,6 +292,36 @@ def test_pattern_rejects_non_integer_nodes(edges, diagonal, bad):
     # a stored float end would fail later, in min_degree_order, as a TypeError
     with pytest.raises(PatternError, match=bad):
         SparsityPattern(3, edges, diagonal)
+
+
+@pytest.mark.parametrize("edges, bad", [
+    ([(0, 1), (0, 5), (0.5, 1), (2, 2)], r"edge \(0, 5\) out of range for n=3"),
+    ([(0, 1), (2, 2), (0, 5)], r"self-loop edge \(2, 2\)"),
+    ([(1, 0), (0, "x"), (2, 2)], r"edge \(0, 'x'\) has a non-integer end"),
+    ([(0, 1), (-1, 2)], r"edge \(-1, 2\) out of range"),
+    ([(0, 1), (2, 10 ** 30)], r"edge \(2, 1000000000000000000000000000000\) out of range"),
+    (np.array([[0, 1], [3, 1], [1, 1]]), r"edge \(3, 1\) out of range for n=3$"),
+    (np.array([[0, 1], [1, 1], [3, 1]], dtype=np.uint8), r"self-loop edge \(1, 1\)"),
+])
+def test_pattern_names_the_first_bad_edge(edges, bad):
+    with pytest.raises(PatternError, match=bad):
+        SparsityPattern(3, edges)
+
+
+def test_pattern_reads_pairs_of_any_form():
+    expected = SparsityPattern(4, [(0, 1), (1, 2), (2, 3)])
+    assert expected.edge_array.tolist() == [[0, 1, 2], [1, 2, 3]]
+    assert not expected.edge_array.flags.writeable
+    for edges in ([[1, 0], [2, 1], [3, 2], [0, 1]], ((i, i + 1) for i in range(3)),
+                  [iter((0, 1)), iter((2, 1)), iter((3, 2))], np.array([[3, 2], [2, 1], [1, 0]]),
+                  {(0, 1), (1, 2), (2, 3)}, np.array([[0, 1], [1, 2], [2, 3]], dtype=np.uint64)):
+        p = SparsityPattern(4, edges)
+        assert p == expected and hash(p) == hash(expected) and p.edges == expected.edges
+    with pytest.raises(ValueError):
+        SparsityPattern(4, [(0, 1, 2)])
+    with pytest.raises(PatternError, match=r"must be in \[0, 2\*\*31\]"):
+        SparsityPattern(2 ** 31 + 1)
+    assert SparsityPattern(2 ** 31, [(0, 2 ** 31 - 1)]).edges == {(0, 2 ** 31 - 1)}
 
 
 def test_pattern_accepts_numpy_ints_as_python_ints():
