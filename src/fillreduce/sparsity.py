@@ -9,8 +9,7 @@ one sorted int32 array, so loading and scoring make no Python tuple per edge.
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager, suppress
-from itertools import chain
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -29,18 +28,12 @@ def _edge_ends(n: int, edges) -> np.ndarray:
     """The pairs of ``edges`` as an int64 ``(m, 2)`` array; the first pair with
     a non-integer end, an end out of range or equal ends raises PatternError."""
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
-        pairs, ends = edges, edges.astype(np.int64)
-    else:
-        pairs, ends = list(edges), None
-        with suppress(TypeError, OverflowError):
-            if set(map(len, pairs)) <= {2}:
-                ends = np.fromiter(map(operator.index, chain.from_iterable(pairs)),
-                                   np.int64, 2 * len(pairs)).reshape(-1, 2)
-    if ends is not None and not (ends.size and (ends.min() < 0 or ends.max() >= n
-                                                or (ends[:, 0] == ends[:, 1]).any())):
-        return ends
+        ends = edges.astype(np.int64)
+        if not (ends.size and (ends.min() < 0 or ends.max() >= n
+                               or (ends[:, 0] == ends[:, 1]).any())):
+            return ends
     flat = []
-    for i, j in pairs:
+    for i, j in edges:
         try:
             i, j = operator.index(i), operator.index(j)
         except TypeError:
