@@ -10,8 +10,7 @@ from .sparsity import (Ordering, OrderingError, PatternError, SparsityPattern,
                        load_matrix_market, load_ordering, nnz_sym,
                        write_matrix_market, write_ordering)
 from .symbolic import (EliminationError, EliminationGraph, EliminationTrace,
-                       count_fill, eliminate_all, fill_path_oracle,
-                       symbolic_factorize)
+                       count_fill, fill_path_oracle, symbolic_factorize)
 from .features import (LiveAdjacency, NodeFeatures, compute_features,
                        normalize_features)
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
@@ -33,7 +32,7 @@ __all__ = [
     "load_matrix_market", "load_ordering", "nnz_sym", "write_matrix_market",
     "write_ordering",
     "EliminationError", "EliminationGraph", "EliminationTrace",
-    "count_fill", "eliminate_all", "fill_path_oracle", "symbolic_factorize",
+    "count_fill", "fill_path_oracle", "symbolic_factorize",
     "LiveAdjacency", "NodeFeatures", "compute_features", "normalize_features",
     "NetConfig", "NetworkError", "PolicyValueNet", "build_propagation",
     "backward", "forward", "load_checkpoint", "save_checkpoint", "value",

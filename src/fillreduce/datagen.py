@@ -62,8 +62,9 @@ def _circle_row(a, b, c) -> tuple[float, float, float, float]:
     return ux, uy, r2, _RECHECK_REL * r2 + _RECHECK_ABS
 
 
-def _triangulate(points) -> list[tuple[int, int, int]]:
-    """Bowyer-Watson; returns triangles over the original point indices only.
+def _triangulate(points) -> np.ndarray:
+    """Bowyer-Watson; returns the triangles over the original point indices
+    only, one row of three vertices each, as an int array of shape (t, 3).
 
     Super-triangle vertices take indices n..n+2 and every triangle touching
     them is dropped at the end. The live triangles are the columns of numpy
@@ -125,7 +126,7 @@ def _triangulate(points) -> list[tuple[int, int, int]]:
             m -= 1
             tris[:, hole], circles[:, hole], created[hole] = tris[:, m], circles[:, m], created[m]
     live = tris[:, np.argsort(created[:m])]
-    return list(zip(*live[:, live.max(axis=0) < n].tolist()))
+    return live[:, live.max(axis=0) < n].T
 
 
 def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
@@ -134,9 +135,9 @@ def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
     return np.clip(points + attempt * 1e-9 * offset, 0.0, 1.0)
 
 
-def delaunay_triangles(points) -> list[tuple[int, int, int]]:
-    """Triangles of the Delaunay triangulation, retrying degenerate inputs
-    with deterministic jitter."""
+def delaunay_triangles(points) -> np.ndarray:
+    """Triangles of the Delaunay triangulation, an int array of shape (t, 3),
+    retrying degenerate inputs with deterministic jitter."""
     pts = np.asarray(points, dtype=np.float64)
     last_error = None
     for attempt in range(_MAX_JITTER_ATTEMPTS):
@@ -145,14 +146,14 @@ def delaunay_triangles(points) -> list[tuple[int, int, int]]:
         except DegenerateGeometry as exc:
             last_error = exc
             continue
-        if tris or len(pts) < 3:
+        if len(tris) or len(pts) < 3:
             return tris
         last_error = DegenerateGeometry("all points collinear")
     raise DegenerateGeometry(f"could not triangulate the point set: {last_error}")
 
 
 def _delaunay_pattern(points) -> SparsityPattern:
-    tris = np.array(delaunay_triangles(points), dtype=np.int64).reshape(-1, 3)
+    tris = delaunay_triangles(points)
     return SparsityPattern(len(points), tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
 
 

@@ -8,20 +8,20 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
-A layer is computed as one block of shape (k, trunk_width), hops side by
-side. Layer 0 widens its two input features, so it propagates first: its
-hop j reads P^j X, which both towers share. A layer >= 1 narrows its input,
-so it multiplies by the weights first, as GCN and MixHop do: hop j is
-P^j (H W_j), and the operator meets hidden_per_hop columns per power
-instead of trunk_width. Each hop's products are written into its column
-block; products over several hops' columns at once would round each hop
-differently from the same hop computed alone. The layer then adds its
-biases, which sit side by side in one array, and applies tanh once; the
-next layer reads that array as it is. The backward pass mirrors this: P^T
-applied j times to hop j's block, one weight-gradient product per hop, and
-one product for the input gradient. The per-hop parameter names stay, so
-checkpoints keep their layout: a per-hop weight or bias is a view of its
-layer's array (see ``ParamSet``).
+Each (tower, layer) has one weight ``{tower}.layer{l}.w`` of shape
+(in_width, trunk_width), hop j's map W_j in its j-th column block, and one
+bias ``{tower}.layer{l}.b``, as MixHop writes a layer. A layer is computed
+as one block of shape (k, trunk_width), hops side by side. Layer 0 widens
+its two input features, so it propagates first: its hop j reads P^j X,
+which both towers share. A layer >= 1 narrows its input, so it multiplies
+by the weights first, as GCN and MixHop do: hop j is P^j (H W_j), and the
+operator meets hidden_per_hop columns per power instead of trunk_width.
+Each hop's products are written into its column block; products over
+several hops' columns at once would round each hop differently from the
+same hop computed alone. The layer then adds its bias and applies tanh
+once; the next layer reads that array as it is. The backward pass mirrors
+this: P^T applied j times to hop j's block, one weight-gradient product
+per hop, and one product for the input gradient.
 
 ``forward`` evaluates the actor alone on one snapshot of the live graph
 (its ``NodeFeatures``), which is all a rollout needs; ``value`` runs the
@@ -48,7 +48,7 @@ import numpy as np
 
 from .features import NUM_FEATURES, LiveAdjacency, NodeFeatures
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 BACKBONES = ("mixhop", "singlehop")
 
@@ -102,56 +102,39 @@ def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     for tower in TOWERS:
         for layer in range(config.num_layers):
-            w_in = config.layer_in_width(layer)
-            for hop in config.hops:
-                shapes[f"{tower}.layer{layer}.hop{hop}.w"] = (w_in, config.hidden_per_hop)
-                shapes[f"{tower}.layer{layer}.hop{hop}.b"] = (config.hidden_per_hop,)
+            shapes[f"{tower}.layer{layer}.w"] = (config.layer_in_width(layer), config.trunk_width)
+            shapes[f"{tower}.layer{layer}.b"] = (config.trunk_width,)
         shapes[f"{tower}.head.w"] = (config.trunk_width,)
         shapes[f"{tower}.head.b"] = (1,)
     return shapes
 
 
-def _fan_in(name: str, shape: tuple[int, ...], config: NetConfig) -> int:
-    if ".head." in name:
-        return config.trunk_width
-    layer = int(name.split(".layer")[1].split(".")[0])
-    return config.layer_in_width(layer)
+def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform +-1/sqrt(fan_in), which keeps tanh pre-activations near linear.
 
-
-class ParamSet(dict):
-    """Arrays by parameter name, in ``param_shapes`` order, laid out by layer.
-
-    Each (tower, layer) keeps its hops' weights side by side in one
-    (in_width, trunk_width) array, ``weights[tower][layer]``, and its hops'
-    biases in one array, ``biases[tower][layer]``; the per-hop ``.w`` and
-    ``.b`` names are views of their column blocks. Both are built once, so a
-    step formats no per-hop name. Edit the arrays in place: a name rebound
-    to a new array is no longer what the network reads.
+    A layer's weight and bias are drawn hop by hop, each hop's weight before
+    its bias, and put side by side, so a seed gives the floats it gave when
+    every hop had its own arrays.
     """
-
-    def __init__(self, config: NetConfig, arrays: Mapping[str, np.ndarray]):
-        super().__init__()
-        self.weights: dict[str, list[np.ndarray]] = {}
-        self.biases: dict[str, list[np.ndarray]] = {}
-        for tower in TOWERS:
-            self.weights[tower], self.biases[tower] = [], []
-            for layer in range(config.num_layers):
-                prefix = f"{tower}.layer{layer}"
-                weight = np.concatenate([arrays[f"{prefix}.hop{hop}.w"] for hop in config.hops],
-                                        axis=1, dtype=np.float64)
-                bias = np.concatenate([arrays[f"{prefix}.hop{hop}.b"] for hop in config.hops],
-                                      dtype=np.float64)
-                for hop, block in zip(config.hops, config.hop_blocks):
-                    self[f"{prefix}.hop{hop}.w"] = weight[:, block]
-                    self[f"{prefix}.hop{hop}.b"] = bias[block]
-                self.weights[tower].append(weight)
-                self.biases[tower].append(bias)
-            for name in (f"{tower}.head.w", f"{tower}.head.b"):
-                self[name] = np.asarray(arrays[name], dtype=np.float64)
+    params = {}
+    for tower in TOWERS:
+        for layer in range(config.num_layers):
+            w_in = config.layer_in_width(layer)
+            bound = 1.0 / np.sqrt(w_in)
+            draws = [(rng.uniform(-bound, bound, size=(w_in, config.hidden_per_hop)),
+                      rng.uniform(-bound, bound, size=config.hidden_per_hop))
+                     for _ in config.hops]
+            params[f"{tower}.layer{layer}.w"] = np.concatenate([w for w, _ in draws], axis=1)
+            params[f"{tower}.layer{layer}.b"] = np.concatenate([b for _, b in draws])
+        bound = 1.0 / np.sqrt(config.trunk_width)
+        params[f"{tower}.head.w"] = rng.uniform(-bound, bound, size=config.trunk_width)
+        params[f"{tower}.head.b"] = rng.uniform(-bound, bound, size=1)
+    return params
 
 
 class PolicyValueNet:
-    """Parameter container for the actor and critic towers."""
+    """Parameter container for the actor and critic towers: ``params`` maps
+    each name of ``param_shapes`` to its array, in that order."""
 
     def __init__(self, config: NetConfig | None = None,
                  rng: np.random.Generator | None = None,
@@ -165,19 +148,12 @@ class PolicyValueNet:
                     f"parameter set does not match config: got {sorted(got)} "
                     f"expected {sorted(expected)}")
         else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            # uniform +-1/sqrt(fan_in) keeps tanh pre-activations near linear
-            params = {}
-            for name, shape in expected.items():
-                bound = 1.0 / np.sqrt(_fan_in(name, shape, self.config))
-                params[name] = rng.uniform(-bound, bound, size=shape)
-        self.params = ParamSet(self.config, params)
+            params = _init_params(self.config, rng or np.random.default_rng(0))
+        self.params = {name: np.array(params[name], dtype=np.float64) for name in expected}
 
-    def zero_grads(self) -> ParamSet:
+    def zero_grads(self) -> dict[str, np.ndarray]:
         """Zero arrays in the layout of ``params``, for ``backward`` to add into."""
-        return ParamSet(self.config, {name: np.zeros(shape) for name, shape
-                                      in param_shapes(self.config).items()})
+        return {name: np.zeros(shape) for name, shape in param_shapes(self.config).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +230,15 @@ def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
     the features and the operator, so both towers share them."""
     cfg = net.config
     outputs = []
-    for layer, (w, bias) in enumerate(zip(net.params.weights[tower],
-                                          net.params.biases[tower])):
+    for layer in range(cfg.num_layers):
+        w = net.params[f"{tower}.layer{layer}.w"]
         h = np.empty((len(prop), cfg.trunk_width))
         for hop, m, block in zip(cfg.hops, first, cfg.hop_blocks):
             # layer 0 reads P^j X; a layer >= 1 forms H W_j, then P^j (H W_j)
             np.matmul(outputs[-1] if layer else m, w[:, block], out=h[:, block])
             for _ in range(hop if layer else 0):
                 h[:, block] = prop @ h[:, block]
-        h += bias
+        h += net.params[f"{tower}.layer{layer}.b"]
         np.tanh(h, out=h)
         outputs.append(h)
     return TowerTape(first, outputs)
@@ -303,20 +279,20 @@ def value(net: PolicyValueNet, tape: ForwardTape) -> float:
 
 
 def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
-                    prop: np.ndarray, d_out: np.ndarray, grads: ParamSet) -> None:
+                    prop: np.ndarray, d_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     cfg = net.config
     for layer in reversed(range(cfg.num_layers)):
         h = tape.outputs[layer]
         d = d_out * (1.0 - h * h)
-        grads.biases[tower][layer] += d.sum(axis=0)
-        g_w = grads.weights[tower][layer]
+        grads[f"{tower}.layer{layer}.b"] += d.sum(axis=0)
+        g_w = grads[f"{tower}.layer{layer}.w"]
         for hop, m, block in zip(cfg.hops, tape.first, cfg.hop_blocks):
             # from the gradient of P^j (H W_j) to that of H W_j
             for _ in range(hop if layer else 0):
                 d[:, block] = prop.T @ d[:, block]
             g_w[:, block] += (tape.outputs[layer - 1] if layer else m).T @ d[:, block]
         if layer:   # nothing reads the gradient of the features
-            d_out = d @ net.params.weights[tower][layer].T
+            d_out = d @ net.params[f"{tower}.layer{layer}.w"].T
 
 
 def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.ndarray:
@@ -347,8 +323,6 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
             f"log-probs shape {tape.log_probs.shape}")
     if grads is None:
         grads = net.zero_grads()
-    elif not isinstance(grads, ParamSet):
-        raise NetworkError("gradients must be added into a net.zero_grads() set")
 
     d_logits = log_softmax_backward(np.exp(tape.log_probs), d_log_probs)
     grads["actor.head.w"] += tape.actor.final.T @ d_logits
@@ -413,12 +387,13 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
                            num_layers=operator.index(meta["num_layers"]),
                            hidden_per_hop=operator.index(meta["hidden_per_hop"]))
         # counted, not named: the metadata may declare far more than the archive holds
-        declared = 2 * (2 + 2 * len(config.hops) * config.num_layers)
+        declared = 2 * (2 + 2 * config.num_layers)
     except (ValueError, KeyError, TypeError) as exc:
         raise NetworkError(f"checkpoint {path} has bad metadata "
                            f"({type(exc).__name__}: {exc})") from exc
     if version != FORMAT_VERSION:
-        raise NetworkError(f"checkpoint {path} has unsupported version {version!r}")
+        raise NetworkError(f"checkpoint {path} has unsupported version {version!r}, "
+                           f"expected {FORMAT_VERSION}; re-run `train` to write it")
     if in_dim != NUM_FEATURES:
         raise NetworkError(f"checkpoint {path} has {in_dim!r} input features, "
                            f"expected {NUM_FEATURES}")

@@ -3,11 +3,11 @@
 Eliminating a node removes it and connects its remaining neighbors into a
 clique; the newly created edges are the fill of that step. Running all n
 steps of an ordering predicts the factor's sparsity pattern without any
-numeric work. ``eliminate_all`` does this over the sets, a chooser picking
-each next node; its trace keeps each step's fill count, and
-``EliminationGraph.eliminate`` returns the step's fill edges. Minimum degree
-(``orderings``) and the learned rollout (``features``) eliminate in their
-own forms of the graph. ``count_fill`` scores a fixed ordering without
+numeric work. ``symbolic_factorize`` does this over the sets of an
+``EliminationGraph``, whose ``eliminate`` returns the step's fill edges, and
+its trace keeps each step's fill count. Minimum degree (``orderings``) and
+the learned rollout (``features``) eliminate in their own forms of the
+graph. ``count_fill`` scores a fixed ordering without
 eliminating: it counts the factor's column nonzeros from the elimination
 tree, in near-linear time and O(n + |E|) memory. A slow fill-path checker is
 included as an independent test oracle: a pair (i, j) fills iff some path
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,21 +108,6 @@ class EliminationTrace:
         return sum(self.fill)
 
 
-def eliminate_all(pattern: SparsityPattern,
-                  choose: Callable[[EliminationGraph], int]) -> EliminationTrace:
-    """Eliminate all n nodes, each step the live node ``choose(g)`` returns.
-
-    The chooser sees the graph before the step and must not mutate it.
-    """
-    g = EliminationGraph(pattern)
-    trace = EliminationTrace()
-    for _ in range(pattern.n):
-        v = choose(g)
-        edges_before = g.num_edges
-        trace.append(v, len(g.eliminate(v)), edges_before)
-    return trace
-
-
 def _as_ordering(ordering: Ordering | Sequence[int], n: int) -> Ordering:
     if not isinstance(ordering, Ordering):
         ordering = Ordering(ordering)
@@ -139,8 +124,12 @@ def symbolic_factorize(pattern: SparsityPattern,
     No edge is created twice, so ``trace.total_fill`` is the fill of the
     factor L + L^T off the diagonal.
     """
-    steps = iter(_as_ordering(ordering, pattern.n))
-    return eliminate_all(pattern, lambda g: next(steps))
+    g = EliminationGraph(pattern)
+    trace = EliminationTrace()
+    for v in _as_ordering(ordering, pattern.n):
+        edges_before = g.num_edges
+        trace.append(v, len(g.eliminate(v)), edges_before)
+    return trace
 
 
 def count_fill(pattern: SparsityPattern, ordering: Ordering | Sequence[int]) -> int:

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
-                        backward, compute_features, eliminate_all, forward,
-                        normalize_features, policy_net, sparsity, symbolic_factorize,
-                        value)
+                        backward, compute_features, forward, normalize_features,
+                        policy_net, sparsity, symbolic_factorize, value)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
@@ -30,8 +29,12 @@ def fill_edges(pattern, ordering) -> set[tuple[int, int]]:
 def reference_min_degree(pattern) -> Ordering:
     """Minimum degree by a full scan of the live nodes at every step,
     lowest index on ties."""
-    trace = eliminate_all(pattern, lambda g: min(g.live, key=lambda u: (g.degree(u), u)))
-    return Ordering(trace.nodes)
+    g = EliminationGraph(pattern)
+    nodes = []
+    while g.live:
+        nodes.append(min(g.live, key=lambda u: (g.degree(u), u)))
+        g.eliminate(nodes[-1])
+    return Ordering(nodes)
 
 
 def reference_load_matrix_market(source) -> SparsityPattern:
@@ -366,17 +369,18 @@ class ReferenceTowerTape:
 
 def reference_tower_forward(net, tower, prop, first):
     """One tower hop by hop: a product, a bias add and a tanh per hop, each
-    parameter looked up by name, and the hops concatenated into the next
-    layer's input. Hop j of layer 0 reads P^j X; hop j of a layer >= 1 is
-    P^j (H W_j), the operator applied j times to its own product.
-    ``policy_net._tower_forward`` computes a layer as one block."""
+    hop's weight and bias sliced from its layer's arrays, and the hops
+    concatenated into the next layer's input. Hop j of layer 0 reads P^j X;
+    hop j of a layer >= 1 is P^j (H W_j), the operator applied j times to
+    its own product. ``policy_net._tower_forward`` computes a layer as one
+    block."""
     cfg = net.config
     inputs, activations, h = [], [], None
     for layer in range(cfg.num_layers):
         acts = []
-        for idx, hop in enumerate(cfg.hops):
-            w = net.params[f"{tower}.layer{layer}.hop{hop}.w"]
-            b = net.params[f"{tower}.layer{layer}.hop{hop}.b"]
+        for idx, (hop, block) in enumerate(zip(cfg.hops, cfg.hop_blocks)):
+            w = net.params[f"{tower}.layer{layer}.w"][:, block]
+            b = net.params[f"{tower}.layer{layer}.b"][block]
             if layer == 0:
                 pre = first[idx] @ w
             else:
@@ -393,32 +397,29 @@ def reference_tower_forward(net, tower, prop, first):
 def reference_tower_backward(net, tower, tape, prop, d_out, grads):
     """The gradient of ``reference_tower_forward``, hop by hop: a tanh
     derivative, a bias sum, P^T applied j times and a weight gradient per
-    hop, gradients added by name.
+    hop, gradients added into the hop's slices of its layer's arrays.
 
     The input gradient of a layer >= 1 is one product of the hops' gradients
     side by side with their weights side by side, as ``policy_net`` forms
     it: a sum of one product per hop would round differently."""
     cfg = net.config
-    hidden = cfg.hidden_per_hop
     for layer in reversed(range(cfg.num_layers)):
-        d_hops, weights = [], []
-        for idx, hop in enumerate(cfg.hops):
-            d_act = d_out[:, idx * hidden:(idx + 1) * hidden]
+        d_hops = []
+        name = f"{tower}.layer{layer}"
+        for idx, (hop, block) in enumerate(zip(cfg.hops, cfg.hop_blocks)):
             act = tape.activations[layer][idx]
-            d_pre = d_act * (1.0 - act * act)
-            name = f"{tower}.layer{layer}.hop{hop}"
-            grads[f"{name}.b"] += d_pre.sum(axis=0)
+            d_pre = d_out[:, block] * (1.0 - act * act)
+            grads[f"{name}.b"][block] += d_pre.sum(axis=0)
             if layer == 0:
                 # nothing reads the gradient of the features
-                grads[f"{name}.w"] += tape.first[idx].T @ d_pre
+                grads[f"{name}.w"][:, block] += tape.first[idx].T @ d_pre
                 continue
             for _ in range(hop):
                 d_pre = prop.T @ d_pre
-            grads[f"{name}.w"] += tape.inputs[layer].T @ d_pre
+            grads[f"{name}.w"][:, block] += tape.inputs[layer].T @ d_pre
             d_hops.append(d_pre)
-            weights.append(net.params[f"{name}.w"])
-        if layer:
-            d_out = np.concatenate(d_hops, axis=1) @ np.concatenate(weights, axis=1).T
+        if layer:   # the layer's weight is its hops' weights side by side
+            d_out = np.concatenate(d_hops, axis=1) @ net.params[f"{name}.w"].T
 
 
 @contextmanager

@@ -30,7 +30,8 @@ def connected(n, edges):
 
 def test_three_points_make_one_triangle():
     pts = [(0.1, 0.1), (0.9, 0.2), (0.5, 0.8)]
-    assert delaunay_triangles(pts) == [(0, 1, 2)] or len(delaunay_triangles(pts)) == 1
+    tris = delaunay_triangles(pts)
+    assert tris.dtype.kind == "i" and tris.tolist() == [[0, 1, 2]]
     assert delaunay_edges(pts) == {(0, 1), (0, 2), (1, 2)}
 
 
@@ -153,10 +154,15 @@ def test_generate_delaunay_rejects_oversized_inputs_before_drawing():
 
 
 def _outcome(triangulate, points):
+    """The triangles as lists of three vertices, or the error raised."""
     try:
-        return triangulate(points)
+        tris = triangulate(points)
     except DegenerateGeometry as exc:
         return ("raises", str(exc))
+    if isinstance(tris, np.ndarray):
+        assert tris.dtype.kind == "i" and tris.shape == (len(tris), 3)
+        return tris.tolist()
+    return [list(t) for t in tris]
 
 
 @st.composite

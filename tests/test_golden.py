@@ -1,8 +1,10 @@
 """Golden outputs of a small seeded training run.
 
-Pins the bytes of the checkpoint, the training log, one greedy ordering and
-one benchmark report, so any change to the float order of the forward pass,
-the gradients or the optimizer shows up here. A change that alters floats on
+Pins the bytes of the trained parameters, the checkpoint, the training log,
+one greedy ordering and one benchmark report, so any change to the float
+order of the forward pass, the gradients or the optimizer shows up here.
+The parameter digest does not depend on the checkpoint's container, so a
+change of checkpoint layout moves only the checkpoint pin. A change that alters floats on
 purpose updates these pins and says why in CHANGES.md. The minimum-degree
 orderings of a few larger graphs are pinned by digest, so a faster heap or
 graph representation cannot change a single pick unnoticed.
@@ -18,9 +20,14 @@ from conftest import grid_pattern
 from fillreduce import (TrainerConfig, generate_delaunay, generate_training_set,
                         gpo_order, min_degree_order, run_benchmark,
                         save_checkpoint, train, write_matrix_market)
+from fillreduce.policy_net import param_shapes
 from fillreduce.trainer import write_training_log
 
-CHECKPOINT_SHA256 = "6060e3c802fb3014a148a3a494a8f8b92d83ea7d8ca2064346f87b450223ec83"
+# sha256 of the trained arrays in param_shapes order: per tower, each
+# layer's w then b, then head.w and head.b
+PARAMS_SHA256 = "04cfa82e0fa9e783278abffb64f7ddf400c59ef6b8049bdc497c089a05fef1d2"
+
+CHECKPOINT_SHA256 = "422781215cff316b2e93ea2113a7c6c1fdaae626bee04da9e766d9ae784bef0e"
 
 TRAINING_LOG = (
     "1,0,182,0.501,0.372721\n"
@@ -73,6 +80,15 @@ def trained(tmp_path_factory):
     for i, g in enumerate(graphs):
         write_matrix_market(g, out / f"g{i}.mtx")
     return net, log, out
+
+
+def test_golden_parameters(trained):
+    net, _, _ = trained
+    assert list(net.params) == list(param_shapes(net.config))
+    digest = hashlib.sha256()
+    for arr in net.params.values():
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == PARAMS_SHA256
 
 
 def test_golden_checkpoint_bytes(trained):

@@ -274,9 +274,14 @@ def test_config_validation_and_widths():
     assert cfg.layer_in_width(0) == 2
     assert cfg.layer_in_width(1) == 48
     shapes = param_shapes(cfg)
-    assert shapes["actor.layer0.hop1.w"] == (2, 16)
-    assert shapes["critic.layer1.hop2.w"] == (48, 16)
+    assert len(shapes) == 12
+    assert shapes["actor.layer0.w"] == (2, 48)
+    assert shapes["critic.layer1.w"] == (48, 48)
+    assert shapes["critic.layer1.b"] == (48,)
     assert shapes["actor.head.w"] == (48,)
+    net = PolicyValueNet(cfg)
+    assert type(net.params) is dict and type(net.zero_grads()) is dict
+    assert {k: v.shape for k, v in net.params.items()} == shapes
 
 
 def test_mismatched_params_rejected_at_construction():
@@ -302,20 +307,21 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def moves_forward(net, name, x):
-    """Whether an in-place edit of parameter ``name`` changes the actor's output."""
+    """Whether an in-place edit of the last hop's columns of parameter
+    ``name`` changes the actor's output."""
     before = forward(net, x)[0]
-    net.params[name][0] += 0.5
+    net.params[name][..., net.config.hop_blocks[-1]] += 0.5
     return not np.array_equal(forward(net, x)[0], before)
 
 
 @pytest.mark.parametrize("backbone", ["mixhop", "singlehop"])
-def test_parameter_views_stay_bound(tmp_path, backbone):
-    # a per-hop bias is a view of its layer's bias array; every way a net
-    # gets its parameters must leave the named views bound to what forward reads
+def test_parameters_are_what_forward_reads(tmp_path, backbone):
+    # every way a net gets its parameters leaves net.params holding the
+    # arrays that forward reads, in place or rebound
     x = state(path_pattern(5))
     net = fresh_net(18, backbone=backbone, num_layers=2, hidden_per_hop=3)
     assert list(net.params) == list(param_shapes(net.config))
-    bias = f"actor.layer1.hop{net.config.hops[-1]}.b"
+    bias, weight = "actor.layer1.b", "actor.layer1.w"
 
     adam = AdamState(net)
     _, _, tape = evaluate(net, x)
@@ -334,14 +340,9 @@ def test_parameter_views_stay_bound(tmp_path, backbone):
     rebuilt = PolicyValueNet(net.config, params=dict(net.params))
     assert moves_forward(rebuilt, bias, x)
 
-
-def test_backward_needs_a_zero_grads_set():
-    net = fresh_net(19)
-    x = state(path_pattern(4))
-    _, _, tape = evaluate(net, x)
-    plain = {name: np.zeros_like(arr) for name, arr in net.params.items()}
-    with pytest.raises(NetworkError, match="zero_grads"):
-        backward(net, tape, np.zeros(4), 0.0, plain)
+    before = forward(rebuilt, x)[0]
+    rebuilt.params[weight] = rebuilt.params[weight] * 2.0
+    assert not np.array_equal(forward(rebuilt, x)[0], before)
 
 
 def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
@@ -379,6 +380,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(NetworkError, match="mismatched"):
         load_checkpoint(tmp_path / "bad_shape.ckpt")
 
+    # a layer array of one hop's width
+    bad = dict(arrays)
+    bad["critic.layer1.w"] = np.zeros((48, 16))
+    with open(tmp_path / "hop_width.ckpt", "wb") as fh:
+        np.savez(fh, **bad)
+    with pytest.raises(NetworkError, match=r"mismatched=\[critic.layer1.w\]"):
+        load_checkpoint(tmp_path / "hop_width.ckpt")
+
     # missing parameter
     bad = dict(arrays)
     del bad["critic.head.b"]
@@ -386,6 +395,18 @@ def test_checkpoint_rejects_corruption(tmp_path):
         np.savez(fh, **bad)
     with pytest.raises(NetworkError, match="missing"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+    # one array per hop, under per-hop names, is not this format
+    bad = {k: v for k, v in arrays.items() if ".layer" not in k}
+    for name in param_shapes(net.config):
+        stem, kind = name.rsplit(".", 1)
+        for hop, block in zip(net.config.hops, net.config.hop_blocks):
+            if ".layer" in stem:
+                bad[f"{stem}.hop{hop}.{kind}"] = arrays[name][..., block]
+    with open(tmp_path / "per_hop.ckpt", "wb") as fh:
+        np.savez(fh, **bad)
+    with pytest.raises(NetworkError, match="declares 12 parameter arrays and holds 28"):
+        load_checkpoint(tmp_path / "per_hop.ckpt")
 
     # unknown version
     bad = dict(arrays)
@@ -437,7 +458,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     huge_meta = json.dumps({**meta, "num_layers": 20000})
     with open(huge, "wb") as fh:
         np.savez(fh, **{**arrays, "__meta__": np.array(huge_meta)})
-    with pytest.raises(NetworkError, match="declares 240004 parameter arrays") as info:
+    with pytest.raises(NetworkError, match="declares 80004 parameter arrays") as info:
         load_checkpoint(huge)
     assert len(str(info.value)) < 1024
 

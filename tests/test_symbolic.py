@@ -10,7 +10,7 @@ from conftest import (clique_pattern, cycle_pattern, disjoint_union, fill_edges,
                       random_tree, reference_min_degree, relabeled, star_pattern,
                       tie_heavy_patterns, twin_heavy_patterns)
 from fillreduce import (EliminationError, EliminationGraph, Ordering,
-                        OrderingError, SparsityPattern, count_fill, eliminate_all,
+                        OrderingError, SparsityPattern, count_fill,
                         fill_path_oracle, generate_delaunay, min_degree_order,
                         symbolic_factorize)
 
@@ -211,16 +211,23 @@ def test_leaf_peeling_trees_are_zero_fill():
         assert total == 0
 
 
-def test_eliminate_all_matches_symbolic_factorize():
+def test_symbolic_factorize_trace_matches_filled_graph():
+    # step t removes the edges from its node to later nodes in the filled
+    # graph and adds its fill, so the edge counts follow from the fill alone
     rng = np.random.default_rng(17)
     for _ in range(40):
         n = int(rng.integers(0, 15))
         p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.8)))
         perm = [int(v) for v in rng.permutation(n)]
-        steps = iter(perm)
-        trace = eliminate_all(p, lambda g: next(steps))
-        expected = symbolic_factorize(p, perm)
-        assert trace == expected
+        trace = symbolic_factorize(p, perm)
+        fill = [len(step) for step in fill_steps(p, perm)]
+        pos = {v: t for t, v in enumerate(perm)}
+        removed = [0] * n
+        for i, j in p.edges | fill_edges(p, perm):
+            removed[min(pos[i], pos[j])] += 1
+        change = [f - r for f, r in zip(fill, removed)]
+        assert trace.nodes == perm and trace.fill == fill
+        assert trace.edges_before == list(itertools.accumulate(change, initial=p.num_edges))[:n]
         assert trace.rewards == [-f for f in trace.fill]
 
 

@@ -238,8 +238,8 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
     net = fresh_net()
     for name, arr in net.params.items():
         arr[...] = 0.0
-    net.params["actor.layer0.hop0.w"][0, 0] = -10.0
-    net.params["actor.layer1.hop0.w"][0, 0] = 1.0
+    net.params["actor.layer0.w"][0, 0] = -10.0
+    net.params["actor.layer1.w"][0, 0] = 1.0
     net.params["actor.head.w"][0] = 1.0
     path = path_pattern(3)
     record, ordering = rollout(net, path, rng=None, greedy=True)
