@@ -16,12 +16,11 @@ from .features import (LiveAdjacency, NodeFeatures, compute_features,
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
                          build_propagation, backward, forward,
                          load_checkpoint, save_checkpoint, value)
-from .trainer import (EpisodeRecord, TrainerConfig, adaptive_saturation_return,
-                      losses, raw_return, rollout, train)
+from .trainer import (TrainerConfig, adaptive_saturation_return, losses,
+                      raw_return, rollout, train)
 from .orderings import min_degree_order, natural_order, random_order
-from .datagen import (delaunay_edges, delaunay_triangles, generate_delaunay,
-                      generate_training_set, load_training_set,
-                      write_training_set)
+from .datagen import (delaunay_triangles, generate_delaunay, generate_training_set,
+                      load_training_set, write_training_set)
 from .evaluation import (EvalReport, EvalRow, compute_ordering, fill_in_ratio,
                          gpo_order, run_benchmark)
 
@@ -36,10 +35,10 @@ __all__ = [
     "LiveAdjacency", "NodeFeatures", "compute_features", "normalize_features",
     "NetConfig", "NetworkError", "PolicyValueNet", "build_propagation",
     "backward", "forward", "load_checkpoint", "save_checkpoint", "value",
-    "EpisodeRecord", "TrainerConfig", "adaptive_saturation_return", "losses",
-    "raw_return", "rollout", "train",
+    "TrainerConfig", "adaptive_saturation_return", "losses", "raw_return",
+    "rollout", "train",
     "min_degree_order", "natural_order", "random_order",
-    "delaunay_edges", "delaunay_triangles", "generate_delaunay",
+    "delaunay_triangles", "generate_delaunay",
     "generate_training_set", "load_training_set", "write_training_set",
     "EvalReport", "EvalRow", "compute_ordering", "fill_in_ratio", "gpo_order",
     "run_benchmark",

@@ -157,10 +157,6 @@ def _delaunay_pattern(points) -> SparsityPattern:
     return SparsityPattern(len(points), tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
 
 
-def delaunay_edges(points) -> frozenset[tuple[int, int]]:
-    return _delaunay_pattern(points).edges
-
-
 def _connected(p: SparsityPattern) -> bool:
     if p.n <= 1:
         return True

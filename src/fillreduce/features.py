@@ -25,8 +25,7 @@ class LiveAdjacency:
 
     ``edges`` is an int32 ``(2, m)`` array holding each live edge once, as
     the column ``(i, j)`` with ``i < j``, in no particular order; ``degree``
-    is the int32 count of each row's edges. Both are compact, so a training
-    step can keep its snapshot cheaply.
+    is the int32 count of each row's edges.
     """
 
     degree: np.ndarray

@@ -27,7 +27,8 @@ per hop, and one product for the input gradient.
 (its ``NodeFeatures``), which is all a rollout needs; ``value`` runs the
 critic on the same state when training wants it. The actor reads nothing but
 the snapshot, so training replays a step by calling ``forward`` on the
-snapshot the rollout kept, and gets the rollout's floats again.
+snapshot rebuilt from the pattern by the rollout's own patches, and gets
+the rollout's floats again.
 Gradients come from a recorded tape replayed in reverse, not from numeric
 differentiation; a finite-difference suite in the tests validates every
 parameter.

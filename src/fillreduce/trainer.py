@@ -8,23 +8,24 @@ saturation map (|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and
 matches the critic's tanh range, advantages weight the policy gradient, and
 one optimizer step is applied per episode.
 
-A sampled step keeps only the snapshot the actor read (its normalized
-``NodeFeatures``: features and int32 live adjacency), not the network's
-activations. The gradient pass replays the episode one step at a time,
-calling the same ``forward`` on the same snapshot and then the critic, so it
-gets the rollout's floats again and holds one step's activations at a time
-instead of one dense operator per step.
+An episode keeps nothing but its ``EliminationTrace``: the node, fill and
+edge count of each step. The gradient pass replays the episode from the
+pattern, rebuilding each step's snapshot by the rollout's own integer patch
+and calling the same ``forward`` on it and then the critic, so it gets the
+rollout's floats again and holds one step's snapshot and activations at a
+time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .features import NodeFeatures, compute_features, normalize_features
+from .features import compute_features, normalize_features
 from .policy_net import (NetConfig, PolicyValueNet, backward, forward,
                          save_checkpoint, value)
 from .sparsity import Ordering, SparsityPattern, _open_text
@@ -36,14 +37,15 @@ REWARD_VARIANTS = ("asr", "raw")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# step sizes of the first full pass over the training set and of every later one
+LR_FIRST_EPOCH = 0.01
+LR_REST = 0.001
 
 
 @dataclass
 class TrainerConfig:
     epochs: int = 1
     episodes_per_graph: int = 1
-    lr_first_epoch: float = 0.01
-    lr_rest: float = 0.001
     seed: int = 0
     backbone: str = "mixhop"
     reward: str = "asr"          # "asr" or "raw" (ablation)
@@ -51,9 +53,6 @@ class TrainerConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        # zero is tolerated as a diagnostic no-op schedule
-        if self.lr_first_epoch < 0 or self.lr_rest < 0:
-            raise ValueError("learning rates must not be negative")
         if self.epochs < 1 or self.episodes_per_graph < 1:
             raise ValueError("epochs and episodes per graph must be at least 1")
         if self.checkpoint_every < 0:
@@ -65,60 +64,40 @@ class TrainerConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-    def learning_rate(self, epoch: int) -> float:
-        """Schedule: one rate for the first full pass, a lower one after."""
-        return self.lr_first_epoch if epoch == 1 else self.lr_rest
 
-
-@dataclass
-class EpisodeRecord:
-    """What one gradient update needs from a single rollout: the actor's
-    per-step choices, each sampled step's snapshot, and the episode's
-    elimination trace, which holds the fill counts and edge counts. Greedy
-    rollouts keep no snapshots."""
-
-    chosen_rows: list[int] = field(default_factory=list)   # row index in live order
-    log_probs: list[float] = field(default_factory=list)   # log pi(v_t | G_t)
-    states: list[NodeFeatures] = field(default_factory=list)
-    trace: EliminationTrace = field(default_factory=EliminationTrace)
-
-    def __len__(self) -> int:
-        return len(self.log_probs)
+def learning_rate(epoch: int) -> float:
+    """Schedule: one rate for the first full pass, a lower one after."""
+    return LR_FIRST_EPOCH if epoch == 1 else LR_REST
 
 
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             rng: np.random.Generator | None, greedy: bool = False
-            ) -> tuple[EpisodeRecord, Ordering]:
+            ) -> tuple[EliminationTrace, Ordering]:
     """Run one full elimination episode on the snapshot of ``compute_features``,
     which is read from the pattern once and then patched with each elimination.
 
-    Only the actor is evaluated. Sampling draws from the policy distribution
-    and keeps each step's normalized features for ``episode_gradients``; greedy
-    mode takes the argmax with lowest-index tie-break (row order is sorted
-    node ids), needs no rng, and keeps no states.
-    An empty pattern gives an empty record and ordering.
+    Only the actor is evaluated, and the episode keeps only its trace.
+    Sampling draws from the policy distribution; greedy mode takes the argmax
+    with lowest-index tie-break (row order is sorted node ids) and needs no
+    rng. An empty pattern gives an empty trace and ordering.
     """
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
-    record = EpisodeRecord()
+    trace = EliminationTrace()
     raw = compute_features(pattern)
     for _ in range(pattern.n):
-        x = normalize_features(raw)
-        log_probs, _ = forward(net, x)
+        log_probs, _ = forward(net, normalize_features(raw))
         if greedy:
             row = int(np.argmax(log_probs))
         else:
             probs = np.exp(log_probs)
             probs /= probs.sum()
             row = int(rng.choice(len(probs), p=probs))
-            record.states.append(x)
-        record.chosen_rows.append(row)
-        record.log_probs.append(float(log_probs[row]))
-        m, d = raw.adjacency.edges.shape[1], int(raw.adjacency.degree[row])
+        node, m, d = raw.nodes[row], raw.adjacency.edges.shape[1], int(raw.adjacency.degree[row])
         raw = compute_features(raw, row)
         # the patch drops d + e edges and adds the C(d, 2) clique: fill C(d, 2) - e = m' - m + d
-        record.trace.append(x.nodes[row], raw.adjacency.edges.shape[1] - m + d, m)
-    return record, Ordering(record.trace.nodes)
+        trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
+    return trace, Ordering(trace.nodes)
 
 
 def adaptive_saturation_return(edge_counts: Sequence[int],
@@ -147,43 +126,48 @@ def raw_return(edge_counts: Sequence[int], rewards: Sequence[int]) -> np.ndarray
     return r / scale
 
 
-def losses(record: EpisodeRecord, values: Sequence[float], returns: np.ndarray
+def losses(log_probs: Sequence[float], values: Sequence[float], returns: np.ndarray
            ) -> tuple[float, float, np.ndarray]:
     """Actor loss, critic loss, and the per-step advantages.
 
+    ``log_probs`` are the log-probabilities of the chosen actions.
     Advantages are returns minus the critic's ``values`` and act as
     constants in the actor loss; the critic loss is their mean square, with
     gradient flowing through the value estimates only.
     """
-    if len(returns) != len(record) or len(values) != len(record):
+    if len(returns) != len(log_probs) or len(values) != len(log_probs):
         raise ValueError("returns or values length does not match the episode length")
     adv = returns - np.asarray(values, dtype=np.float64)
-    logp = np.asarray(record.log_probs, dtype=np.float64)
+    logp = np.asarray(log_probs, dtype=np.float64)
     l_actor = float(-(logp * adv).mean())
     l_critic = float((adv * adv).mean())
     return l_actor, l_critic, adv
 
 
-def episode_gradients(net: PolicyValueNet, record: EpisodeRecord,
-                      returns: np.ndarray
-                      ) -> tuple[dict[str, np.ndarray], list[float]]:
+def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
+                      trace: EliminationTrace, returns: np.ndarray
+                      ) -> tuple[dict[str, np.ndarray], list[float], list[float]]:
     """Accumulated gradients of L_actor + L_critic over all episode steps,
-    and the critic's value of each step.
+    the critic's value of each step, and the log-probability of each step's
+    chosen node.
 
-    Replays the sampled episode one step at a time: ``forward`` runs again
-    on the snapshot the rollout's ``forward`` read, so every float is the
-    one a kept tape would have held, and the critic completes the tape. The
+    Replays the episode from the pattern one step at a time: each step's
+    snapshot is rebuilt by the patch the rollout applied, so ``forward``
+    reads the rollout's floats again, and the critic completes the tape. The
     advantage is the step's return minus that value, and the step's tape is
     freed before the next one is built.
     """
-    n = len(record)
-    if len(returns) != n or len(record.states) != n:
-        raise ValueError(f"an episode of {n} steps needs {n} returns and {n} "
-                         f"recorded states, got {len(returns)} and {len(record.states)}")
+    n = len(trace)
+    if pattern.n != n or len(returns) != n:
+        raise ValueError(f"an episode on {pattern.n} nodes needs {pattern.n} steps and "
+                         f"returns, got {n} steps and {len(returns)} returns")
     grads = net.zero_grads()
     values: list[float] = []
-    for row, state, ret in zip(record.chosen_rows, record.states, returns):
-        log_probs, tape = forward(net, state)
+    chosen: list[float] = []
+    raw = compute_features(pattern)
+    for node, ret in zip(trace.nodes, returns):
+        row = bisect_left(raw.nodes, node)
+        log_probs, tape = forward(net, normalize_features(raw))
         v = value(net, tape)
         adv = ret - v
         d_log_probs = np.zeros_like(log_probs)
@@ -191,7 +175,9 @@ def episode_gradients(net: PolicyValueNet, record: EpisodeRecord,
         backward(net, tape, d_log_probs, -2.0 * adv / n, grads)
         del tape
         values.append(v)
-    return grads, values
+        chosen.append(float(log_probs[row]))
+        raw = compute_features(raw, row)
+    return grads, values, chosen
 
 
 class AdamState:
@@ -264,13 +250,13 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
     log: list[TrainLogEntry] = []
     episode = 0
     for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.learning_rate(epoch)
+        lr = learning_rate(epoch)
         for graph_id, pattern in enumerate(graphs):
             for _ in range(cfg.episodes_per_graph):
-                record, _ = rollout(net, pattern, sample_rng)
-                returns = to_returns(record.trace.edges_before, record.trace.rewards)
-                grads, values = episode_gradients(net, record, returns)
-                l_a, l_c, _ = losses(record, values, returns)
+                trace, _ = rollout(net, pattern, sample_rng)
+                returns = to_returns(trace.edges_before, trace.rewards)
+                grads, values, log_probs = episode_gradients(net, pattern, trace, returns)
+                l_a, l_c, _ = losses(log_probs, values, returns)
                 bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
                 if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
                     raise ValueError(
@@ -278,8 +264,7 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                         f"(losses {l_a:.6g}, {l_c:.6g}; non-finite gradients: "
                         f"{', '.join(bad) or 'none'})")
                 adam.step(net, grads, lr)
-                log.append(TrainLogEntry(epoch, graph_id, record.trace.total_fill,
-                                         l_a, l_c))
+                log.append(TrainLogEntry(epoch, graph_id, trace.total_fill, l_a, l_c))
                 episode += 1
                 if cfg.checkpoint_every > 0 and episode % cfg.checkpoint_every == 0:
                     save_checkpoint(net, cfg.checkpoint_path)

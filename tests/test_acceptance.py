@@ -108,15 +108,14 @@ def test_criterion_4_asr_range():
         for _ in range(40):
             n = int(rng.integers(1, 25))
             p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.7)))
-            record, _ = rollout(net, p, rng)
-            asr = adaptive_saturation_return(record.trace.edges_before,
-                                             record.trace.rewards)
+            trace, _ = rollout(net, p, rng)
+            asr = adaptive_saturation_return(trace.edges_before, trace.rewards)
             assert np.all(asr > -1.0) and np.all(asr <= 1.0)
-            suffix = np.cumsum(np.array(record.trace.rewards)[::-1])[::-1]
+            suffix = np.cumsum(np.array(trace.rewards)[::-1])[::-1]
             # saturates at exactly 1 iff no future fill
             assert np.array_equal(asr == 1.0, suffix == 0)
-            for t in range(len(record)):
-                if record.trace.edges_before[t] > 0 and suffix[t] == 0:
+            for t in range(len(trace)):
+                if trace.edges_before[t] > 0 and suffix[t] == 0:
                     assert asr[t] == 1.0
 
 
@@ -221,5 +220,5 @@ def test_criterion_9_path_graph_convergence():
         path = path_pattern(20)
         net, _ = train([path], TrainerConfig(epochs=1, episodes_per_graph=200,
                                              seed=TRAIN_SEED))
-        record, _ = rollout(net, path, rng=None, greedy=True)
-        assert record.trace.total_fill == 0
+        trace, _ = rollout(net, path, rng=None, greedy=True)
+        assert trace.total_fill == 0

@@ -276,9 +276,9 @@ def test_train_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"
     run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
 
-    def nan_gradients(net, record, returns):
+    def nan_gradients(net, pattern, trace, returns):
         grads = {name: np.full_like(arr, np.nan) for name, arr in net.params.items()}
-        return grads, [0.0] * len(record)
+        return grads, [0.0] * len(trace), [0.0] * len(trace)
 
     monkeypatch.setattr(trainer, "episode_gradients", nan_gradients)
     capsys.readouterr()

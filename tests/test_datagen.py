@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from conftest import in_circle_det, reference_triangulate
 from fillreduce import (generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
-from fillreduce.datagen import (DegenerateGeometry, _triangulate, delaunay_edges,
-                                delaunay_triangles)
+from fillreduce.datagen import DegenerateGeometry, _triangulate, delaunay_triangles
 from fillreduce.sparsity import MAX_NODES
+
+
+def delaunay_edges(points) -> set[tuple[int, int]]:
+    """The triangulation's edges, each once as (min, max)."""
+    return {(int(min(u, v)), int(max(u, v)))
+            for a, b, c in delaunay_triangles(points) for u, v in ((a, b), (b, c), (a, c))}
 
 
 def connected(n, edges):

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (environment_edges, fill_edges, path_pattern, patterns,
-                      random_pattern, reference_episode, reference_features,
+from conftest import (environment_edges, fill_edges, path_pattern, patched_snapshot,
+                      patterns, random_pattern, reference_episode, reference_features,
                       snapshot_edges, star_pattern, tie_heavy_patterns)
-from fillreduce import (EliminationGraph, EpisodeRecord, SparsityPattern,
+from fillreduce import (EliminationGraph, EliminationTrace, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return,
                         forward, generate_delaunay,
                         generate_training_set, losses, normalize_features,
                         raw_return, rollout, symbolic_factorize, train, trainer)
-from fillreduce.policy_net import (ForwardTape, NetConfig, PolicyValueNet,
-                                   load_checkpoint)
-from fillreduce.trainer import (ADAM_EPS, AdamState, TrainLogEntry,
-                               episode_gradients, write_training_log)
+from fillreduce.policy_net import NetConfig, PolicyValueNet, load_checkpoint
+from fillreduce.trainer import (ADAM_EPS, LR_FIRST_EPOCH, LR_REST, AdamState,
+                               TrainLogEntry, episode_gradients, learning_rate,
+                               write_training_log)
 
 
 def fresh_net(seed=0):
@@ -56,10 +56,10 @@ def test_asr_bounds_on_random_traces():
     net = fresh_net(3)
     for _ in range(20):
         p = random_pattern(rng, int(rng.integers(1, 15)))
-        record, _ = rollout(net, p, rng)
-        asr = adaptive_saturation_return(record.trace.edges_before, record.trace.rewards)
+        trace, _ = rollout(net, p, rng)
+        asr = adaptive_saturation_return(trace.edges_before, trace.rewards)
         assert np.all(asr > -1.0) and np.all(asr <= 1.0)
-        suffix = np.cumsum(np.array(record.trace.rewards)[::-1])[::-1]
+        suffix = np.cumsum(np.array(trace.rewards)[::-1])[::-1]
         assert np.array_equal(asr == 1.0, suffix == 0)
 
 
@@ -79,22 +79,15 @@ def test_raw_return_scales_by_initial_edges():
 # losses
 # ---------------------------------------------------------------------------
 
-def make_record(log_probs):
-    rec = EpisodeRecord()
-    rec.log_probs = list(log_probs)
-    rec.chosen_rows = [0] * len(log_probs)
-    return rec
-
-
 def test_losses_zero_advantage():
     returns = np.array([0.5, -0.25, 1.0])
-    l_a, l_c, adv = losses(make_record([-1.0, -2.0, -0.5]), returns, returns)
+    l_a, l_c, adv = losses([-1.0, -2.0, -0.5], returns, returns)
     assert l_a == 0.0 and l_c == 0.0
     assert np.all(adv == 0.0)
 
 
 def test_losses_single_step_arithmetic():
-    l_a, l_c, adv = losses(make_record([-0.5]), [0.0], np.array([1.0]))
+    l_a, l_c, adv = losses([-0.5], [0.0], np.array([1.0]))
     assert l_a == pytest.approx(0.5)
     assert l_c == pytest.approx(1.0)
     assert adv.tolist() == [1.0]
@@ -103,7 +96,7 @@ def test_losses_single_step_arithmetic():
 def test_losses_critic_is_mean_squared_advantage():
     rng = np.random.default_rng(42)
     returns = rng.normal(size=6)
-    _, l_c, adv = losses(make_record(rng.normal(size=6)), rng.normal(size=6), returns)
+    _, l_c, adv = losses(rng.normal(size=6), rng.normal(size=6), returns)
     assert l_c == pytest.approx(float((adv ** 2).mean()))
 
 
@@ -112,17 +105,17 @@ def test_losses_value_shift_identity():
     returns = rng.normal(size=5)
     values = rng.normal(size=5)
     delta = 0.37
-    _, l_c, adv = losses(make_record(np.zeros(5)), values, returns)
-    _, l_c_shifted, _ = losses(make_record(np.zeros(5)), values + delta, returns)
+    _, l_c, adv = losses(np.zeros(5), values, returns)
+    _, l_c_shifted, _ = losses(np.zeros(5), values + delta, returns)
     assert l_c_shifted - l_c == pytest.approx(
         float(((adv - delta) ** 2).mean() - (adv ** 2).mean()))
 
 
 def test_losses_length_mismatch():
     with pytest.raises(ValueError):
-        losses(make_record([0.0]), [0.0], np.zeros(2))
+        losses([0.0], [0.0], np.zeros(2))
     with pytest.raises(ValueError):
-        losses(make_record([0.0]), [0.0, 0.0], np.zeros(1))
+        losses([0.0], [0.0, 0.0], np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +123,10 @@ def test_losses_length_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_rollout_single_node():
-    record, ordering = rollout(fresh_net(), SparsityPattern(1, []),
-                               np.random.default_rng(0))
-    assert len(record) == 1
-    assert record.trace.rewards == [0]
+    trace, ordering = rollout(fresh_net(), SparsityPattern(1, []),
+                              np.random.default_rng(0))
+    assert len(trace) == 1
+    assert trace.rewards == [0]
     assert list(ordering) == [0]
 
 
@@ -162,24 +155,27 @@ def test_rollout_matches_symbolic_factorization(case):
     p, net_seed, rng_seed = case
     net = fresh_net(net_seed)
     for rng in (None, np.random.default_rng(rng_seed)):
-        record, ordering = rollout(net, p, rng, greedy=rng is None)
+        got, ordering = rollout(net, p, rng, greedy=rng is None)
         trace = symbolic_factorize(p, ordering)
-        assert record.trace.nodes == trace.nodes == list(ordering)
-        assert record.trace.fill == trace.fill
-        assert record.trace.edges_before == trace.edges_before
-        assert record.trace.total_fill == len(fill_edges(p, ordering))
+        assert got.nodes == trace.nodes == list(ordering)
+        assert got.fill == trace.fill
+        assert got.edges_before == trace.edges_before
+        assert got.total_fill == len(fill_edges(p, ordering))
 
 
 def test_rollout_builds_no_elimination_graph(monkeypatch):
     def refuse(self, pattern):
-        raise AssertionError("a rollout built an EliminationGraph")
+        raise AssertionError("a rollout or its replay built an EliminationGraph")
 
     monkeypatch.setattr(EliminationGraph, "__init__", refuse)
     net = fresh_net(12)
     p = generate_delaunay(40, np.random.default_rng(55))
     for rng in (None, np.random.default_rng(56)):
-        record, _ = rollout(net, p, rng, greedy=rng is None)
-        assert len(record.trace) == p.n
+        trace, _ = rollout(net, p, rng, greedy=rng is None)
+        assert len(trace) == p.n
+        returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
+        _, values, log_probs = episode_gradients(net, p, trace, returns)
+        assert len(values) == len(log_probs) == p.n
 
 
 def test_rollout_greedy_is_deterministic_and_needs_no_rng():
@@ -190,29 +186,21 @@ def test_rollout_greedy_is_deterministic_and_needs_no_rng():
     assert first == second
     with pytest.raises(ValueError):
         rollout(net, p, rng=None)
-    record, empty = rollout(net, SparsityPattern(0, []), np.random.default_rng(0))
-    assert len(record) == len(record.trace) == 0
+    trace, empty = rollout(net, SparsityPattern(0, []), np.random.default_rng(0))
+    assert len(trace) == 0
     assert list(empty) == []
 
 
-def test_no_rollout_keeps_a_tape():
+def test_rollout_keeps_only_its_trace():
     net = fresh_net(8)
     p = random_pattern(np.random.default_rng(47), 10)
-    greedy, _ = rollout(net, p, rng=None, greedy=True)
-    sampled, _ = rollout(net, p, np.random.default_rng(48))
-    for record in (greedy, sampled):
-        assert len(record) == len(record.trace) == 10
-        for f in dataclasses.fields(record):
-            kept = getattr(record, f.name)
-            assert not any(isinstance(item, ForwardTape)
-                           for item in (kept if isinstance(kept, list) else [kept]))
-    assert greedy.states == []
-    # a sampled step keeps its features and edge list, nothing k x k
-    assert [len(s.nodes) for s in sampled.states] == list(range(10, 0, -1))
-    for state, num_edges in zip(sampled.states, sampled.trace.edges_before):
-        k = len(state.nodes)
-        assert state.x.shape == (k, 2)
-        snapshot_edges(state.adjacency, k, num_edges)
+    for rng in (None, np.random.default_rng(48)):
+        trace, _ = rollout(net, p, rng, greedy=rng is None)
+        assert type(trace) is EliminationTrace
+        # three ints per step: no tape, no snapshot, no array
+        for f in dataclasses.fields(trace):
+            kept = getattr(trace, f.name)
+            assert len(kept) == 10 and all(type(item) is int for item in kept)
 
 
 @pytest.mark.parametrize("greedy", [True, False])
@@ -224,11 +212,9 @@ def test_rollout_never_evaluates_the_critic(greedy):
     p = random_pattern(np.random.default_rng(49), 12)
     rng = lambda: None if greedy else np.random.default_rng(50)
     expected, ordering = rollout(net, p, rng(), greedy=greedy)
-    record, blind_ordering = rollout(blind, p, rng(), greedy=greedy)
+    trace, blind_ordering = rollout(blind, p, rng(), greedy=greedy)
     assert blind_ordering == ordering
-    assert record.chosen_rows == expected.chosen_rows
-    assert record.log_probs == expected.log_probs
-    assert not np.isnan(record.log_probs).any()
+    assert trace == expected
 
 
 def test_rollout_greedy_leaf_preferring_net_peels_path():
@@ -242,26 +228,34 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
     net.params["actor.layer1.w"][0, 0] = 1.0
     net.params["actor.head.w"][0] = 1.0
     path = path_pattern(3)
-    record, ordering = rollout(net, path, rng=None, greedy=True)
-    assert record.trace.total_fill == 0
+    trace, ordering = rollout(net, path, rng=None, greedy=True)
+    assert trace.total_fill == 0
     assert ordering[0] in (0, 2)  # starts at a leaf, never the middle
 
 
-def test_rollout_log_probs_match_chosen_rows():
+@pytest.mark.parametrize("greedy", [True, False])
+def test_replayed_log_probs_match_each_steps_snapshot(greedy):
     net = fresh_net(7)
     p = random_pattern(np.random.default_rng(46), 9)
-    record, ordering = rollout(net, p, np.random.default_rng(46))
+    trace, ordering = rollout(net, p, None if greedy else np.random.default_rng(46),
+                              greedy=greedy)
+    returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
+    _, _, replayed = episode_gradients(net, p, trace, returns)
+    assert len(replayed) == p.n
     g = EliminationGraph(p)
-    for t, state in enumerate(record.states):
+    for t in range(p.n):
+        state = patched_snapshot(p, trace.nodes[:t])
         k = len(g.live)
         assert state.nodes == sorted(g.live)
+        assert g.num_edges == trace.edges_before[t]
         assert np.array_equal(snapshot_edges(state.adjacency, k, g.num_edges),
                               environment_edges(g))
-        want = normalize_features(dataclasses.replace(state, x=reference_features(g)))
-        assert np.array_equal(state.x, want.x)
-        log_probs, _ = forward(net, state)
-        assert record.log_probs[t] == log_probs[record.chosen_rows[t]]
-        assert state.nodes[record.chosen_rows[t]] == ordering[t]
+        assert np.array_equal(state.x, reference_features(g))
+        log_probs, _ = forward(net, normalize_features(state))
+        row = state.nodes.index(ordering[t])
+        assert replayed[t] == log_probs[row]
+        if greedy:
+            assert row == np.argmax(log_probs)
         g.eliminate(ordering[t])
 
 
@@ -281,19 +275,18 @@ def test_rollout_greedy_ties_break_to_lowest_index():
 # ---------------------------------------------------------------------------
 
 def test_zero_learning_rate_leaves_parameters_at_init():
-    graphs = [path_pattern(6)]
-    cfg = TrainerConfig(epochs=2, lr_first_epoch=0.0, lr_rest=0.0, seed=9)
-    net, log = train(graphs, cfg)
-    init_seed, _ = np.random.SeedSequence(9).spawn(2)
-    reference = PolicyValueNet(NetConfig(), rng=np.random.default_rng(init_seed))
-    for name in net.params:
-        assert np.array_equal(net.params[name], reference.params[name])
-    assert len(log) == 2
+    net = fresh_net(9)
+    init = {name: arr.copy() for name, arr in net.params.items()}
+    adam = AdamState(net)
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        adam.step(net, {name: rng.normal(size=arr.shape) for name, arr in init.items()},
+                  lr=0.0)
+    for name in init:
+        assert np.array_equal(net.params[name], init[name])
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainerConfig(lr_first_epoch=-0.1)
     with pytest.raises(ValueError):
         TrainerConfig(reward="bonus")
     with pytest.raises(ValueError):
@@ -310,10 +303,10 @@ def test_config_validation():
 
 
 def test_learning_rate_schedule():
-    cfg = TrainerConfig(epochs=3)
-    assert cfg.learning_rate(1) == 0.01
-    assert cfg.learning_rate(2) == 0.001
-    assert cfg.learning_rate(3) == 0.001
+    assert (LR_FIRST_EPOCH, LR_REST) == (0.01, 0.001)
+    assert learning_rate(1) == 0.01
+    assert learning_rate(2) == 0.001
+    assert learning_rate(3) == 0.001
 
 
 def test_train_seed_determinism():
@@ -340,12 +333,12 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
     real = trainer.episode_gradients
     calls = []
 
-    def poisoned(net, record, returns):
-        grads, values = real(net, record, returns)
-        calls.append(len(record))
+    def poisoned(net, pattern, trace, returns):
+        grads, values, log_probs = real(net, pattern, trace, returns)
+        calls.append(len(trace))
         if len(calls) == 2:
             grads["critic.head.b"][0] = np.nan
-        return grads, values
+        return grads, values, log_probs
 
     monkeypatch.setattr(trainer, "episode_gradients", poisoned)
     cfg = TrainerConfig(epochs=2, seed=4, checkpoint_every=1, checkpoint_path=str(ckpt))
@@ -417,11 +410,11 @@ def test_episode_gradients_match_tape_reference(backbone, returns, graph):
         seed = int(rng.integers(2 ** 32))
         want, want_values, want_log_probs, want_ordering = reference_episode(
             net, p, np.random.default_rng(seed), returns)
-        record, ordering = rollout(net, p, np.random.default_rng(seed))
-        grads, values = episode_gradients(
-            net, record, returns(record.trace.edges_before, record.trace.rewards))
+        trace, ordering = rollout(net, p, np.random.default_rng(seed))
+        grads, values, log_probs = episode_gradients(
+            net, p, trace, returns(trace.edges_before, trace.rewards))
         assert ordering == want_ordering
-        assert record.log_probs == want_log_probs
+        assert log_probs == want_log_probs
         assert values == want_values
         assert grads.keys() == want.keys()
         # bytes, not just values: a -0.0 for a 0.0 would change a checkpoint
@@ -429,31 +422,40 @@ def test_episode_gradients_match_tape_reference(backbone, returns, graph):
                    and grads[name].tobytes() == want[name].tobytes() for name in want)
 
 
-def test_episode_gradients_rejects_unreplayable_records():
+def test_episode_gradients_replays_greedy_traces_and_checks_lengths():
     net = fresh_net(10)
     p = path_pattern(4)
     greedy, _ = rollout(net, p, rng=None, greedy=True)
-    with pytest.raises(ValueError, match="recorded states"):
-        episode_gradients(net, greedy, np.zeros(4))
+    grads, values, log_probs = episode_gradients(net, p, greedy, np.zeros(4))
+    assert len(values) == len(log_probs) == 4
+    assert all(np.all(np.isfinite(arr)) for arr in grads.values())
     sampled, _ = rollout(net, p, np.random.default_rng(52))
     with pytest.raises(ValueError, match="returns"):
-        episode_gradients(net, sampled, np.zeros(3))
+        episode_gradients(net, p, sampled, np.zeros(3))
+    with pytest.raises(ValueError, match="5 nodes needs 5 steps"):
+        episode_gradients(net, path_pattern(5), sampled, np.zeros(4))
 
 
-def test_episode_memory_stays_small():
-    # a tape per step held a dense k x k operator per step: 38 MB here
-    p = generate_delaunay(120, np.random.default_rng(53))
-    net = fresh_net(11)
-    rng = np.random.default_rng(54)
+@pytest.mark.parametrize("n, seeds, mib", [
+    # a tape per step held a dense k x k operator per step: 38 MB
+    (120, (53, 11, 54), 10),
+    # keeping every sampled step's snapshot for the replay: 9.3 MiB
+    (300, (7, 13, 8), 4),
+], ids=["n120", "n300"])
+def test_episode_memory_stays_small(n, seeds, mib):
+    graph_seed, net_seed, sample_seed = seeds
+    p = generate_delaunay(n, np.random.default_rng(graph_seed))
+    net = fresh_net(net_seed)
+    rng = np.random.default_rng(sample_seed)
     tracemalloc.start()
     try:
-        record, _ = rollout(net, p, rng)
-        returns = adaptive_saturation_return(record.trace.edges_before, record.trace.rewards)
-        episode_gradients(net, record, returns)
+        trace, _ = rollout(net, p, rng)
+        returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
+        episode_gradients(net, p, trace, returns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert peak < mib * 2 ** 20
 
 
 @pytest.mark.slow
