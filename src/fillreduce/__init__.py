@@ -13,9 +13,9 @@ from .symbolic import (EliminationError, EliminationGraph, EliminationTrace,
                        count_fill, fill_path_oracle, symbolic_factorize)
 from .features import (LiveAdjacency, NodeFeatures, compute_features,
                        normalize_features)
-from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
-                         build_propagation, backward, forward,
-                         load_checkpoint, save_checkpoint, value)
+from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack,
+                         build_propagation, backward, evaluate, forward,
+                         load_checkpoint, save_checkpoint)
 from .trainer import (TrainerConfig, adaptive_saturation_return, losses,
                       raw_return, rollout, train)
 from .orderings import min_degree_order, natural_order, random_order
@@ -33,8 +33,8 @@ __all__ = [
     "EliminationError", "EliminationGraph", "EliminationTrace",
     "count_fill", "fill_path_oracle", "symbolic_factorize",
     "LiveAdjacency", "NodeFeatures", "compute_features", "normalize_features",
-    "NetConfig", "NetworkError", "PolicyValueNet", "build_propagation",
-    "backward", "forward", "load_checkpoint", "save_checkpoint", "value",
+    "NetConfig", "NetworkError", "PolicyValueNet", "TowerStack", "build_propagation",
+    "backward", "evaluate", "forward", "load_checkpoint", "save_checkpoint",
     "TrainerConfig", "adaptive_saturation_return", "losses", "raw_return",
     "rollout", "train",
     "min_degree_order", "natural_order", "random_order",

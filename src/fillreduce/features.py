@@ -72,7 +72,7 @@ def compute_features(source: SparsityPattern | NodeFeatures,
         closed = np.zeros(len(source.nodes), dtype=bool)
         closed[neighbors] = closed[row] = True
         inside = closed.take(edges)
-        clique = neighbors[np.argwhere(neighbors[:, None] < neighbors).T]
+        clique = neighbors.take(np.nonzero(neighbors[:, None] < neighbors))
         edges = np.concatenate((edges.compress(~(inside[0] & inside[1]), axis=1), clique),
                                axis=1)
         edges -= edges > row
@@ -82,9 +82,9 @@ def compute_features(source: SparsityPattern | NodeFeatures,
     weight = degree - 1.0
     # each end of an edge adds the other end's weight
     neighbor_sum = np.bincount(ends, weights=weight.take(edges[::-1]).ravel(), minlength=k)
-    x = np.zeros((k, NUM_FEATURES), dtype=np.float64)
+    x = np.empty((k, NUM_FEATURES))
     x[:, 0] = degree
-    x[:, 1] = np.maximum(weight, 0.0) * neighbor_sum
+    np.multiply(np.maximum(weight, 0.0, out=weight), neighbor_sum, out=x[:, 1])
     return NodeFeatures(nodes, x, LiveAdjacency(degree, edges))
 
 

@@ -23,12 +23,15 @@ once; the next layer reads that array as it is. The backward pass mirrors
 this: P^T applied j times to hop j's block, one weight-gradient product
 per hop, and one product for the input gradient.
 
-``forward`` evaluates the actor alone on one snapshot of the live graph
-(its ``NodeFeatures``), which is all a rollout needs; ``value`` runs the
-critic on the same state when training wants it. The actor reads nothing but
-the snapshot, so training replays a step by calling ``forward`` on the
-snapshot rebuilt from the pattern by the rollout's own patches, and gets
-the rollout's floats again.
+The tower kernels index with ``...`` and ``.mT``, so they run one tower's
+2-D arrays or both towers stacked on a leading tower axis (a ``TowerStack``),
+where each stacked ``matmul`` makes, slice by slice, the products of one
+tower alone, so every float is the same; the towers' columns side by side in
+one 2-D product would round differently. ``forward`` runs the actor alone
+on its own arrays, which is all a rollout needs; ``evaluate`` runs both
+towers of a stack in one pass, and ``backward`` pulls both back in one pass.
+The actor reads nothing but the snapshot, so a training replay on the
+snapshot rebuilt by the rollout's own patches gets the rollout's floats.
 Gradients come from a recorded tape replayed in reverse, not from numeric
 differentiation; a finite-difference suite in the tests validates every
 parameter.
@@ -157,6 +160,28 @@ class PolicyValueNet:
         return {name: np.zeros(shape) for name, shape in param_shapes(self.config).items()}
 
 
+class TowerStack:
+    """The actor's and the critic's parameters stacked on a leading tower
+    axis, actor first, each named without its tower prefix: ``layer0.w`` has
+    shape (2, NUM_FEATURES, trunk_width). A copy of the net's arrays when it
+    is made, so training makes one per episode, while they stay fixed."""
+
+    def __init__(self, net: PolicyValueNet):
+        self.config = net.config
+        names = [name.removeprefix("actor.") for name in net.params if name.startswith("actor.")]
+        self.params = {name: np.stack([net.params[f"{tower}.{name}"] for tower in TOWERS])
+                       for name in names}
+
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        """Zero arrays in the layout of ``params``, for ``backward`` to add into."""
+        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
+
+    def split(self, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Stacked arrays in the layout of ``net.params``, each tower's slice copied."""
+        return {f"{tower}.{name}": arr[i].copy()
+                for i, tower in enumerate(TOWERS) for name, arr in grads.items()}
+
+
 # ---------------------------------------------------------------------------
 # Propagation operator
 # ---------------------------------------------------------------------------
@@ -193,107 +218,102 @@ def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TowerTape:
-    first: list[np.ndarray]               # layer 0's hop inputs P^j X, shared by both towers
-    outputs: list[np.ndarray]             # each layer's tanh output, hops side by side
-
-    @property
-    def final(self) -> np.ndarray:
-        """The trunk output H_L that the head reads."""
-        return self.outputs[-1]
-
-
-@dataclass
 class ForwardTape:
-    """Cached activations of one state, sufficient for exact gradients:
-    ``forward`` records the actor half and ``value`` completes the critic."""
+    """What ``evaluate`` recorded of one state for ``backward``, both towers stacked."""
 
-    net: PolicyValueNet
+    net: TowerStack
     prop: np.ndarray                      # normalized operator P
-    actor: TowerTape
+    first: list[np.ndarray]               # layer 0's hop inputs P^j X, shared by both towers
+    outputs: list[np.ndarray]             # each layer's tanh output, (2, k, trunk_width)
     log_probs: np.ndarray
-    critic: TowerTape | None = None
-    critic_tanh: np.ndarray | None = None
+    critic_tanh: np.ndarray
 
 
-def _hop_inputs(config: NetConfig, prop: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """P^j X for every hop j of layer 0, each power from the one before.
-    Layer 0 widens its input, so it propagates before it multiplies."""
-    powers = [x]
-    for _ in range(max(config.hops)):
-        powers.append(prop @ powers[-1])
-    return [powers[hop] for hop in config.hops]
-
-
-def _tower_forward(net: PolicyValueNet, tower: str, prop: np.ndarray,
-                   first: list[np.ndarray]) -> TowerTape:
-    """Run one tower from its first layer's hop inputs, which depend only on
-    the features and the operator, so both towers share them."""
-    cfg = net.config
+def _tower_forward(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
+                   prop: np.ndarray, first: list[np.ndarray]) -> list[np.ndarray]:
+    """Each layer's output of the tower(s) whose arrays are named
+    ``{prefix}layer{l}.*``: (k, trunk_width) for one tower's arrays,
+    (2, k, trunk_width) for a stack. Starts from layer 0's hop inputs, which
+    depend only on the features and the operator, so both towers share them."""
     outputs = []
     for layer in range(cfg.num_layers):
-        w = net.params[f"{tower}.layer{layer}.w"]
-        h = np.empty((len(prop), cfg.trunk_width))
+        w = params[f"{prefix}layer{layer}.w"]
+        h = np.empty(w.shape[:-2] + (len(prop), cfg.trunk_width))
         for hop, m, block in zip(cfg.hops, first, cfg.hop_blocks):
             # layer 0 reads P^j X; a layer >= 1 forms H W_j, then P^j (H W_j)
-            np.matmul(outputs[-1] if layer else m, w[:, block], out=h[:, block])
+            np.matmul(outputs[-1] if layer else m, w[..., block], out=h[..., block])
             for _ in range(hop if layer else 0):
-                h[:, block] = prop @ h[:, block]
-        h += net.params[f"{tower}.layer{layer}.b"]
+                h[..., block] = prop @ h[..., block]
+        h += params[f"{prefix}layer{layer}.b"][..., None, :]
         np.tanh(h, out=h)
         outputs.append(h)
-    return TowerTape(first, outputs)
+    return outputs
 
 
-def forward(net: PolicyValueNet, features: NodeFeatures
-            ) -> tuple[np.ndarray, ForwardTape]:
-    """Evaluate the actor on one snapshot of the live graph: the normalized
-    features and the live adjacency they were computed from.
-
-    Returns log-probabilities over the live nodes (row order = sorted live
-    node ids, matching ``features.nodes``) and the tape that ``value``
-    completes for ``backward``. The result depends on the snapshot alone.
-    """
+def _trunk(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
+           features: NodeFeatures) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Check one snapshot and run the towers on it: (P, hop inputs, outputs)."""
     k = len(features.adjacency.degree)
     if k == 0:
         raise NetworkError("cannot evaluate the network on an empty graph")
     if features.x.shape != (k, NUM_FEATURES):
         raise NetworkError(f"features have shape {features.x.shape}, "
                            f"the adjacency has {k} live nodes")
-    prop = build_propagation(features.adjacency, net.config)
-    actor = _tower_forward(net, "actor", prop, _hop_inputs(net.config, prop, features.x))
-    logits = actor.final @ net.params["actor.head.w"] + net.params["actor.head.b"][0]
+    prop = build_propagation(features.adjacency, cfg)
+    powers = [features.x]    # layer 0 widens its input, so it propagates first: P^j X
+    for _ in range(max(cfg.hops)):
+        powers.append(prop @ powers[-1])
+    first = [powers[hop] for hop in cfg.hops]
+    return prop, first, _tower_forward(cfg, params, prefix, prop, first)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    return log_probs, ForwardTape(net, prop, actor, log_probs)
+    return shifted - np.log(np.exp(shifted).sum())
 
 
-def value(net: PolicyValueNet, tape: ForwardTape) -> float:
-    """Evaluate the critic on the state ``tape`` was recorded in, complete
-    the tape for ``backward``, and return the state value in (-1, 1)."""
-    if tape.net is not net:
-        raise NetworkError("tape was recorded by a different network")
-    tape.critic = _tower_forward(net, "critic", tape.prop, tape.actor.first)
-    pre = tape.critic.final @ net.params["critic.head.w"] + net.params["critic.head.b"][0]
-    tape.critic_tanh = np.tanh(pre)
-    return float(tape.critic_tanh.mean())
+def forward(net: PolicyValueNet, features: NodeFeatures) -> np.ndarray:
+    """Evaluate the actor alone on one snapshot of the live graph: the
+    normalized features and the live adjacency they were computed from.
+
+    Returns log-probabilities over the live nodes (row order = sorted live
+    node ids, matching ``features.nodes``). The result depends on the
+    snapshot alone.
+    """
+    _, _, outputs = _trunk(net.config, net.params, "actor.", features)
+    return _log_softmax(outputs[-1] @ net.params["actor.head.w"] + net.params["actor.head.b"][0])
 
 
-def _tower_backward(net: PolicyValueNet, tower: str, tape: TowerTape,
-                    prop: np.ndarray, d_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    cfg = net.config
+def evaluate(net: TowerStack, features: NodeFeatures
+             ) -> tuple[np.ndarray, float, ForwardTape]:
+    """Both towers on one snapshot in one stacked pass: the actor's
+    log-probabilities, bitwise those of ``forward``; the critic's state value
+    in (-1, 1), the mean of tanh of its per-node head; and the tape for
+    ``backward``."""
+    prop, first, outputs = _trunk(net.config, net.params, "", features)
+    pre = (outputs[-1] @ net.params["head.w"][..., None])[..., 0] + net.params["head.b"]
+    log_probs, critic_tanh = _log_softmax(pre[0]), np.tanh(pre[1])
+    tape = ForwardTape(net, prop, first, outputs, log_probs, critic_tanh)
+    return log_probs, float(critic_tanh.mean()), tape
+
+
+def _tower_backward(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
+                    outputs: list[np.ndarray], first: list[np.ndarray], prop: np.ndarray,
+                    d_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Pull ``d_out``, the gradient of the last layer's output, back through
+    the tower(s) of ``_tower_forward`` and add into ``grads``, named alike."""
     for layer in reversed(range(cfg.num_layers)):
-        h = tape.outputs[layer]
+        h = outputs[layer]
         d = d_out * (1.0 - h * h)
-        grads[f"{tower}.layer{layer}.b"] += d.sum(axis=0)
-        g_w = grads[f"{tower}.layer{layer}.w"]
-        for hop, m, block in zip(cfg.hops, tape.first, cfg.hop_blocks):
+        grads[f"{prefix}layer{layer}.b"] += d.sum(axis=-2)
+        g_w = grads[f"{prefix}layer{layer}.w"]
+        for hop, m, block in zip(cfg.hops, first, cfg.hop_blocks):
             # from the gradient of P^j (H W_j) to that of H W_j
             for _ in range(hop if layer else 0):
-                d[:, block] = prop.T @ d[:, block]
-            g_w[:, block] += (tape.outputs[layer - 1] if layer else m).T @ d[:, block]
+                d[..., block] = prop.T @ d[..., block]
+            g_w[..., block] += (outputs[layer - 1] if layer else m).mT @ d[..., block]
         if layer:   # nothing reads the gradient of the features
-            d_out = d @ net.params[f"{tower}.layer{layer}.w"].T
+            d_out = d @ params[f"{prefix}layer{layer}.w"].mT
 
 
 def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.ndarray:
@@ -305,18 +325,18 @@ def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.nda
     return d_log_probs - softmax * d_log_probs.sum()
 
 
-def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
+def backward(net: TowerStack, tape: ForwardTape, d_log_probs: np.ndarray,
              d_value: float, grads: dict[str, np.ndarray] | None = None
              ) -> dict[str, np.ndarray]:
-    """Exact parameter gradients of sum(d_log_probs * log_probs) + d_value * value.
+    """Exact parameter gradients of sum(d_log_probs * log_probs) + d_value * value,
+    for both towers in one pass, in the stacked layout of ``net.params``.
 
     With ``grads`` (from ``net.zero_grads()``) the gradients are added into
-    it and it is returned, so a sum over steps needs no array per step.
+    it and it is returned, so a sum over steps needs no array per step;
+    ``net.split`` gives them the layout of ``PolicyValueNet.params``.
     """
     if tape.net is not net:
         raise NetworkError("tape was recorded by a different network")
-    if tape.critic is None:
-        raise NetworkError("tape has no critic half; call value() before backward()")
     d_log_probs = np.asarray(d_log_probs, dtype=np.float64)
     if d_log_probs.shape != tape.log_probs.shape:
         raise NetworkError(
@@ -324,20 +344,14 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
             f"log-probs shape {tape.log_probs.shape}")
     if grads is None:
         grads = net.zero_grads()
-
-    d_logits = log_softmax_backward(np.exp(tape.log_probs), d_log_probs)
-    grads["actor.head.w"] += tape.actor.final.T @ d_logits
-    grads["actor.head.b"] += d_logits.sum(keepdims=True)
-    d_h = np.outer(d_logits, net.params["actor.head.w"])
-    _tower_backward(net, "actor", tape.actor, tape.prop, d_h, grads)
-
-    # critic head: mean pool then tanh then linear
+    # the actor's logits, and the critic's mean pool then tanh, per node
     t = tape.critic_tanh
-    d_pre = (d_value / t.size) * (1.0 - t * t)
-    grads["critic.head.w"] += tape.critic.final.T @ d_pre
-    grads["critic.head.b"] += d_pre.sum(keepdims=True)
-    d_h = np.outer(d_pre, net.params["critic.head.w"])
-    _tower_backward(net, "critic", tape.critic, tape.prop, d_h, grads)
+    d_heads = np.stack((log_softmax_backward(np.exp(tape.log_probs), d_log_probs),
+                        (d_value / t.size) * (1.0 - t * t)))
+    grads["head.w"] += (tape.outputs[-1].mT @ d_heads[..., None])[..., 0]
+    grads["head.b"] += d_heads.sum(axis=-1, keepdims=True)
+    d_out = d_heads[..., None] * net.params["head.w"][:, None, :]   # each tower's outer product
+    _tower_backward(net.config, net.params, "", tape.outputs, tape.first, tape.prop, d_out, grads)
     return grads
 
 

@@ -9,11 +9,12 @@ matches the critic's tanh range, advantages weight the policy gradient, and
 one optimizer step is applied per episode.
 
 An episode keeps nothing but its ``EliminationTrace``: the node, fill and
-edge count of each step. The gradient pass replays the episode from the
-pattern, rebuilding each step's snapshot by the rollout's own integer patch
-and calling the same ``forward`` on it and then the critic, so it gets the
-rollout's floats again and holds one step's snapshot and activations at a
-time.
+edge count of each step. The rollout runs the actor alone. The gradient
+pass replays the episode from the pattern, rebuilding each step's snapshot
+by the rollout's own integer patch, and runs both towers, stacked once per
+episode in a ``TowerStack``, through one ``evaluate`` and one ``backward``
+per step; so it gets the rollout's floats again and holds one step's
+snapshot and activations at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .features import compute_features, normalize_features
-from .policy_net import (NetConfig, PolicyValueNet, backward, forward,
-                         save_checkpoint, value)
+from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack, backward,
+                         evaluate, forward, save_checkpoint)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationTrace
 
@@ -77,22 +78,27 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     which is read from the pattern once and then patched with each elimination.
 
     Only the actor is evaluated, and the episode keeps only its trace.
-    Sampling draws from the policy distribution; greedy mode takes the argmax
-    with lowest-index tie-break (row order is sorted node ids) and needs no
-    rng. An empty pattern gives an empty trace and ordering.
+    Sampling draws from the policy distribution by one ``rng.random()``, as
+    ``rng.choice(k, p=probs)`` does; greedy mode takes the argmax with
+    lowest-index tie-break (row order is sorted node ids) and needs no rng.
+    An empty pattern gives an empty trace and ordering. A chosen log-prob
+    that is not finite (NaN logits make them all NaN) raises ``NetworkError``.
     """
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
     trace = EliminationTrace()
     raw = compute_features(pattern)
-    for _ in range(pattern.n):
-        log_probs, _ = forward(net, normalize_features(raw))
+    for step in range(pattern.n):
+        log_probs = forward(net, normalize_features(raw))
         if greedy:
             row = int(np.argmax(log_probs))
         else:
             probs = np.exp(log_probs)
-            probs /= probs.sum()
-            row = int(rng.choice(len(probs), p=probs))
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            row = int(cdf.searchsorted(rng.random(), side="right"))
+        if not np.isfinite(log_probs[row]):
+            raise NetworkError(f"the policy's log-probabilities are not finite at step {step}")
         node, m, d = raw.nodes[row], raw.adjacency.edges.shape[1], int(raw.adjacency.degree[row])
         raw = compute_features(raw, row)
         # the patch drops d + e edges and adds the C(d, 2) clique: fill C(d, 2) - e = m' - m + d
@@ -152,32 +158,32 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
     chosen node.
 
     Replays the episode from the pattern one step at a time: each step's
-    snapshot is rebuilt by the patch the rollout applied, so ``forward``
-    reads the rollout's floats again, and the critic completes the tape. The
-    advantage is the step's return minus that value, and the step's tape is
-    freed before the next one is built.
+    snapshot is rebuilt by the patch the rollout applied, and ``evaluate``
+    runs both towers on it, stacked once for the episode, so the actor reads
+    the rollout's floats again. The advantage is the step's return minus the
+    value, and the step's tape is freed before the next one is built.
     """
     n = len(trace)
     if pattern.n != n or len(returns) != n:
         raise ValueError(f"an episode on {pattern.n} nodes needs {pattern.n} steps and "
                          f"returns, got {n} steps and {len(returns)} returns")
-    grads = net.zero_grads()
+    towers = TowerStack(net)
+    grads = towers.zero_grads()
     values: list[float] = []
     chosen: list[float] = []
     raw = compute_features(pattern)
     for node, ret in zip(trace.nodes, returns):
         row = bisect_left(raw.nodes, node)
-        log_probs, tape = forward(net, normalize_features(raw))
-        v = value(net, tape)
+        log_probs, v, tape = evaluate(towers, normalize_features(raw))
         adv = ret - v
         d_log_probs = np.zeros_like(log_probs)
         d_log_probs[row] = -adv / n
-        backward(net, tape, d_log_probs, -2.0 * adv / n, grads)
+        backward(towers, tape, d_log_probs, -2.0 * adv / n, grads)
         del tape
         values.append(v)
         chosen.append(float(log_probs[row]))
         raw = compute_features(raw, row)
-    return grads, values, chosen
+    return towers.split(grads), values, chosen
 
 
 class AdamState:

@@ -2,15 +2,14 @@
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern,
-                        backward, compute_features, forward, normalize_features,
-                        policy_net, sparsity, symbolic_factorize, value)
+from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern, TowerStack,
+                        backward, compute_features, normalize_features, policy_net,
+                        sparsity, symbolic_factorize)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
@@ -260,9 +259,23 @@ def tie_heavy_patterns(draw) -> SparsityPattern:
 
 
 def evaluate(net, x):
-    """Both heads on one state: (log-probs, value, completed tape)."""
-    log_probs, tape = forward(net, x)
-    return log_probs, value(net, tape), tape
+    """Both heads on one state, the towers stacked from ``net``'s arrays as
+    they are now: (log-probs, value, tape)."""
+    return policy_net.evaluate(TowerStack(net), x)
+
+
+def blow_up_actor(net):
+    """Finite parameters under which every actor logit is inf, so every
+    log-prob is NaN: the last layer saturates at tanh = 1 and the head's
+    weights are 1e308. ``load_checkpoint`` accepts them."""
+    net.params["actor.head.w"][:] = 1e308
+    net.params[f"actor.layer{net.config.num_layers - 1}.b"][:] = 50.0
+    return net
+
+
+def gradients(tape, d_log_probs, d_value):
+    """``backward`` of a tape from ``evaluate``, in the layout of ``net.params``."""
+    return tape.net.split(backward(tape.net, tape, d_log_probs, d_value))
 
 
 def reference_features(g) -> np.ndarray:
@@ -334,11 +347,11 @@ def reference_episode(net, pattern, rng, to_returns):
     raw = compute_features(pattern)
     for _ in range(pattern.n):
         x = normalize_features(raw)
-        log_probs, tape = forward(net, x)
+        log_probs, v, tape = evaluate(net, x)
         probs = np.exp(log_probs)
         probs /= probs.sum()
         row = int(rng.choice(len(probs), p=probs))
-        values.append(value(net, tape))
+        values.append(v)
         tapes.append(tape)
         rows.append(row)
         nodes.append(raw.nodes[row])
@@ -352,35 +365,36 @@ def reference_episode(net, pattern, rng, to_returns):
     for t, tape in enumerate(tapes):
         d_log_probs = np.zeros_like(tape.log_probs)
         d_log_probs[rows[t]] = -adv[t] / n
-        step = backward(net, tape, d_log_probs, -2.0 * adv[t] / n)
+        step = gradients(tape, d_log_probs, -2.0 * adv[t] / n)
         for name, arr in step.items():
             grads[name] += arr
     log_probs = [float(tape.log_probs[row]) for tape, row in zip(tapes, rows)]
     return grads, values, log_probs, ordering
 
 
-@dataclass
-class ReferenceTowerTape:
-    first: list[np.ndarray]               # layer 0's hop inputs P^j X
-    inputs: list[np.ndarray | None]       # each layer's input H_l; None for layer 0
-    activations: list[list[np.ndarray]]   # tanh outputs per hop
-    final: np.ndarray                     # trunk output H_L
+def _one_tower(arrays, tower):
+    """Tower ``tower``'s slice of every stacked array, by the same names."""
+    return {name: arr[tower] for name, arr in arrays.items()}
 
 
-def reference_tower_forward(net, tower, prop, first):
-    """One tower hop by hop: a product, a bias add and a tanh per hop, each
-    hop's weight and bias sliced from its layer's arrays, and the hops
-    concatenated into the next layer's input. Hop j of layer 0 reads P^j X;
-    hop j of a layer >= 1 is P^j (H W_j), the operator applied j times to
-    its own product. ``policy_net._tower_forward`` computes a layer as one
+def reference_tower_forward(cfg, params, prefix, prop, first):
+    """The towers one at a time, and each hop by hop: a product, a bias add
+    and a tanh per hop, each hop's weight and bias sliced from its layer's
+    arrays, and the hops concatenated into the layer's output, which is the
+    next layer's input. Hop j of layer 0 reads P^j X; hop j of a layer >= 1
+    is P^j (H W_j), the operator applied j times to its own product.
+    ``policy_net._tower_forward`` computes a layer of every tower as one
     block."""
-    cfg = net.config
-    inputs, activations, h = [], [], None
+    if params[f"{prefix}layer0.w"].ndim == 3:
+        towers = [reference_tower_forward(cfg, _one_tower(params, t), prefix, prop, first)
+                  for t in range(len(policy_net.TOWERS))]
+        return [np.stack(layer) for layer in zip(*towers)]
+    outputs, h = [], None
     for layer in range(cfg.num_layers):
         acts = []
         for idx, (hop, block) in enumerate(zip(cfg.hops, cfg.hop_blocks)):
-            w = net.params[f"{tower}.layer{layer}.w"][:, block]
-            b = net.params[f"{tower}.layer{layer}.b"][block]
+            w = params[f"{prefix}layer{layer}.w"][:, block]
+            b = params[f"{prefix}layer{layer}.b"][block]
             if layer == 0:
                 pre = first[idx] @ w
             else:
@@ -388,44 +402,49 @@ def reference_tower_forward(net, tower, prop, first):
                 for _ in range(hop):
                     pre = prop @ pre
             acts.append(np.tanh(pre + b))
-        inputs.append(h)
-        activations.append(acts)
         h = np.concatenate(acts, axis=1)
-    return ReferenceTowerTape(first, inputs, activations, h)
+        outputs.append(h)
+    return outputs
 
 
-def reference_tower_backward(net, tower, tape, prop, d_out, grads):
-    """The gradient of ``reference_tower_forward``, hop by hop: a tanh
-    derivative, a bias sum, P^T applied j times and a weight gradient per
-    hop, gradients added into the hop's slices of its layer's arrays.
+def reference_tower_backward(cfg, params, prefix, outputs, first, prop, d_out, grads):
+    """The gradient of ``reference_tower_forward``, one tower at a time and
+    hop by hop: a tanh derivative, a bias sum, P^T applied j times and a
+    weight gradient per hop, gradients added into the hop's slices of its
+    layer's arrays.
 
     The input gradient of a layer >= 1 is one product of the hops' gradients
     side by side with their weights side by side, as ``policy_net`` forms
     it: a sum of one product per hop would round differently."""
-    cfg = net.config
+    if outputs[0].ndim == 3:
+        for t in range(len(outputs[0])):
+            reference_tower_backward(cfg, _one_tower(params, t), prefix,
+                                     [h[t] for h in outputs], first, prop, d_out[t],
+                                     _one_tower(grads, t))
+        return
     for layer in reversed(range(cfg.num_layers)):
         d_hops = []
-        name = f"{tower}.layer{layer}"
+        name = f"{prefix}layer{layer}"
         for idx, (hop, block) in enumerate(zip(cfg.hops, cfg.hop_blocks)):
-            act = tape.activations[layer][idx]
+            act = outputs[layer][:, block]
             d_pre = d_out[:, block] * (1.0 - act * act)
             grads[f"{name}.b"][block] += d_pre.sum(axis=0)
             if layer == 0:
                 # nothing reads the gradient of the features
-                grads[f"{name}.w"][:, block] += tape.first[idx].T @ d_pre
+                grads[f"{name}.w"][:, block] += first[idx].T @ d_pre
                 continue
             for _ in range(hop):
                 d_pre = prop.T @ d_pre
-            grads[f"{name}.w"][:, block] += tape.inputs[layer].T @ d_pre
+            grads[f"{name}.w"][:, block] += outputs[layer - 1].T @ d_pre
             d_hops.append(d_pre)
         if layer:   # the layer's weight is its hops' weights side by side
-            d_out = np.concatenate(d_hops, axis=1) @ net.params[f"{name}.w"].T
+            d_out = np.concatenate(d_hops, axis=1) @ params[f"{name}.w"].T
 
 
 @contextmanager
 def per_hop_towers():
-    """Run ``forward``, ``value`` and ``backward`` with the hop-by-hop towers
-    above in place of the block ones; the heads are shared."""
+    """Run ``forward``, ``evaluate`` and ``backward`` with the per-tower,
+    hop-by-hop towers above in place of the block ones; the heads are shared."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(policy_net, "_tower_forward", reference_tower_forward)
         mp.setattr(policy_net, "_tower_backward", reference_tower_backward)

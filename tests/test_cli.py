@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fillreduce
-from conftest import cycle_pattern, path_pattern
+from conftest import blow_up_actor, cycle_pattern, path_pattern
 from fillreduce import (NetConfig, PolicyValueNet, load_ordering, save_checkpoint,
                         sparsity, trainer, write_matrix_market)
 from fillreduce.cli import main
@@ -98,6 +98,29 @@ def test_oversized_matrix_is_an_error(tmp_path, capsys, monkeypatch):
     text = report.read_text()
     assert 'big.mtx,natural,,,,"error: matrix declares 4 nodes' in text
     assert "ok.mtx,natural,3,7,0," in text
+
+
+# the blown-up actor overflows on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_policy_is_an_error_not_an_ordering(tmp_path, capsys):
+    # finite parameters whose log-probs are all NaN: greedy argmax would pick
+    # row 0 at every step and return the natural order as a gpo result
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(blow_up_actor(PolicyValueNet(NetConfig(), rng=np.random.default_rng(0))),
+                    model)
+    write_matrix_market(cycle_pattern(5), tmp_path / "c5.mtx")
+    out = tmp_path / "o.txt"
+    assert run(["order", "--matrix", tmp_path / "c5.mtx", "--method", "gpo",
+                "--model", model, "--out", out]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert err_lines == ["error: the policy's log-probabilities are not finite at step 0"]
+    assert not out.exists()
+    report = tmp_path / "r.csv"
+    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", "mindeg,gpo",
+                "--model", model, "--out", report]) == 1
+    text = report.read_text()
+    assert "c5.mtx,gpo,,,,error: the policy's log-probabilities are not finite at step 0\n" in text
+    assert "c5.mtx,mindeg,5,15,2," in text
 
 
 def test_bench_partial_failure_exit_code(tmp_path, capsys):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (evaluate, patched_snapshot, path_pattern, patterns, per_hop_towers,
-                      random_pattern)
+from conftest import (evaluate, gradients, patched_snapshot, path_pattern, patterns,
+                      per_hop_towers, random_pattern)
 from fillreduce import (NetConfig, NetworkError, PolicyValueNet,
-                        SparsityPattern, backward, build_propagation,
+                        SparsityPattern, TowerStack, backward, build_propagation,
                         compute_features, forward, generate_delaunay,
                         load_checkpoint, normalize_features, save_checkpoint)
-from fillreduce.policy_net import log_softmax_backward, param_shapes
+from fillreduce.policy_net import (_tower_backward, _tower_forward, log_softmax_backward,
+                                   param_shapes)
 from fillreduce.trainer import AdamState
 
 
@@ -81,7 +82,7 @@ def test_automorphic_leaves_score_equally():
     for seed in range(5):
         net = fresh_net(seed)
         x = state(path_pattern(3))
-        log_probs, _ = forward(net, x)
+        log_probs = forward(net, x)
         assert abs(log_probs[0] - log_probs[2]) < 1e-12
 
 
@@ -122,7 +123,7 @@ def test_zero_upstream_gives_zero_gradients():
     net = fresh_net(10)
     x = state(random_pattern(np.random.default_rng(35), 6))
     _, _, tape = evaluate(net, x)
-    grads = backward(net, tape, np.zeros(6), 0.0)
+    grads = gradients(tape, np.zeros(6), 0.0)
     assert all(np.all(v == 0) for v in grads.values())
 
 
@@ -142,18 +143,12 @@ def test_tape_net_mismatch_rejected():
     net1, net2 = fresh_net(1), fresh_net(2)
     x = state(path_pattern(4))
     _, _, tape = evaluate(net1, x)
-    with pytest.raises(NetworkError):
-        backward(net2, tape, np.zeros(4), 0.0)
-    with pytest.raises(NetworkError):
-        backward(net1, tape, np.zeros(3), 0.0)
-
-
-def test_backward_needs_the_critic_half():
-    net = fresh_net(3)
-    x = state(path_pattern(4))
-    _, tape = forward(net, x)
-    with pytest.raises(NetworkError, match="value"):
-        backward(net, tape, np.zeros(4), 0.0)
+    with pytest.raises(NetworkError, match="different network"):
+        backward(TowerStack(net1), tape, np.zeros(4), 0.0)   # another stack of the same net
+    with pytest.raises(NetworkError, match="different network"):
+        backward(TowerStack(net2), tape, np.zeros(4), 0.0)
+    with pytest.raises(NetworkError, match="shape"):
+        backward(tape.net, tape, np.zeros(3), 0.0)
 
 
 def finite_difference_check(net, x, rng, step=1e-4, tol=1e-3):
@@ -165,7 +160,7 @@ def finite_difference_check(net, x, rng, step=1e-4, tol=1e-3):
         return float((c_lp * lp).sum() + c_v * value)
 
     _, _, tape = evaluate(net, x)
-    grads = backward(net, tape, c_lp, c_v)
+    grads = gradients(tape, c_lp, c_v)
     worst = 0.0
     for name, arr in net.params.items():
         for idx in np.ndindex(arr.shape):
@@ -239,10 +234,10 @@ def layout_cases(draw):
 def test_block_layers_match_per_hop_reference(case):
     net, x, c_lp, c_v = case
     log_probs, v, tape = evaluate(net, x)
-    grads = backward(net, tape, c_lp, c_v)
+    grads = gradients(tape, c_lp, c_v)
     with per_hop_towers():
         want_log_probs, want_v, want_tape = evaluate(net, x)
-        want = backward(net, want_tape, c_lp, c_v)
+        want = gradients(want_tape, c_lp, c_v)
     assert np.array_equal(log_probs, want_log_probs)
     assert v == want_v
     assert list(grads) == list(want)
@@ -303,15 +298,15 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.params[name], net.params[name])
     # loaded net behaves identically
     x = state(path_pattern(5))
-    assert np.array_equal(forward(net, x)[0], forward(loaded, x)[0])
+    assert np.array_equal(forward(net, x), forward(loaded, x))
 
 
 def moves_forward(net, name, x):
     """Whether an in-place edit of the last hop's columns of parameter
     ``name`` changes the actor's output."""
-    before = forward(net, x)[0]
+    before = forward(net, x)
     net.params[name][..., net.config.hop_blocks[-1]] += 0.5
-    return not np.array_equal(forward(net, x)[0], before)
+    return not np.array_equal(forward(net, x), before)
 
 
 @pytest.mark.parametrize("backbone", ["mixhop", "singlehop"])
@@ -325,9 +320,9 @@ def test_parameters_are_what_forward_reads(tmp_path, backbone):
 
     adam = AdamState(net)
     _, _, tape = evaluate(net, x)
-    adam.step(net, backward(net, tape, np.ones(5), 1.0), lr=0.01)
+    adam.step(net, gradients(tape, np.ones(5), 1.0), lr=0.01)
     copied = PolicyValueNet(net.config, params={k: v.copy() for k, v in net.params.items()})
-    assert np.array_equal(forward(copied, x)[0], forward(net, x)[0])
+    assert np.array_equal(forward(copied, x), forward(net, x))
     assert moves_forward(net, bias, x)
 
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -340,9 +335,9 @@ def test_parameters_are_what_forward_reads(tmp_path, backbone):
     rebuilt = PolicyValueNet(net.config, params=dict(net.params))
     assert moves_forward(rebuilt, bias, x)
 
-    before = forward(rebuilt, x)[0]
+    before = forward(rebuilt, x)
     rebuilt.params[weight] = rebuilt.params[weight] * 2.0
-    assert not np.array_equal(forward(rebuilt, x)[0], before)
+    assert not np.array_equal(forward(rebuilt, x), before)
 
 
 def test_checkpoint_save_failure_keeps_previous(tmp_path, monkeypatch):
@@ -466,3 +461,49 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint")
     with pytest.raises(NetworkError):
         load_checkpoint(tmp_path / "junk.ckpt")
+
+
+def one_tower_at_a_time(net, tape, c_lp, c_v):
+    """Log-probs, value and gradients with each tower's own 2-D arrays run
+    through the kernels one after the other, on the tape's operator and hop
+    inputs: the actor, its head and log-softmax, then the critic and its
+    tanh head, then the backward pass of each alone."""
+    cfg, p = net.config, net.params
+    towers = {tower: _tower_forward(cfg, p, f"{tower}.", tape.prop, tape.first)
+              for tower in ("actor", "critic")}
+    logits = towers["actor"][-1] @ p["actor.head.w"] + p["actor.head.b"][0]
+    shifted = logits - logits.max()
+    log_probs = shifted - np.log(np.exp(shifted).sum())
+    t = np.tanh(towers["critic"][-1] @ p["critic.head.w"] + p["critic.head.b"][0])
+    d_heads = {"actor": log_softmax_backward(np.exp(log_probs), c_lp),
+               "critic": (c_v / t.size) * (1.0 - t * t)}
+    grads = net.zero_grads()
+    for tower, outputs in towers.items():
+        d = d_heads[tower]
+        grads[f"{tower}.head.w"] += outputs[-1].T @ d
+        grads[f"{tower}.head.b"] += d.sum(keepdims=True)
+        _tower_backward(cfg, p, f"{tower}.", outputs, tape.first, tape.prop,
+                        np.outer(d, p[f"{tower}.head.w"]), grads)
+    return log_probs, float(t.mean()), grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(max_n=16).filter(lambda p: p.n > 0), st.sampled_from(["mixhop", "singlehop"]),
+       st.sampled_from([2, 16]), st.integers(0, 2 ** 32 - 1), st.data())
+def test_stacked_towers_match_one_tower_at_a_time(pattern, backbone, hidden, seed, data):
+    rng = np.random.default_rng(seed)
+    net = PolicyValueNet(NetConfig(backbone=backbone, hidden_per_hop=hidden), rng=rng)
+    eliminated = data.draw(st.permutations(range(pattern.n)))[:data.draw(
+        st.integers(0, pattern.n - 1))]
+    x = normalize_features(patched_snapshot(pattern, eliminated))
+    c_lp, c_v = rng.normal(size=len(x.nodes)), float(rng.normal())
+    log_probs, v, tape = evaluate(net, x)      # both towers stacked
+    grads = gradients(tape, c_lp, c_v)
+    assert np.array_equal(log_probs, forward(net, x))
+    want_log_probs, want_v, want = one_tower_at_a_time(net, tape, c_lp, c_v)
+    assert np.array_equal(log_probs, want_log_probs)
+    assert v == want_v
+    assert list(grads) == list(want) == list(net.params)
+    for name in want:
+        assert grads[name].shape == net.params[name].shape
+        assert np.array_equal(grads[name], want[name]), name

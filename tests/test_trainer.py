@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (environment_edges, fill_edges, path_pattern, patched_snapshot,
-                      patterns, random_pattern, reference_episode, reference_features,
-                      snapshot_edges, star_pattern, tie_heavy_patterns)
-from fillreduce import (EliminationGraph, EliminationTrace, SparsityPattern,
-                        TrainerConfig, adaptive_saturation_return,
-                        forward, generate_delaunay,
+from conftest import (blow_up_actor, environment_edges, fill_edges, path_pattern,
+                      patched_snapshot, patterns, random_pattern, reference_episode,
+                      reference_features, snapshot_edges, star_pattern, tie_heavy_patterns)
+from fillreduce import (EliminationGraph, EliminationTrace, NetworkError, SparsityPattern,
+                        TrainerConfig, adaptive_saturation_return, compute_features,
+                        forward, generate_delaunay, policy_net,
                         generate_training_set, losses, normalize_features,
                         raw_return, rollout, symbolic_factorize, train, trainer)
 from fillreduce.policy_net import NetConfig, PolicyValueNet, load_checkpoint
@@ -204,7 +204,11 @@ def test_rollout_keeps_only_its_trace():
 
 
 @pytest.mark.parametrize("greedy", [True, False])
-def test_rollout_never_evaluates_the_critic(greedy):
+def test_rollout_never_evaluates_the_critic(greedy, monkeypatch):
+    def no_critic(*args):
+        raise AssertionError("the rollout ran evaluate, which runs the critic")
+
+    monkeypatch.setattr(trainer, "evaluate", no_critic)
     net = fresh_net(9)
     blind = PolicyValueNet(net.config, params={
         name: np.full_like(arr, np.nan) if name.startswith("critic.") else arr
@@ -215,6 +219,53 @@ def test_rollout_never_evaluates_the_critic(greedy):
     trace, blind_ordering = rollout(blind, p, rng(), greedy=greedy)
     assert blind_ordering == ordering
     assert trace == expected
+
+
+def choice_rollout(net, pattern, rng):
+    """The sampled rollout's nodes, each step drawn by ``rng.choice``."""
+    raw, nodes = compute_features(pattern), []
+    for _ in range(pattern.n):
+        probs = np.exp(forward(net, normalize_features(raw)))
+        probs /= probs.sum()
+        row = int(rng.choice(len(probs), p=probs))
+        nodes.append(raw.nodes[row])
+        raw = compute_features(raw, row)
+    return nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(max_n=14), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1.0, 30.0, 1e3]))
+def test_sampled_rollout_draws_as_generator_choice(pattern, seed, sharpness):
+    # one rng.random() per step and a search of the same cdf: the same row as
+    # rng.choice(k, p=probs), and the generator left in the same state. A
+    # large head weight makes peaked distributions, and 0 a uniform one.
+    net = fresh_net(seed % 7)
+    net.params["actor.head.w"] *= sharpness
+    drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+    _, ordering = rollout(net, pattern, drawn)
+    assert list(ordering) == choice_rollout(net, pattern, chosen)
+    assert drawn.random() == chosen.random()
+
+
+# the blown-up actor overflows on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("greedy", [True, False])
+def test_rollout_refuses_non_finite_log_probs(greedy):
+    net = blow_up_actor(fresh_net(3))
+    assert all(np.isfinite(arr).all() for arr in net.params.values())
+    rng = None if greedy else np.random.default_rng(0)
+    with pytest.raises(NetworkError, match="not finite at step 0"):
+        rollout(net, path_pattern(4), rng, greedy=greedy)
+
+
+# the blown-up actor overflows on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stops_on_non_finite_log_probs(monkeypatch):
+    real = policy_net._init_params
+    monkeypatch.setattr(policy_net, "_init_params", lambda config, rng: blow_up_actor(
+        PolicyValueNet(config, params=real(config, rng))).params)
+    with pytest.raises(ValueError, match="not finite at step 0"):
+        train([path_pattern(5)], TrainerConfig(seed=1))
 
 
 def test_rollout_greedy_leaf_preferring_net_peels_path():
@@ -251,7 +302,7 @@ def test_replayed_log_probs_match_each_steps_snapshot(greedy):
         assert np.array_equal(snapshot_edges(state.adjacency, k, g.num_edges),
                               environment_edges(g))
         assert np.array_equal(state.x, reference_features(g))
-        log_probs, _ = forward(net, normalize_features(state))
+        log_probs = forward(net, normalize_features(state))
         row = state.nodes.index(ordering[t])
         assert replayed[t] == log_probs[row]
         if greedy:
