@@ -15,14 +15,31 @@ by the rollout's own integer patch, and runs both towers, stacked once per
 episode in a ``TowerStack``, through one ``evaluate`` and one ``backward``
 per step; so it gets the rollout's floats again and holds one step's
 snapshot and activations at a time.
+
+Where the process may run on two or more CPUs and can fork, ``train`` forks
+one replay worker for the run, pinned to a CPU of its own, and splits each
+long enough episode's replay between the two processes at the step
+``_split_step`` picks to balance the work: this process replays the steps
+before it, the worker the steps from it on. The floats cannot move:
+``backward`` adds exactly one array into each gradient array (into each
+hop's own columns of a weight) per step, and nothing it adds reads the sum,
+so the episode's gradient is the sum, in step order, of per-step arrays
+that can be computed anywhere. The worker computes each of its steps' into
+fresh zeros, and adds them one by one, in step order, onto this process's
+sum once that arrives. Besides its copy of this process from the fork, the
+worker holds one episode's pattern and the per-step gradients of its
+share, about 40 KB per step. Elsewhere the whole replay runs here, through
+the same function.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +48,9 @@ from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack, ba
                          evaluate, forward, save_checkpoint)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationTrace
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 REWARD_VARIANTS = ("asr", "raw")
 
@@ -88,21 +108,27 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
         raise ValueError("sampling rollout needs an rng")
     trace = EliminationTrace()
     raw = compute_features(pattern)
-    for step in range(pattern.n):
-        log_probs = forward(net, normalize_features(raw))
-        if greedy:
-            row = int(np.argmax(log_probs))
-        else:
-            probs = np.exp(log_probs)
-            cdf = (probs / probs.sum()).cumsum()
-            cdf /= cdf[-1]
-            row = int(cdf.searchsorted(rng.random(), side="right"))
-        if not np.isfinite(log_probs[row]):
-            raise NetworkError(f"the policy's log-probabilities are not finite at step {step}")
-        node, m, d = raw.nodes[row], raw.adjacency.edges.shape[1], int(raw.adjacency.degree[row])
-        raw = compute_features(raw, row)
-        # the patch drops d + e edges and adds the C(d, 2) clique: fill C(d, 2) - e = m' - m + d
-        trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
+    # logits that overflow give NaN log-probs, refused below with one error,
+    # which numpy's own warnings would only precede
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(pattern.n):
+            log_probs = forward(net, normalize_features(raw))
+            if greedy:
+                row = int(np.argmax(log_probs))
+            else:
+                probs = np.exp(log_probs)
+                cdf = (probs / probs.sum()).cumsum()
+                cdf /= cdf[-1]
+                row = int(cdf.searchsorted(rng.random(), side="right"))
+            if not np.isfinite(log_probs[row]):
+                raise NetworkError(
+                    f"the policy's log-probabilities are not finite at step {step}")
+            node, m = raw.nodes[row], raw.adjacency.edges.shape[1]
+            d = int(raw.adjacency.degree[row])
+            raw = compute_features(raw, row)
+            # the patch drops d + e edges and adds the C(d, 2) clique:
+            # fill C(d, 2) - e = m' - m + d
+            trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
     return trace, Ordering(trace.nodes)
 
 
@@ -150,18 +176,90 @@ def losses(log_probs: Sequence[float], values: Sequence[float], returns: np.ndar
     return l_actor, l_critic, adv
 
 
+class ReplayError(RuntimeError):
+    """The replay worker failed or stopped during an episode."""
+
+
+# Replay cost of one step at k live nodes, in microseconds, fitted to the
+# per-step times of sampled Delaunay episodes (n = 60-200, one BLAS thread,
+# 2-CPU box): PATCH_US is the patch that rebuilds the next snapshot, a + b k,
+# and STEP_US the towers' forward and backward, a + b k + c k^2, whose k^2
+# term is the dense operator's products. HANDOFF_US is the time a message
+# takes to reach the worker or come back, and MERGE_US the worker's cost of
+# adding one step's gradient onto the parent's sum.
+PATCH_US = (30.0, 0.7)
+STEP_US = (170.0, 0.75, 0.022)
+HANDOFF_US = 600.0
+MERGE_US = 12.0
+
+
+def _split_step(n: int) -> int:
+    """The first step of an n-step episode that the replay worker replays.
+
+    The parent replays the steps before it. The worker starts a message
+    later, patches its way to it and replays the rest; once both are done it
+    adds its steps onto the parent's sum and sends that back. The step with
+    the earliest modelled finish is taken, or n, so nothing goes to the
+    worker, where handing the episode over would not finish sooner.
+    """
+    k = np.arange(n, 0, -1, dtype=np.float64)          # live nodes at each step
+    patch = PATCH_US[0] + PATCH_US[1] * k
+    step = patch + STEP_US[0] + (STEP_US[1] + STEP_US[2] * k) * k
+    parent = np.concatenate(([0.0], np.cumsum(step)))  # steps [0, t1) for t1 = 0..n
+    worker = HANDOFF_US + np.concatenate(([0.0], np.cumsum(patch))) + parent[-1] - parent
+    finish = (np.maximum(parent, worker) + MERGE_US * np.arange(n, -1, -1)) + HANDOFF_US
+    t1 = int(finish.argmin())
+    return t1 if finish[t1] < parent[-1] else n
+
+
+def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: EliminationTrace,
+                  returns: np.ndarray, start: int, stop: int,
+                  grads: dict[str, np.ndarray] | None = None
+                  ) -> tuple[list[float], list[float], list[dict[str, np.ndarray]]]:
+    """Replay steps [start, stop) of an episode: the values, the chosen
+    log-probs and, without ``grads``, each step's own gradient.
+
+    Step ``start``'s snapshot is rebuilt from the pattern by the rollout's
+    patches, and each step's by one more patch, so the actor reads the
+    rollout's floats again. The advantage is the step's return minus the
+    value, and the step's tape is freed before the next snapshot is built.
+    """
+    n = len(trace)
+    values: list[float] = []
+    chosen: list[float] = []
+    kept: list[dict[str, np.ndarray]] = []
+    raw = compute_features(pattern)
+    for t, node in enumerate(trace.nodes[:stop]):
+        row = bisect_left(raw.nodes, node)
+        if t >= start:
+            log_probs, v, tape = evaluate(towers, normalize_features(raw))
+            adv = returns[t] - v
+            d_log_probs = np.zeros_like(log_probs)
+            d_log_probs[row] = -adv / n
+            step = backward(towers, tape, d_log_probs, -2.0 * adv / n, grads)
+            del tape
+            if grads is None:
+                kept.append(step)
+            values.append(v)
+            chosen.append(float(log_probs[row]))
+        raw = compute_features(raw, row)
+    return values, chosen, kept
+
+
 def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
-                      trace: EliminationTrace, returns: np.ndarray
+                      trace: EliminationTrace, returns: np.ndarray,
+                      worker: Connection | None = None
                       ) -> tuple[dict[str, np.ndarray], list[float], list[float]]:
     """Accumulated gradients of L_actor + L_critic over all episode steps,
     the critic's value of each step, and the log-probability of each step's
     chosen node.
 
-    Replays the episode from the pattern one step at a time: each step's
-    snapshot is rebuilt by the patch the rollout applied, and ``evaluate``
-    runs both towers on it, stacked once for the episode, so the actor reads
-    the rollout's floats again. The advantage is the step's return minus the
-    value, and the step's tape is freed before the next one is built.
+    Replays the episode from the pattern, both towers stacked once for the
+    episode, and adds each step's gradient, in step order, into one sum
+    that starts at zero. With ``worker``, a connection from
+    ``replay_worker``, the steps from ``_split_step(n)`` on are replayed
+    there while this process replays the ones before, with the same floats
+    (see the module docstring).
     """
     n = len(trace)
     if pattern.n != n or len(returns) != n:
@@ -169,21 +267,100 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
                          f"returns, got {n} steps and {len(returns)} returns")
     towers = TowerStack(net)
     grads = towers.zero_grads()
-    values: list[float] = []
-    chosen: list[float] = []
-    raw = compute_features(pattern)
-    for node, ret in zip(trace.nodes, returns):
-        row = bisect_left(raw.nodes, node)
-        log_probs, v, tape = evaluate(towers, normalize_features(raw))
-        adv = ret - v
-        d_log_probs = np.zeros_like(log_probs)
-        d_log_probs[row] = -adv / n
-        backward(towers, tape, d_log_probs, -2.0 * adv / n, grads)
-        del tape
-        values.append(v)
-        chosen.append(float(log_probs[row]))
-        raw = compute_features(raw, row)
+    split = n if worker is None else _split_step(n)
+    if split < n:
+        _message(worker.send, (net.config, net.params, pattern, trace, returns, split))
+    values, chosen, _ = _replay_steps(towers, pattern, trace, returns, 0, split, grads)
+    if split < n:
+        _message(worker.send, grads)
+        reply = _message(worker.recv)
+        if isinstance(reply, str):   # the worker's traceback
+            raise ReplayError(f"the replay worker failed ({reply.splitlines()[-1]})"
+                              ) from RuntimeError(reply)
+        grads, later_values, later_chosen = reply
+        values += later_values
+        chosen += later_chosen
     return towers.split(grads), values, chosen
+
+
+def _message(transfer: Callable, *args):
+    """One message to or from the replay worker; a closed pipe means it stopped."""
+    try:
+        return transfer(*args)
+    except (EOFError, OSError) as exc:
+        raise ReplayError(f"the replay worker stopped ({type(exc).__name__})") from exc
+
+
+def _serve(conn: Connection, parent_end: Connection, cpu: int) -> None:
+    """The replay worker's loop: one ``_replay_share`` per episode, until the
+    parent closes its end. The fork's copy of that end is closed first, or
+    it would keep the pipe open."""
+    import signal   # the worker's imports stay out of `order` and `bench`
+    parent_end.close()
+    os.sched_setaffinity(0, {cpu})
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
+    with conn, suppress(EOFError):
+        while True:
+            conn.send(_replay_share(conn, *conn.recv()))
+
+
+def _replay_share(conn: Connection, config: NetConfig, params: dict[str, np.ndarray],
+                  pattern: SparsityPattern, trace: EliminationTrace, returns: np.ndarray,
+                  start: int) -> tuple[dict[str, np.ndarray], list[float], list[float]] | str:
+    """The worker's share of one episode: replay the steps from ``start`` on,
+    each step's gradient into fresh zeros (0 + x is x, and a sum that starts
+    at +0.0 never holds -0.0, so a -0.0 turned +0.0 adds the same), then add
+    them one by one, in step order, onto the parent's sum of the steps
+    before, which it receives meanwhile. Returns that sum, the values and
+    the chosen log-probs, or, if the replay raised, its traceback. The
+    per-step gradients go when it returns, before the next episode."""
+    try:
+        towers = TowerStack(PolicyValueNet(config, params=params))
+        values, chosen, steps = _replay_steps(towers, pattern, trace, returns,
+                                              start, len(trace))
+    except Exception:     # reported to the parent, which raises
+        import traceback
+        conn.recv()
+        return traceback.format_exc()
+    grads = conn.recv()
+    for step in steps:
+        for name, arr in step.items():
+            grads[name] += arr
+    return grads, values, chosen
+
+
+@contextmanager
+def replay_worker() -> Iterator[Connection | None]:
+    """A forked process for ``episode_gradients`` to replay the later steps
+    of each episode on, or None where it would have no CPU of its own (the
+    process may run on fewer than two) or cannot be forked. It holds one
+    episode's pattern and its per-step gradients, about 40 KB per step. It
+    is stopped and joined on exit, and killed first if the body raised."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        yield None
+        return
+    import multiprocessing   # here, so that `order` and `bench` never load it
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    process = ctx.Process(target=_serve, args=(child_end, conn, cpus[-1]), daemon=True)
+    process.start()
+    child_end.close()
+    try:
+        # a worker woken through the pipe starts on the waking process's CPU
+        # and may share it for hundreds of milliseconds, so each gets its own
+        os.sched_setaffinity(0, cpus[:-1])
+        yield conn
+    except BaseException:
+        process.kill()
+        raise
+    finally:
+        os.sched_setaffinity(0, cpus)
+        conn.close()     # ends the worker's loop
+        process.join()
 
 
 class AdamState:
@@ -255,23 +432,28 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
     adam = AdamState(net)
     log: list[TrainLogEntry] = []
     episode = 0
-    for epoch in range(1, cfg.epochs + 1):
-        lr = learning_rate(epoch)
-        for graph_id, pattern in enumerate(graphs):
-            for _ in range(cfg.episodes_per_graph):
-                trace, _ = rollout(net, pattern, sample_rng)
-                returns = to_returns(trace.edges_before, trace.rewards)
-                grads, values, log_probs = episode_gradients(net, pattern, trace, returns)
-                l_a, l_c, _ = losses(log_probs, values, returns)
-                bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
-                if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
-                    raise ValueError(
-                        f"non-finite training values in epoch {epoch}, graph {graph_id} "
-                        f"(losses {l_a:.6g}, {l_c:.6g}; non-finite gradients: "
-                        f"{', '.join(bad) or 'none'})")
-                adam.step(net, grads, lr)
-                log.append(TrainLogEntry(epoch, graph_id, trace.total_fill, l_a, l_c))
-                episode += 1
-                if cfg.checkpoint_every > 0 and episode % cfg.checkpoint_every == 0:
-                    save_checkpoint(net, cfg.checkpoint_path)
+    with replay_worker() as worker:
+        for epoch in range(1, cfg.epochs + 1):
+            lr = learning_rate(epoch)
+            for graph_id, pattern in enumerate(graphs):
+                for _ in range(cfg.episodes_per_graph):
+                    trace, _ = rollout(net, pattern, sample_rng)
+                    returns = to_returns(trace.edges_before, trace.rewards)
+                    try:
+                        grads, values, log_probs = episode_gradients(net, pattern, trace,
+                                                                     returns, worker)
+                    except ReplayError as exc:
+                        raise ReplayError(f"{exc} in epoch {epoch}, graph {graph_id}") from exc
+                    l_a, l_c, _ = losses(log_probs, values, returns)
+                    bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
+                    if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
+                        raise ValueError(
+                            f"non-finite training values in epoch {epoch}, graph {graph_id} "
+                            f"(losses {l_a:.6g}, {l_c:.6g}; non-finite gradients: "
+                            f"{', '.join(bad) or 'none'})")
+                    adam.step(net, grads, lr)
+                    log.append(TrainLogEntry(epoch, graph_id, trace.total_fill, l_a, l_c))
+                    episode += 1
+                    if cfg.checkpoint_every > 0 and episode % cfg.checkpoint_every == 0:
+                        save_checkpoint(net, cfg.checkpoint_path)
     return net, log

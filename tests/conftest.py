@@ -1,6 +1,7 @@
 """Shared graph constructors and reference implementations for the test suite."""
 
 import itertools
+import multiprocessing
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,6 +13,16 @@ from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern, 
                         sparsity, symbolic_factorize)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test after which a child process is still running: training
+    forks a replay worker, which must be gone when ``train`` returns or
+    raises."""
+    yield
+    children = multiprocessing.active_children()
+    assert not children, f"child processes still running: {children}"
 
 
 def fill_steps(pattern, ordering) -> list[list[tuple[int, int]]]:

@@ -100,8 +100,6 @@ def test_oversized_matrix_is_an_error(tmp_path, capsys, monkeypatch):
     assert "ok.mtx,natural,3,7,0," in text
 
 
-# the blown-up actor overflows on purpose
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_policy_is_an_error_not_an_ordering(tmp_path, capsys):
     # finite parameters whose log-probs are all NaN: greedy argmax would pick
     # row 0 at every step and return the natural order as a gpo result
@@ -121,6 +119,42 @@ def test_non_finite_policy_is_an_error_not_an_ordering(tmp_path, capsys):
     text = report.read_text()
     assert "c5.mtx,gpo,,,,error: the policy's log-probabilities are not finite at step 0\n" in text
     assert "c5.mtx,mindeg,5,15,2," in text
+
+
+def test_non_finite_policy_writes_one_error_line(tmp_path):
+    # in a plain interpreter, where an overflow in the actor's head would
+    # print numpy's warnings before the error
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(blow_up_actor(PolicyValueNet(NetConfig(), rng=np.random.default_rng(0))),
+                    model)
+    write_matrix_market(cycle_pattern(5), tmp_path / "c5.mtx")
+    done = python(["-m", "fillreduce", "order", "--matrix", tmp_path / "c5.mtx",
+                   "--method", "gpo", "--model", model, "--out", tmp_path / "o.txt"])
+    assert done.returncode == 2
+    assert done.stderr == "error: the policy's log-probabilities are not finite at step 0\n"
+    done = python(["-m", "fillreduce", "bench", "--matrices", tmp_path / "*.mtx",
+                   "--methods", "gpo", "--model", model, "--out", tmp_path / "r.csv"])
+    assert done.returncode == 2
+    assert done.stderr.startswith("1 of 1 cells failed") and done.stderr.count("\n") == 1
+
+
+def test_order_and_bench_never_load_multiprocessing(tmp_path):
+    # only training forks a replay worker; the other commands stay lean
+    write_matrix_market(cycle_pattern(5), tmp_path / "c5.mtx")
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(0)), model)
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('fillreduce', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    assert exc.code == 0, exc.code\n"
+             "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n")
+    for args in (["order", "--matrix", tmp_path / "c5.mtx", "--method", "gpo",
+                  "--model", model, "--out", tmp_path / "o.txt"],
+                 ["bench", "--matrices", tmp_path / "*.mtx", "--methods", "mindeg,gpo",
+                  "--model", model, "--out", tmp_path / "r.csv"]):
+        done = python(["-c", probe, *args])
+        assert done.returncode == 0, done.stderr
 
 
 def test_bench_partial_failure_exit_code(tmp_path, capsys):
@@ -195,13 +229,19 @@ def test_order_negative_seed_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_python_m_runs_the_cli():
-    # the package directory on the path is enough; nothing needs installing
+def python(args):
+    """A new interpreter run with ``args``, with Python's and numpy's default
+    warning filters; the package directory on the path is enough, nothing
+    needs installing."""
     src = Path(fillreduce.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, "-m", "fillreduce", "--help"], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_runs_the_cli():
+    done = python(["-m", "fillreduce", "--help"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: fillreduce")
     for command in ("gen", "train", "order", "bench"):
@@ -299,7 +339,7 @@ def test_train_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"
     run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
 
-    def nan_gradients(net, pattern, trace, returns):
+    def nan_gradients(net, pattern, trace, returns, worker):
         grads = {name: np.full_like(arr, np.nan) for name, arr in net.params.items()}
         return grads, [0.0] * len(trace), [0.0] * len(trace)
 

@@ -1,9 +1,11 @@
 import dataclasses
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (blow_up_actor, environment_edges, fill_edges, path_pattern,
@@ -14,7 +16,7 @@ from fillreduce import (EliminationGraph, EliminationTrace, NetworkError, Sparsi
                         forward, generate_delaunay, policy_net,
                         generate_training_set, losses, normalize_features,
                         raw_return, rollout, symbolic_factorize, train, trainer)
-from fillreduce.policy_net import NetConfig, PolicyValueNet, load_checkpoint
+from fillreduce.policy_net import BACKBONES, NetConfig, PolicyValueNet, load_checkpoint
 from fillreduce.trainer import (ADAM_EPS, LR_FIRST_EPOCH, LR_REST, AdamState,
                                TrainLogEntry, episode_gradients, learning_rate,
                                write_training_log)
@@ -247,8 +249,6 @@ def test_sampled_rollout_draws_as_generator_choice(pattern, seed, sharpness):
     assert drawn.random() == chosen.random()
 
 
-# the blown-up actor overflows on purpose
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("greedy", [True, False])
 def test_rollout_refuses_non_finite_log_probs(greedy):
     net = blow_up_actor(fresh_net(3))
@@ -258,8 +258,6 @@ def test_rollout_refuses_non_finite_log_probs(greedy):
         rollout(net, path_pattern(4), rng, greedy=greedy)
 
 
-# the blown-up actor overflows on purpose
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_stops_on_non_finite_log_probs(monkeypatch):
     real = policy_net._init_params
     monkeypatch.setattr(policy_net, "_init_params", lambda config, rng: blow_up_actor(
@@ -384,8 +382,8 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
     real = trainer.episode_gradients
     calls = []
 
-    def poisoned(net, pattern, trace, returns):
-        grads, values, log_probs = real(net, pattern, trace, returns)
+    def poisoned(net, pattern, trace, returns, worker):
+        grads, values, log_probs = real(net, pattern, trace, returns, worker)
         calls.append(len(trace))
         if len(calls) == 2:
             grads["critic.head.b"][0] = np.nan
@@ -485,6 +483,117 @@ def test_episode_gradients_replays_greedy_traces_and_checks_lengths():
         episode_gradients(net, p, sampled, np.zeros(3))
     with pytest.raises(ValueError, match="5 nodes needs 5 steps"):
         episode_gradients(net, path_pattern(5), sampled, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# replay on two processes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def worker():
+    with trainer.replay_worker() as conn:
+        if conn is None:
+            pytest.skip("the replay worker needs two CPUs and the fork start method")
+        yield conn
+
+
+def delaunay(n, seed):
+    return generate_delaunay(n, np.random.default_rng(seed))
+
+
+def floats(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# one worker serves every example, as one serves every episode of a training run
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(patterns(max_n=14), st.builds(delaunay, st.integers(3, 40),
+                                               st.integers(0, 2 ** 32 - 1))),
+       st.sampled_from(BACKBONES), st.integers(0, 2 ** 32 - 1))
+@example(SparsityPattern(1), "mixhop", 0)
+@example(SparsityPattern(1), "singlehop", 0)
+def test_two_process_replay_is_bytes_equal_to_one_process(worker, pattern, backbone, seed):
+    rng = np.random.default_rng(seed)
+    net = PolicyValueNet(NetConfig(backbone=backbone), rng=rng)
+    trace, _ = rollout(net, pattern, rng)
+    returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
+    want, want_values, want_chosen = episode_gradients(net, pattern, trace, returns)
+    n = pattern.n
+    for split in {0, 1, n - 1, n, int(rng.integers(n + 1))} & set(range(n + 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "_split_step", lambda steps: split)
+            grads, values, chosen = episode_gradients(net, pattern, trace, returns, worker)
+        assert grads.keys() == want.keys()
+        assert all(grads[name].tobytes() == want[name].tobytes() for name in want), split
+        assert floats(values) == floats(want_values)
+        assert floats(chosen) == floats(want_chosen)
+
+
+def test_split_step_keeps_small_episodes_in_process():
+    assert [trainer._split_step(n) for n in (0, 1, 2, 5)] == [0, 1, 2, 5]
+    for n in (60, 200, 1000):
+        assert 0 < trainer._split_step(n) <= n / 2   # the first steps are the largest
+
+
+def test_train_on_two_processes_matches_one(monkeypatch):
+    graphs = [delaunay(40, 1), path_pattern(3), delaunay(25, 2)]
+    cfg = TrainerConfig(epochs=2, seed=3)
+    workers = []
+    real = trainer.episode_gradients
+
+    def counting(*args):
+        workers.append(len(multiprocessing.active_children()))
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "episode_gradients", counting)
+    net, log = train(graphs, cfg)
+    assert not multiprocessing.active_children()
+    if len(os.sched_getaffinity(0)) > 1:
+        assert workers == [1] * 6     # one worker for the whole run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want_net, want_log = train(graphs, cfg)
+    assert workers[6:] == [0] * 6
+    assert [e.format() for e in log] == [e.format() for e in want_log]
+    assert all(net.params[name].tobytes() == want_net.params[name].tobytes()
+               for name in want_net.params)
+
+
+def test_train_leaves_no_child_after_non_finite_gradient(monkeypatch):
+    real = trainer.episode_gradients
+
+    def poisoned(*args):
+        grads, values, log_probs = real(*args)
+        grads["actor.head.w"][0] = np.inf
+        return grads, values, log_probs
+
+    monkeypatch.setattr(trainer, "episode_gradients", poisoned)
+    with pytest.raises(ValueError, match="epoch 1, graph 0.*actor.head.w"):
+        train([delaunay(40, 4)], TrainerConfig())
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("raise", r"replay worker failed \(RuntimeError: boom\) in epoch 1, graph 1$"),
+    ("exit", r"replay worker stopped \(\w+\) in epoch 1, graph 1$"),
+])
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs two CPUs")
+def test_train_names_the_episode_when_the_worker_fails(monkeypatch, failure, message):
+    parent = os.getpid()
+    real = trainer.evaluate
+
+    def evaluate(*args):
+        if os.getpid() != parent:     # in the worker
+            if failure == "raise":
+                raise RuntimeError("boom")
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    # the 3-node episode stays in-process; the worker fails on the second
+    with pytest.raises(trainer.ReplayError, match=message):
+        train([path_pattern(3), delaunay(40, 5)], TrainerConfig())
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("n, seeds, mib", [
