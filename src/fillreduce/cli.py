@@ -150,6 +150,11 @@ def main(argv: list[str] | None = None) -> int:
         # bad input files, checkpoints and options: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation it could not make
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -40,7 +40,8 @@ def fill_in_ratio(p: SparsityPattern, ordering: Ordering | Sequence[int]) -> flo
 
 
 def gpo_order(net: PolicyValueNet, p: SparsityPattern) -> Ordering:
-    """Greedy inference: argmax of the policy at every step, lowest index on ties."""
+    """Greedy inference: argmax of the policy at every step, lowest index on
+    ties, until the live graph is complete; then its nodes in ascending order."""
     _, ordering = rollout(net, p, rng=None, greedy=True)
     return ordering
 

@@ -40,6 +40,7 @@ parameter.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import tempfile
@@ -185,6 +186,22 @@ class TowerStack:
 # ---------------------------------------------------------------------------
 # Propagation operator
 # ---------------------------------------------------------------------------
+
+# the most bytes one dense float64 k x k operator may take, and so the most
+# nodes the learned policy takes: 8 * 11585^2 is just under 1 GiB
+OPERATOR_BUDGET_BYTES = 2 ** 30
+MAX_POLICY_NODES = math.isqrt(OPERATOR_BUDGET_BYTES // 8)
+
+
+def check_operator_size(n: int) -> None:
+    """Refuse a graph of n nodes whose dense operator would exceed
+    ``OPERATOR_BUDGET_BYTES``, with one error naming n and the limit."""
+    if n > MAX_POLICY_NODES:
+        raise NetworkError(
+            f"the learned policy takes graphs of at most {MAX_POLICY_NODES} nodes "
+            f"(its dense operator within {OPERATOR_BUDGET_BYTES / 2 ** 30:g} GiB), "
+            f"got {n} nodes")
+
 
 def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np.ndarray:
     """Normalized adjacency (with self-loops) of the live subgraph, rows and

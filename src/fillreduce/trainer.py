@@ -2,7 +2,11 @@
 
 One episode fully eliminates one graph: at each step the actor scores the
 live nodes, a node is sampled (or taken greedily at evaluation time), the
-snapshot eliminates it, and the negative fill count is the reward. After
+snapshot eliminates it, and the negative fill count is the reward. Once the
+live graph is complete, every node left is a twin of every other, so the
+exact policy is uniform and no step adds fill: the rollout evaluates the
+actor there once, to refuse non-finite log-probs, and takes the rest of
+the nodes without building another snapshot or evaluating the network. After
 the episode the suffix-sum returns are squashed through the adaptive
 saturation map (|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and
 matches the critic's tanh range, advantages weight the policy gradient, and
@@ -45,7 +49,7 @@ import numpy as np
 
 from .features import compute_features, normalize_features
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack, backward,
-                         evaluate, forward, save_checkpoint)
+                         check_operator_size, evaluate, forward, save_checkpoint)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationTrace
 
@@ -91,6 +95,19 @@ def learning_rate(epoch: int) -> float:
     return LR_FIRST_EPOCH if epoch == 1 else LR_REST
 
 
+def _draw(log_probs: np.ndarray, rng: np.random.Generator) -> int:
+    """The row ``rng.choice(k, p=probs)`` draws from these log-probabilities,
+    by the same single ``rng.random()`` and search of the same cdf."""
+    probs = np.exp(log_probs)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _not_finite(step: int) -> NetworkError:
+    return NetworkError(f"the policy's log-probabilities are not finite at step {step}")
+
+
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             rng: np.random.Generator | None, greedy: bool = False
             ) -> tuple[EliminationTrace, Ordering]:
@@ -101,34 +118,49 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     Sampling draws from the policy distribution by one ``rng.random()``, as
     ``rng.choice(k, p=probs)`` does; greedy mode takes the argmax with
     lowest-index tie-break (row order is sorted node ids) and needs no rng.
+
+    Once the live graph is complete (k nodes, k(k-1)/2 edges), its nodes are
+    all twins, so the exact policy is uniform and every step left adds no
+    fill. The actor is evaluated on that state once and not again: greedy
+    mode takes the remaining nodes in ascending order, the lowest-index
+    tie-break decided by structure rather than by rounding, and sampling
+    draws each step's row from exactly uniform probabilities, one
+    ``rng.random()`` per step as before.
+
     An empty pattern gives an empty trace and ordering. A chosen log-prob
-    that is not finite (NaN logits make them all NaN) raises ``NetworkError``.
+    that is not finite, or any on the first complete state, raises
+    ``NetworkError`` (NaN logits make them all NaN); so does a pattern too
+    large for the dense operator (``check_operator_size``), before anything
+    is built.
     """
     if not greedy and rng is None:
         raise ValueError("sampling rollout needs an rng")
+    check_operator_size(pattern.n)
     trace = EliminationTrace()
     raw = compute_features(pattern)
     # logits that overflow give NaN log-probs, refused below with one error,
     # which numpy's own warnings would only precede
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(pattern.n):
+        for step in range(pattern.n):   # the last step, k = 1, is always complete
+            k, m = len(raw.nodes), raw.adjacency.edges.shape[1]
             log_probs = forward(net, normalize_features(raw))
-            if greedy:
-                row = int(np.argmax(log_probs))
-            else:
-                probs = np.exp(log_probs)
-                cdf = (probs / probs.sum()).cumsum()
-                cdf /= cdf[-1]
-                row = int(cdf.searchsorted(rng.random(), side="right"))
+            if m == k * (k - 1) // 2:
+                if not np.isfinite(log_probs).all():
+                    raise _not_finite(step)
+                break
+            row = int(np.argmax(log_probs)) if greedy else _draw(log_probs, rng)
             if not np.isfinite(log_probs[row]):
-                raise NetworkError(
-                    f"the policy's log-probabilities are not finite at step {step}")
-            node, m = raw.nodes[row], raw.adjacency.edges.shape[1]
-            d = int(raw.adjacency.degree[row])
+                raise _not_finite(step)
+            node, d = raw.nodes[row], int(raw.adjacency.degree[row])
             raw = compute_features(raw, row)
             # the patch drops d + e edges and adds the C(d, 2) clique:
             # fill C(d, 2) - e = m' - m + d
             trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
+    # the complete tail: no fill, and each step leaves a complete graph
+    rest = list(raw.nodes)
+    for k in range(len(rest), 0, -1):
+        row = 0 if greedy else _draw(np.full(k, -np.log(k)), rng)
+        trace.append(rest.pop(row), 0, k * (k - 1) // 2)
     return trace, Ordering(trace.nodes)
 
 
@@ -414,9 +446,11 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
 
     Fully reproducible for a given seed: initialization and action sampling
     draw from separate streams spawned from the config seed, consumed in a
-    fixed sequential order. A non-finite loss or gradient raises a
-    ``ValueError`` before the optimizer step, so the parameters and the last
-    periodic checkpoint stay those of the last good episode.
+    fixed sequential order. A graph without nodes or too large for the
+    dense operator raises a ``ValueError`` before the first episode. A
+    non-finite loss or gradient raises one before the optimizer step, so the
+    parameters and the last periodic checkpoint stay those of the last good
+    episode.
     """
     if not graphs:
         raise ValueError("training set is empty")
@@ -424,6 +458,10 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
         # an empty episode has no steps to average its losses over
         if pattern.n < 1:
             raise ValueError(f"training graph {graph_id} has no nodes")
+        try:
+            check_operator_size(pattern.n)
+        except NetworkError as exc:
+            raise NetworkError(f"training graph {graph_id}: {exc}") from None
     init_seed, sample_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     net = PolicyValueNet(NetConfig(backbone=cfg.backbone),
                          np.random.default_rng(init_seed))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fillreduce import (EliminationGraph, NetConfig, Ordering, SparsityPattern, TowerStack,
-                        backward, compute_features, normalize_features, policy_net,
-                        sparsity, symbolic_factorize)
+from fillreduce import (EliminationGraph, EliminationTrace, NetConfig, Ordering,
+                        SparsityPattern, TowerStack, backward, compute_features, forward,
+                        normalize_features, policy_net, sparsity, symbolic_factorize)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
@@ -345,6 +345,39 @@ def reference_propagation(g, config: NetConfig) -> np.ndarray:
         d_inv_sqrt = 1.0 / np.sqrt(deg)
         return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
     return a / deg[:, None]
+
+
+def reference_rollout(net, pattern, rng, greedy=False):
+    """The rollout as a plain loop that evaluates the actor at every step,
+    complete live graph or not, and takes its argmax (lowest index on ties)
+    or ``rng.choice(k, p=probs)``. ``trainer.rollout`` takes the same rows
+    up to the first complete state and orders the rest by structure.
+
+    Returns (trace, ordering).
+    """
+    trace = EliminationTrace()
+    raw = compute_features(pattern)
+    for _ in range(pattern.n):
+        log_probs = forward(net, normalize_features(raw))
+        if greedy:
+            row = int(np.argmax(log_probs))
+        else:
+            probs = np.exp(log_probs)
+            probs /= probs.sum()
+            row = int(rng.choice(len(probs), p=probs))
+        node, m = raw.nodes[row], raw.adjacency.edges.shape[1]
+        d = int(raw.adjacency.degree[row])
+        raw = compute_features(raw, row)
+        trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
+    return trace, Ordering(trace.nodes)
+
+
+def first_complete_step(trace) -> int:
+    """The first step of an episode whose live graph is complete (k nodes
+    and k(k-1)/2 edges), or the episode's length if it has no step."""
+    n = len(trace)
+    return next((t for t, m in enumerate(trace.edges_before)
+                 if m == (n - t) * (n - t - 1) // 2), n)
 
 
 def reference_episode(net, pattern, rng, to_returns):

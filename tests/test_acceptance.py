@@ -194,11 +194,12 @@ def test_criterion_7_learning_signal():
 
 @pytest.mark.slow
 def test_criterion_8_pipeline_determinism(tmp_path):
-    with criterion(8, "byte-identical reports from identical seeds"):
+    with criterion(8, "byte-identical outputs from identical seeds"):
         data = tmp_path / "data"
         assert cli_main(["gen", "--count", "6", "--min", "12", "--max", "25",
                          "--seed", "11", "--out", str(data)]) == 0
-        blobs = []
+        matrix = sorted(data.glob("*.mtx"))[0]
+        runs = []
         for tag in ("one", "two"):
             model = tmp_path / f"{tag}.ckpt"
             assert cli_main(["train", "--data", str(data), "--epochs", "2",
@@ -208,8 +209,14 @@ def test_criterion_8_pipeline_determinism(tmp_path):
                              "--methods", "natural,random,mindeg,gpo",
                              "--model", str(model), "--seed", "31",
                              "--out", str(report)]) == 0
-            blobs.append(report.read_bytes())
-        assert blobs[0] == blobs[1]
+            ordering = tmp_path / f"{tag}.perm"
+            assert cli_main(["order", "--matrix", str(matrix), "--method", "gpo",
+                             "--model", str(model), "--out", str(ordering)]) == 0
+            outputs = (model, tmp_path / f"{tag}.ckpt.log", report, ordering)
+            runs.append([path.read_bytes() for path in outputs])
+        # checkpoint, training log, report and ordering file, each as a cmp sees it
+        assert all(runs[0])
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.slow

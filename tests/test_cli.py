@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 import fillreduce
 from conftest import blow_up_actor, cycle_pattern, path_pattern
-from fillreduce import (NetConfig, PolicyValueNet, load_ordering, save_checkpoint,
-                        sparsity, trainer, write_matrix_market)
+from fillreduce import (NetConfig, PolicyValueNet, SparsityPattern, cli, load_ordering,
+                        policy_net, save_checkpoint, sparsity, trainer, write_matrix_market)
 from fillreduce.cli import main
 
 
@@ -98,6 +99,48 @@ def test_oversized_matrix_is_an_error(tmp_path, capsys, monkeypatch):
     text = report.read_text()
     assert 'big.mtx,natural,,,,"error: matrix declares 4 nodes' in text
     assert "ok.mtx,natural,3,7,0," in text
+
+
+def test_gpo_beyond_the_operator_budget_is_an_error(tmp_path, capsys):
+    # one node more than the dense operator's budget allows, and no edges:
+    # refused with one error before anything is built for it
+    n = policy_net.MAX_POLICY_NODES + 1
+    write_matrix_market(SparsityPattern(n), tmp_path / "big.mtx")
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(0)), model)
+    out, report = tmp_path / "o.txt", tmp_path / "r.csv"
+    message = (f"the learned policy takes graphs of at most {n - 1} nodes "
+               f"(its dense operator within 1 GiB), got {n} nodes")
+    tracemalloc.start()
+    try:
+        assert run(["order", "--matrix", tmp_path / "big.mtx", "--method", "gpo",
+                    "--model", model, "--out", out]) == 2
+        assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", "gpo",
+                    "--model", model, "--out", report]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+    assert not out.exists()
+    assert f'big.mtx,gpo,,,,"error: {message}"\n' in report.read_text()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 11.9 GiB for an array with shape (40000, 40000) and data type "
+     "float64", "error: out of memory: Unable to allocate 11.9 GiB for an array with "
+     "shape (40000, 40000) and data type float64"),
+    ("", "error: out of memory"),
+])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message, line):
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "compute_ordering", allocate)
+    write_matrix_market(path_pattern(4), tmp_path / "m.mtx")
+    assert run(["order", "--matrix", tmp_path / "m.mtx", "--method", "mindeg",
+                "--out", tmp_path / "o.txt"]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_non_finite_policy_is_an_error_not_an_ordering(tmp_path, capsys):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (blow_up_actor, environment_edges, fill_edges, path_pattern,
-                      patched_snapshot, patterns, random_pattern, reference_episode,
-                      reference_features, snapshot_edges, star_pattern, tie_heavy_patterns)
+from conftest import (blow_up_actor, clique_pattern, environment_edges, fill_edges,
+                      first_complete_step, path_pattern, patched_snapshot, patterns,
+                      random_pattern, reference_episode, reference_features,
+                      reference_rollout, snapshot_edges, star_pattern, tie_heavy_patterns,
+                      twin_heavy_patterns)
 from fillreduce import (EliminationGraph, EliminationTrace, NetworkError, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return, compute_features,
                         forward, generate_delaunay, policy_net,
@@ -223,16 +225,27 @@ def test_rollout_never_evaluates_the_critic(greedy, monkeypatch):
     assert trace == expected
 
 
-def choice_rollout(net, pattern, rng):
-    """The sampled rollout's nodes, each step drawn by ``rng.choice``."""
-    raw, nodes = compute_features(pattern), []
-    for _ in range(pattern.n):
-        probs = np.exp(forward(net, normalize_features(raw)))
-        probs /= probs.sum()
-        row = int(rng.choice(len(probs), p=probs))
-        nodes.append(raw.nodes[row])
-        raw = compute_features(raw, row)
-    return nodes
+def expected_rollout(net, pattern, seed, greedy):
+    """The rollout's nodes by the rule it keeps: the reference rollout's up to
+    the first complete state, then the rest ascending, or each drawn by
+    ``rng.choice`` from the normalized uniform probabilities; the reference's
+    trace; and a generator that made the rollout's draws, or None."""
+    ref, _ = reference_rollout(net, pattern, None if greedy else np.random.default_rng(seed),
+                               greedy)
+    t_c = first_complete_step(ref)
+    rng = None if greedy else np.random.default_rng(seed)
+    for _ in range(0 if greedy else t_c):
+        rng.random()     # rng.choice draws one double per step
+    nodes = ref.nodes[:t_c]
+    rest = sorted(set(range(pattern.n)) - set(nodes))
+    for k in range(len(rest), 0, -1):
+        if greedy:
+            row = 0
+        else:
+            probs = np.exp(np.full(k, -np.log(k)))
+            row = int(rng.choice(k, p=probs / probs.sum()))
+        nodes.append(rest.pop(row))
+    return nodes, ref, rng
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,19 +256,92 @@ def test_sampled_rollout_draws_as_generator_choice(pattern, seed, sharpness):
     # large head weight makes peaked distributions, and 0 a uniform one.
     net = fresh_net(seed % 7)
     net.params["actor.head.w"] *= sharpness
-    drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = np.random.default_rng(seed)
     _, ordering = rollout(net, pattern, drawn)
-    assert list(ordering) == choice_rollout(net, pattern, chosen)
+    nodes, _, chosen = expected_rollout(net, pattern, seed, greedy=False)
+    assert list(ordering) == nodes
     assert drawn.random() == chosen.random()
 
 
+@st.composite
+def tail_cases(draw):
+    """A case of ``rollout_cases`` or a ``twin_heavy_patterns()`` graph."""
+    if draw(st.booleans()):
+        return draw(rollout_cases())
+    return (draw(twin_heavy_patterns()), draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@example((clique_pattern(6), 0, 0), True)
+@example((clique_pattern(6), 0, 0), False)
+@example((path_pattern(7), 1, 1), False)
+@example((SparsityPattern(0), 0, 0), False)
+@given(tail_cases(), st.booleans())
+def test_rollout_ends_at_the_first_complete_state(case, greedy):
+    # the reference's rows up to the first complete state, then the tail rule
+    # with no fill; the actor evaluated on that state once and never after
+    p, net_seed, seed = case
+    net = fresh_net(net_seed)
+    drawn = None if greedy else np.random.default_rng(seed)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "forward", lambda *args: calls.append(1) or forward(*args))
+        trace, ordering = rollout(net, p, drawn, greedy=greedy)
+    nodes, reference, rng = expected_rollout(net, p, seed, greedy)
+    t_c = first_complete_step(reference)
+    assert trace.nodes[:t_c] == reference.nodes[:t_c]
+    assert trace.fill[:t_c] == reference.fill[:t_c]
+    assert trace.nodes == list(ordering) == nodes
+    assert first_complete_step(trace) == t_c
+    assert len(calls) == min(t_c + 1, p.n)
+    k = np.arange(p.n - t_c, 0, -1)
+    assert trace.fill[t_c:] == [0] * len(k)
+    assert trace.edges_before[t_c:] == (k * (k - 1) // 2).tolist()
+    if greedy:
+        assert trace.nodes[t_c:] == sorted(trace.nodes[t_c:])
+    else:
+        assert drawn.random() == rng.random()
+
+
 @pytest.mark.parametrize("greedy", [True, False])
-def test_rollout_refuses_non_finite_log_probs(greedy):
+def test_rollout_evaluates_the_actor_up_to_the_first_complete_step(greedy, monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "forward", lambda *args: calls.append(1) or forward(*args))
+    net = fresh_net(11)
+    for p, want in [(clique_pattern(6), 1), *((path_pattern(n), n - 1) for n in (2, 5, 12))]:
+        calls.clear()
+        trace, _ = rollout(net, p, None if greedy else np.random.default_rng(p.n),
+                           greedy=greedy)
+        assert len(calls) == want == first_complete_step(trace) + 1
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_fresh_actor_is_uniform_on_complete_graphs(backbone):
+    # the fact the tail rule rests on: every node of a complete graph is a
+    # twin of every other, so the exact policy is uniform; the network's is
+    # uniform up to rounding
+    nets = [PolicyValueNet(NetConfig(backbone=backbone), rng=np.random.default_rng(seed))
+            for seed in (0, 1, 2)]
+    for k in [*range(1, 65), 100, 250, 400]:
+        state = normalize_features(compute_features(clique_pattern(k)))
+        for net in nets:
+            log_probs = forward(net, state)
+            assert np.isfinite(log_probs).all()
+            assert np.abs(log_probs + np.log(k)).max() <= 1e-12, (k, backbone)
+
+
+@pytest.mark.parametrize("greedy", [True, False])
+@pytest.mark.parametrize("pattern", [path_pattern(4), SparsityPattern(1),
+                                     *(clique_pattern(k) for k in range(2, 6))],
+                         ids=["path4", "one_node", "clique2", "clique3", "clique4", "clique5"])
+def test_rollout_refuses_non_finite_log_probs(greedy, pattern):
+    # a pattern that starts complete is refused on its one actor evaluation
     net = blow_up_actor(fresh_net(3))
     assert all(np.isfinite(arr).all() for arr in net.params.values())
     rng = None if greedy else np.random.default_rng(0)
     with pytest.raises(NetworkError, match="not finite at step 0"):
-        rollout(net, path_pattern(4), rng, greedy=greedy)
+        rollout(net, pattern, rng, greedy=greedy)
 
 
 def test_train_stops_on_non_finite_log_probs(monkeypatch):
@@ -304,7 +390,9 @@ def test_replayed_log_probs_match_each_steps_snapshot(greedy):
         row = state.nodes.index(ordering[t])
         assert replayed[t] == log_probs[row]
         if greedy:
-            assert row == np.argmax(log_probs)
+            # on a complete live graph, the lowest remaining row
+            complete = g.num_edges == k * (k - 1) // 2
+            assert row == (0 if complete else np.argmax(log_probs))
         g.eliminate(ordering[t])
 
 
@@ -366,6 +454,36 @@ def test_train_seed_determinism():
     for name in net1.params:
         assert np.array_equal(net1.params[name], net2.params[name])
     assert [e.format() for e in log1] == [e.format() for e in log2]
+
+
+def test_train_with_the_reference_rollout_gives_the_same_bytes(monkeypatch):
+    # the reference evaluates the actor on every complete state and samples
+    # from its log-probs there; the same draws give the same episodes
+    graphs = [delaunay(40, 6), clique_pattern(5), path_pattern(6), delaunay(25, 7)]
+    for seed in (0, 1, 2):
+        cfg = TrainerConfig(epochs=2, seed=seed)
+        net, log = train(graphs, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "rollout", reference_rollout)
+            want_net, want_log = train(graphs, cfg)
+        assert [e.format() for e in log] == [e.format() for e in want_log]
+        assert all(net.params[name].tobytes() == want_net.params[name].tobytes()
+                   for name in want_net.params)
+
+
+def test_train_refuses_a_graph_beyond_the_operator_budget(monkeypatch):
+    # before its first episode, and before anything is built for the graph
+    big = SparsityPattern(policy_net.MAX_POLICY_NODES + 1)
+    monkeypatch.setattr(trainer, "rollout", lambda *args: pytest.fail("an episode ran"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"training graph 1: .*at most "
+                           f"{policy_net.MAX_POLICY_NODES} nodes.*got {big.n} nodes"):
+            train([path_pattern(4), big], TrainerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_train_empty_set_rejected():
@@ -571,6 +689,25 @@ def test_train_leaves_no_child_after_non_finite_gradient(monkeypatch):
     with pytest.raises(ValueError, match="epoch 1, graph 0.*actor.head.w"):
         train([delaunay(40, 4)], TrainerConfig())
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs two CPUs")
+def test_train_restores_the_callers_cpu_affinity(monkeypatch):
+    # the replay worker pins the caller to all CPUs but the worker's
+    cpus = os.sched_getaffinity(0)
+    train([delaunay(40, 8)], TrainerConfig())
+    assert os.sched_getaffinity(0) == cpus
+    real = trainer.episode_gradients
+
+    def poisoned(*args):
+        grads, values, log_probs = real(*args)
+        grads["actor.head.b"][0] = np.nan
+        return grads, values, log_probs
+
+    monkeypatch.setattr(trainer, "episode_gradients", poisoned)
+    with pytest.raises(ValueError, match="non-finite training values"):
+        train([delaunay(40, 8)], TrainerConfig())
+    assert os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.parametrize("failure, message", [
