@@ -11,8 +11,7 @@ from .sparsity import (Ordering, OrderingError, PatternError, SparsityPattern,
                        write_matrix_market, write_ordering)
 from .symbolic import (EliminationError, EliminationGraph, EliminationTrace,
                        count_fill, fill_path_oracle, symbolic_factorize)
-from .features import (LiveAdjacency, NodeFeatures, compute_features,
-                       normalize_features)
+from .features import NodeFeatures, compute_features, normalize_features
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack,
                          build_propagation, backward, evaluate, forward,
                          load_checkpoint, save_checkpoint)
@@ -32,7 +31,7 @@ __all__ = [
     "write_ordering",
     "EliminationError", "EliminationGraph", "EliminationTrace",
     "count_fill", "fill_path_oracle", "symbolic_factorize",
-    "LiveAdjacency", "NodeFeatures", "compute_features", "normalize_features",
+    "NodeFeatures", "compute_features", "normalize_features",
     "NetConfig", "NetworkError", "PolicyValueNet", "TowerStack", "build_propagation",
     "backward", "evaluate", "forward", "load_checkpoint", "save_checkpoint",
     "TrainerConfig", "adaptive_saturation_return", "losses", "raw_return",

@@ -31,7 +31,7 @@ one 2-D product would round differently. ``forward`` runs the actor alone
 on its own arrays, which is all a rollout needs; ``evaluate`` runs both
 towers of a stack in one pass, and ``backward`` pulls both back in one pass.
 The actor reads nothing but the snapshot, so a training replay on the
-snapshot rebuilt by the rollout's own patches gets the rollout's floats.
+graph rebuilt by the rollout's own eliminations gets the rollout's floats.
 Gradients come from a recorded tape replayed in reverse, not from numeric
 differentiation; a finite-difference suite in the tests validates every
 parameter.
@@ -51,7 +51,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .features import NUM_FEATURES, LiveAdjacency, NodeFeatures
+from .features import NUM_FEATURES, NodeFeatures
+from .symbolic import EliminationGraph
 
 FORMAT_VERSION = 2
 
@@ -203,7 +204,7 @@ def check_operator_size(n: int) -> None:
             f"got {n} nodes")
 
 
-def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np.ndarray:
+def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> np.ndarray:
     """Normalized adjacency (with self-loops) of the live subgraph, rows and
     columns in sorted live-node order, written from the snapshot's edge list
     into both triangles.
@@ -213,9 +214,9 @@ def build_propagation(adj: LiveAdjacency, config: NetConfig | None = None) -> np
     A + I so each row averages the closed neighborhood.
     """
     config = config or NetConfig()
-    deg = adj.degree + 1.0                # row sums of A + I
+    deg = g.degree + 1.0                  # row sums of A + I
     k = len(deg)
-    i, j = adj.edges
+    i, j = g.edges
     prop = np.zeros((k, k))
     flat = prop.reshape(-1)               # a view: one flat index per entry
     upper, lower = i * np.intp(k) + j, j * np.intp(k) + i
@@ -270,13 +271,13 @@ def _tower_forward(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str
 def _trunk(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
            features: NodeFeatures) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Check one snapshot and run the towers on it: (P, hop inputs, outputs)."""
-    k = len(features.adjacency.degree)
+    k = len(features.graph.degree)
     if k == 0:
         raise NetworkError("cannot evaluate the network on an empty graph")
     if features.x.shape != (k, NUM_FEATURES):
         raise NetworkError(f"features have shape {features.x.shape}, "
                            f"the adjacency has {k} live nodes")
-    prop = build_propagation(features.adjacency, cfg)
+    prop = build_propagation(features.graph, cfg)
     powers = [features.x]    # layer 0 widens its input, so it propagates first: P^j X
     for _ in range(max(cfg.hops)):
         powers.append(prop @ powers[-1])
@@ -291,10 +292,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(net: PolicyValueNet, features: NodeFeatures) -> np.ndarray:
     """Evaluate the actor alone on one snapshot of the live graph: the
-    normalized features and the live adjacency they were computed from.
+    normalized features and the graph they were computed from.
 
     Returns log-probabilities over the live nodes (row order = sorted live
-    node ids, matching ``features.nodes``). The result depends on the
+    node ids, matching ``features.graph.nodes``). The result depends on the
     snapshot alone.
     """
     _, _, outputs = _trunk(net.config, net.params, "actor.", features)

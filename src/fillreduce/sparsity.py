@@ -227,7 +227,7 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
         if size_line is None:
             raise PatternError("missing size line")
         tokens = size_line.split()
-        if len(tokens) != 3:
+        if len(tokens) != 3 or _off_spec(size_line):
             raise PatternError(f"malformed size line: {size_line!r}")
         try:
             rows, cols, count = (int(t) for t in tokens)
@@ -245,10 +245,11 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
         lines = [s for s in map(str.strip, fh) if s and s[0] != "%"]
     # "|" after each line never parses as a number, so if every other token
     # does, each line held exactly ``width`` of them
-    tokens = " | ".join(lines + [""]).split()
+    text = " | ".join(lines + [""])
+    tokens = text.split()
     step = width + 1
     try:
-        if len(lines) != count or len(tokens) != step * count:
+        if len(lines) != count or len(tokens) != step * count or _off_spec(text):
             raise ValueError
         for c in range(2, width):
             np.fromiter(map(float, tokens[c::step]), np.float64, count)  # validate, then discard
@@ -262,6 +263,11 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     return SparsityPattern(rows, ends[~loop], np.unique(ends[loop, 0]).tolist())
 
 
+# int() and float() also read "1_0" as 10 and non-ASCII digits, which the format has not
+def _off_spec(text: str) -> bool:
+    return not text.isascii() or "_" in text
+
+
 def _entry_error(lines: list[str], field: str, n: int, count: int) -> PatternError:
     """The error of the first entry line, in file order, that is malformed,
     out of range or past the declared ``count``; else the count mismatch."""
@@ -271,6 +277,8 @@ def _entry_error(lines: list[str], field: str, n: int, count: int) -> PatternErr
         if len(tokens) != width:
             return PatternError(f"expected {width} tokens for field {field!r}, got: {line!r}")
         try:
+            if _off_spec(line):
+                raise ValueError
             i, j = map(int, tokens[:2])
             list(map(float, tokens[2:]))
         except ValueError:

@@ -1,21 +1,23 @@
-"""Elimination graphs and symbolic Cholesky factorization.
+"""The elimination environment and symbolic Cholesky factorization.
 
 Eliminating a node removes it and connects its remaining neighbors into a
 clique; the newly created edges are the fill of that step. Running all n
 steps of an ordering predicts the factor's sparsity pattern without any
-numeric work. ``symbolic_factorize`` does this over the sets of an
-``EliminationGraph``, whose ``eliminate`` returns the step's fill edges, and
-its trace keeps each step's fill count. Minimum degree (``orderings``) and
-the learned rollout (``features``) eliminate in their own forms of the
-graph. ``count_fill`` scores a fixed ordering without
-eliminating: it counts the factor's column nonzeros from the elimination
-tree, in near-linear time and O(n + |E|) memory. A slow fill-path checker is
-included as an independent test oracle: a pair (i, j) fills iff some path
-joins i and j whose internal nodes are all eliminated before both endpoints.
+numeric work. ``EliminationGraph``, an edge-list snapshot of the live graph
+whose ``eliminate`` returns the next snapshot and the step's fill count, is
+the one environment: ``symbolic_factorize`` drives it through a fixed
+ordering and the learned rollout (``trainer``) through the policy's choices.
+Minimum degree (``orderings``) keeps its own, faster neighbour sets.
+``count_fill`` scores a fixed ordering without eliminating: it counts the
+factor's column nonzeros from the elimination tree, in near-linear time and
+O(n + |E|) memory. A slow fill-path checker is an independent test oracle: a
+pair (i, j) fills iff some path joins i and j whose internal nodes are all
+eliminated before both endpoints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,53 +31,49 @@ class EliminationError(ValueError):
     """Invalid action against the current elimination graph."""
 
 
+@dataclass(frozen=True, eq=False)
 class EliminationGraph:
-    """Mutable graph state during elimination.
+    """The live graph at one step of an elimination, row i being the live
+    node ``nodes[i]`` (sorted ids). ``edges`` is an int32 ``(2, m)`` array
+    holding each live edge once, as the column ``(i, j)`` with ``i < j``, in
+    no particular order; ``degree`` is the int32 count of each row's edges.
+    ``eliminate`` returns the next graph and leaves this one as it is."""
 
-    ``adj`` holds exactly the live nodes and stays symmetric; ``num_edges``
-    tracks the current undirected edge count. Mutation is in place.
-    """
+    nodes: list[int]
+    degree: np.ndarray
+    edges: np.ndarray
 
-    __slots__ = ("adj", "num_edges")
-
-    def __init__(self, pattern: SparsityPattern):
-        self.adj: dict[int, set[int]] = dict(enumerate(pattern.adjacency()))
-        self.num_edges = pattern.num_edges
+    @classmethod
+    def of(cls, pattern: SparsityPattern) -> EliminationGraph:
+        """Every node of the pattern live, row i being node i."""
+        edges = pattern.edge_array   # (i, j) with i < j
+        return cls(list(range(pattern.n)),
+                   np.bincount(edges.ravel(), minlength=pattern.n).astype(np.int32), edges)
 
     @property
-    def live(self):
-        """The live nodes, a view of ``adj``'s keys."""
-        return self.adj.keys()
+    def num_edges(self) -> int:
+        return self.edges.shape[1]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+    def eliminate(self, row: int) -> tuple[EliminationGraph, int]:
+        """The graph after eliminating the node at ``row``, and the step's fill.
 
-    def eliminate(self, v: int) -> list[tuple[int, int]]:
-        """Remove v, complete its neighborhood into a clique, return new edges.
-
-        Fill edges come back in canonical (min, max) form, sorted, each
-        exactly once.
-        """
-        if v not in self.adj:
-            raise EliminationError(f"node {v} is not live")
-        nbrs = sorted(self.adj[v])
-        for u in nbrs:
-            self.adj[u].discard(v)
-        self.num_edges -= len(nbrs)
-        del self.adj[v]
-
-        fill: list[tuple[int, int]] = []
-        for a in range(len(nbrs)):
-            u = nbrs[a]
-            adj_u = self.adj[u]
-            for b in range(a + 1, len(nbrs)):
-                w = nbrs[b]
-                if w not in adj_u:
-                    adj_u.add(w)
-                    self.adj[w].add(u)
-                    fill.append((u, w))
-        self.num_edges += len(fill)
-        return fill
+        The edges inside the node's closed neighbourhood go, the neighbours'
+        clique comes in and the rows above ``row`` move down by one: d + e
+        edges out and C(d, 2) in, so the fill C(d, 2) - e is m' - m + d."""
+        k = len(self.nodes)
+        if not 0 <= row < k:
+            raise EliminationError(f"row {row} is not one of the {k} live rows")
+        neighbors = self.edges[::-1][self.edges == row]   # the other end of each edge at row
+        closed = np.zeros(k, dtype=bool)
+        closed[neighbors] = closed[row] = True
+        inside = closed.take(self.edges)
+        clique = neighbors.take(np.nonzero(neighbors[:, None] < neighbors))
+        edges = np.concatenate((self.edges.compress(~(inside[0] & inside[1]), axis=1), clique),
+                               axis=1)
+        edges -= edges > row
+        degree = np.bincount(edges.ravel(), minlength=k - 1).astype(np.int32)
+        after = EliminationGraph(self.nodes[:row] + self.nodes[row + 1:], degree, edges)
+        return after, after.num_edges - self.num_edges + int(self.degree[row])
 
 
 @dataclass
@@ -124,11 +122,12 @@ def symbolic_factorize(pattern: SparsityPattern,
     No edge is created twice, so ``trace.total_fill`` is the fill of the
     factor L + L^T off the diagonal.
     """
-    g = EliminationGraph(pattern)
+    g = EliminationGraph.of(pattern)
     trace = EliminationTrace()
     for v in _as_ordering(ordering, pattern.n):
-        edges_before = g.num_edges
-        trace.append(v, len(g.eliminate(v)), edges_before)
+        m = g.num_edges
+        g, fill = g.eliminate(bisect_left(g.nodes, v))
+        trace.append(v, fill, m)
     return trace
 
 

@@ -2,23 +2,24 @@
 
 One episode fully eliminates one graph: at each step the actor scores the
 live nodes, a node is sampled (or taken greedily at evaluation time), the
-snapshot eliminates it, and the negative fill count is the reward. Once the
-live graph is complete, every node left is a twin of every other, so the
-exact policy is uniform and no step adds fill: the rollout evaluates the
-actor there once, to refuse non-finite log-probs, and takes the rest of
-the nodes without building another snapshot or evaluating the network. After
-the episode the suffix-sum returns are squashed through the adaptive
-saturation map (|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and
-matches the critic's tanh range, advantages weight the policy gradient, and
-one optimizer step is applied per episode.
+``EliminationGraph`` of ``symbolic`` eliminates it and returns the step's
+fill, and the negative fill count is the reward. Once the live graph is
+complete, every node left is a twin of every other, so the exact policy is
+uniform and no step adds fill: the rollout evaluates the actor there once,
+to refuse non-finite log-probs, and takes the rest of the nodes without
+eliminating in the graph or evaluating the network. After the episode the
+suffix-sum returns are squashed through the adaptive saturation map
+(|E_t| + R_t) / (|E_t| - R_t), which lands in (-1, 1] and matches the
+critic's tanh range, advantages weight the policy gradient, and one
+optimizer step is applied per episode.
 
 An episode keeps nothing but its ``EliminationTrace``: the node, fill and
 edge count of each step. The rollout runs the actor alone. The gradient
-pass replays the episode from the pattern, rebuilding each step's snapshot
-by the rollout's own integer patch, and runs both towers, stacked once per
+pass replays the episode from the pattern, rebuilding each step's graph by
+the rollout's own eliminations, and runs both towers, stacked once per
 episode in a ``TowerStack``, through one ``evaluate`` and one ``backward``
 per step; so it gets the rollout's floats again and holds one step's
-snapshot and activations at a time.
+graph and activations at a time.
 
 Where the process may run on two or more CPUs and can fork, ``train`` forks
 one replay worker for the run, pinned to a CPU of its own, and splits each
@@ -51,7 +52,7 @@ from .features import compute_features, normalize_features
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack, backward,
                          check_operator_size, evaluate, forward, save_checkpoint)
 from .sparsity import Ordering, SparsityPattern, _open_text
-from .symbolic import EliminationTrace
+from .symbolic import EliminationGraph, EliminationTrace
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -111,8 +112,8 @@ def _not_finite(step: int) -> NetworkError:
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             rng: np.random.Generator | None, greedy: bool = False
             ) -> tuple[EliminationTrace, Ordering]:
-    """Run one full elimination episode on the snapshot of ``compute_features``,
-    which is read from the pattern once and then patched with each elimination.
+    """Run one full elimination episode in the ``EliminationGraph`` of the
+    pattern, the actor choosing the row that each step eliminates.
 
     Only the actor is evaluated, and the episode keeps only its trace.
     Sampling draws from the policy distribution by one ``rng.random()``, as
@@ -137,13 +138,13 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
         raise ValueError("sampling rollout needs an rng")
     check_operator_size(pattern.n)
     trace = EliminationTrace()
-    raw = compute_features(pattern)
+    g = EliminationGraph.of(pattern)
     # logits that overflow give NaN log-probs, refused below with one error,
     # which numpy's own warnings would only precede
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(pattern.n):   # the last step, k = 1, is always complete
-            k, m = len(raw.nodes), raw.adjacency.edges.shape[1]
-            log_probs = forward(net, normalize_features(raw))
+            k, m = len(g.nodes), g.num_edges
+            log_probs = forward(net, normalize_features(compute_features(g)))
             if m == k * (k - 1) // 2:
                 if not np.isfinite(log_probs).all():
                     raise _not_finite(step)
@@ -151,13 +152,11 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
             row = int(np.argmax(log_probs)) if greedy else _draw(log_probs, rng)
             if not np.isfinite(log_probs[row]):
                 raise _not_finite(step)
-            node, d = raw.nodes[row], int(raw.adjacency.degree[row])
-            raw = compute_features(raw, row)
-            # the patch drops d + e edges and adds the C(d, 2) clique:
-            # fill C(d, 2) - e = m' - m + d
-            trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
+            node = g.nodes[row]
+            g, fill = g.eliminate(row)
+            trace.append(node, fill, m)
     # the complete tail: no fill, and each step leaves a complete graph
-    rest = list(raw.nodes)
+    rest = list(g.nodes)
     for k in range(len(rest), 0, -1):
         row = 0 if greedy else _draw(np.full(k, -np.log(k)), rng)
         trace.append(rest.pop(row), 0, k * (k - 1) // 2)
@@ -214,7 +213,7 @@ class ReplayError(RuntimeError):
 
 # Replay cost of one step at k live nodes, in microseconds, fitted to the
 # per-step times of sampled Delaunay episodes (n = 60-200, one BLAS thread,
-# 2-CPU box): PATCH_US is the patch that rebuilds the next snapshot, a + b k,
+# 2-CPU box): PATCH_US is the elimination that builds the next graph, a + b k,
 # and STEP_US the towers' forward and backward, a + b k + c k^2, whose k^2
 # term is the dense operator's products. HANDOFF_US is the time a message
 # takes to reach the worker or come back, and MERGE_US the worker's cost of
@@ -229,7 +228,7 @@ def _split_step(n: int) -> int:
     """The first step of an n-step episode that the replay worker replays.
 
     The parent replays the steps before it. The worker starts a message
-    later, patches its way to it and replays the rest; once both are done it
+    later, eliminates its way to it and replays the rest; once both are done it
     adds its steps onto the parent's sum and sends that back. The step with
     the earliest modelled finish is taken, or n, so nothing goes to the
     worker, where handing the episode over would not finish sooner.
@@ -251,20 +250,21 @@ def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: Eliminati
     """Replay steps [start, stop) of an episode: the values, the chosen
     log-probs and, without ``grads``, each step's own gradient.
 
-    Step ``start``'s snapshot is rebuilt from the pattern by the rollout's
-    patches, and each step's by one more patch, so the actor reads the
-    rollout's floats again. The advantage is the step's return minus the
-    value, and the step's tape is freed before the next snapshot is built.
+    Step ``start``'s graph is rebuilt from the pattern by the rollout's
+    eliminations, and each step's by one more, so the actor reads the
+    rollout's floats again; features are computed from step ``start`` on.
+    The advantage is the step's return minus the value, and the step's tape
+    is freed before the next graph is built.
     """
     n = len(trace)
     values: list[float] = []
     chosen: list[float] = []
     kept: list[dict[str, np.ndarray]] = []
-    raw = compute_features(pattern)
+    g = EliminationGraph.of(pattern)
     for t, node in enumerate(trace.nodes[:stop]):
-        row = bisect_left(raw.nodes, node)
+        row = bisect_left(g.nodes, node)
         if t >= start:
-            log_probs, v, tape = evaluate(towers, normalize_features(raw))
+            log_probs, v, tape = evaluate(towers, normalize_features(compute_features(g)))
             adv = returns[t] - v
             d_log_probs = np.zeros_like(log_probs)
             d_log_probs[row] = -adv / n
@@ -274,7 +274,7 @@ def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: Eliminati
                 kept.append(step)
             values.append(v)
             chosen.append(float(log_probs[row]))
-        raw = compute_features(raw, row)
+        g, _ = g.eliminate(row)
     return values, chosen, kept
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fillreduce import (EliminationGraph, EliminationTrace, NetConfig, Ordering,
-                        SparsityPattern, TowerStack, backward, compute_features, forward,
-                        normalize_features, policy_net, sparsity, symbolic_factorize)
+from fillreduce import (EliminationError, EliminationGraph, EliminationTrace, NetConfig,
+                        Ordering, SparsityPattern, TowerStack, backward, compute_features,
+                        forward, normalize_features, policy_net, sparsity, symbolic_factorize)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES
 
@@ -25,9 +25,64 @@ def no_child_process_left():
     assert not children, f"child processes still running: {children}"
 
 
+class ReferenceGraph:
+    """The elimination graph as a dict of neighbour sets, mutated in place:
+    the reference that ``symbolic.EliminationGraph`` is checked against.
+
+    ``adj`` holds exactly the live nodes and stays symmetric; ``num_edges``
+    tracks the current undirected edge count.
+    """
+
+    __slots__ = ("adj", "num_edges")
+
+    def __init__(self, pattern: SparsityPattern):
+        self.adj: dict[int, set[int]] = dict(enumerate(pattern.adjacency()))
+        self.num_edges = pattern.num_edges
+
+    @property
+    def live(self):
+        """The live nodes, a view of ``adj``'s keys."""
+        return self.adj.keys()
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def eliminate(self, v: int) -> list[tuple[int, int]]:
+        """Remove v, complete its neighborhood into a clique, return new edges.
+
+        Fill edges come back in canonical (min, max) form, sorted, each
+        exactly once.
+        """
+        if v not in self.adj:
+            raise EliminationError(f"node {v} is not live")
+        nbrs = sorted(self.adj[v])
+        for u in nbrs:
+            self.adj[u].discard(v)
+        self.num_edges -= len(nbrs)
+        del self.adj[v]
+
+        fill: list[tuple[int, int]] = []
+        for a in range(len(nbrs)):
+            u = nbrs[a]
+            adj_u = self.adj[u]
+            for b in range(a + 1, len(nbrs)):
+                w = nbrs[b]
+                if w not in adj_u:
+                    adj_u.add(w)
+                    self.adj[w].add(u)
+                    fill.append((u, w))
+        self.num_edges += len(fill)
+        return fill
+
+
+def live_edges(g: EliminationGraph) -> list[tuple[int, int]]:
+    """An ``EliminationGraph``'s live edges as sorted pairs of node ids."""
+    return sorted((g.nodes[i], g.nodes[j]) for i, j in g.edges.T.tolist())
+
+
 def fill_steps(pattern, ordering) -> list[list[tuple[int, int]]]:
-    """The fill edges of each step, by replaying ``EliminationGraph.eliminate``."""
-    g = EliminationGraph(pattern)
+    """The fill edges of each step, by replaying ``ReferenceGraph.eliminate``."""
+    g = ReferenceGraph(pattern)
     return [g.eliminate(v) for v in ordering]
 
 
@@ -39,7 +94,7 @@ def fill_edges(pattern, ordering) -> set[tuple[int, int]]:
 def reference_min_degree(pattern) -> Ordering:
     """Minimum degree by a full scan of the live nodes at every step,
     lowest index on ties."""
-    g = EliminationGraph(pattern)
+    g = ReferenceGraph(pattern)
     nodes = []
     while g.live:
         nodes.append(min(g.live, key=lambda u: (g.degree(u), u)))
@@ -79,7 +134,7 @@ def reference_load_matrix_market(source) -> SparsityPattern:
         if size_line is None:
             raise PatternError("missing size line")
         tokens = size_line.split()
-        if len(tokens) != 3:
+        if len(tokens) != 3 or not size_line.isascii() or "_" in size_line:
             raise PatternError(f"malformed size line: {size_line!r}")
         try:
             rows, cols, count = (int(t) for t in tokens)
@@ -106,6 +161,9 @@ def reference_load_matrix_market(source) -> SparsityPattern:
                 raise PatternError(
                     f"expected {width} tokens for field {field!r}, got: {stripped!r}")
             try:
+                # int() and float() also read "1_0" and non-ASCII digits
+                if not stripped.isascii() or "_" in stripped:
+                    raise ValueError
                 i = int(tokens[0])
                 j = int(tokens[1])
                 for t in tokens[2:]:
@@ -290,7 +348,7 @@ def gradients(tape, d_log_probs, d_value):
 
 
 def reference_features(g) -> np.ndarray:
-    """Unnormalized features by a per-node loop over the elimination graph."""
+    """Unnormalized features by a per-node loop over the reference graph."""
     nodes = sorted(g.live)
     x = np.zeros((len(nodes), NUM_FEATURES), dtype=np.float64)
     deg = {v: len(g.adj[v]) for v in nodes}
@@ -302,38 +360,46 @@ def reference_features(g) -> np.ndarray:
     return x
 
 
-def snapshot_edges(adj, num_nodes: int, num_edges: int) -> np.ndarray:
-    """Assert a ``LiveAdjacency``'s invariants and return its edges sorted,
-    so two snapshots compare as sets of edges: int32 arrays, each edge once
-    as a column (i, j) with i < j, and ``degree`` counting each row's edges."""
-    assert adj.degree.dtype == adj.edges.dtype == np.int32
-    assert adj.degree.shape == (num_nodes,) and adj.edges.shape == (2, num_edges)
-    assert (adj.edges[0] < adj.edges[1]).all()
-    assert np.array_equal(adj.degree, np.bincount(adj.edges.ravel(), minlength=num_nodes))
-    edges = adj.edges[:, np.lexsort(adj.edges[::-1])]
+def snapshot_edges(g: EliminationGraph, num_nodes: int, num_edges: int) -> np.ndarray:
+    """Assert an ``EliminationGraph``'s invariants and return its edges
+    sorted, so two graphs compare as sets of edges: sorted node ids, int32
+    arrays, each edge once as a column (i, j) with i < j, and ``degree``
+    counting each row's edges."""
+    assert len(g.nodes) == num_nodes and g.nodes == sorted(g.nodes)
+    assert g.degree.dtype == g.edges.dtype == np.int32
+    assert g.degree.shape == (num_nodes,) and g.edges.shape == (2, num_edges)
+    assert g.num_edges == num_edges
+    assert (g.edges[0] < g.edges[1]).all()
+    assert np.array_equal(g.degree, np.bincount(g.edges.ravel(), minlength=num_nodes))
+    edges = g.edges[:, np.lexsort(g.edges[::-1])]
     assert not (edges[:, 1:] == edges[:, :-1]).all(axis=0).any()    # no repeated edge
     return edges
 
 
 def environment_edges(g) -> np.ndarray:
-    """The elimination graph's live edges as a snapshot numbers them, row i
+    """The reference graph's live edges as a snapshot numbers them, row i
     being the i-th smallest live node: int32 columns (i, j), i < j, sorted."""
     row = {v: i for i, v in enumerate(sorted(g.live))}
     edges = sorted((row[v], row[u]) for v in g.live for u in g.adj[v] if v < u)
     return np.array(edges, dtype=np.int32).reshape(-1, 2).T
 
 
-def patched_snapshot(pattern, nodes):
-    """The snapshot after eliminating ``nodes`` in turn, by a chain of patches
-    from the pattern's snapshot."""
-    nf = compute_features(pattern)
+def pattern_features(pattern):
+    """The features of the pattern's ``EliminationGraph``, every node live."""
+    return compute_features(EliminationGraph.of(pattern))
+
+
+def eliminated_graph(pattern, nodes) -> EliminationGraph:
+    """The ``EliminationGraph`` after eliminating ``nodes`` in turn, each
+    by its row."""
+    g = EliminationGraph.of(pattern)
     for v in nodes:
-        nf = compute_features(nf, nf.nodes.index(v))
-    return nf
+        g, _ = g.eliminate(g.nodes.index(v))
+    return g
 
 
 def reference_propagation(g, config: NetConfig) -> np.ndarray:
-    """The normalized operator by a per-entry loop over the elimination graph."""
+    """The normalized operator by a per-entry loop over the reference graph."""
     nodes = sorted(g.live)
     row = {v: i for i, v in enumerate(nodes)}
     a = np.eye(len(nodes))
@@ -356,19 +422,18 @@ def reference_rollout(net, pattern, rng, greedy=False):
     Returns (trace, ordering).
     """
     trace = EliminationTrace()
-    raw = compute_features(pattern)
+    g = EliminationGraph.of(pattern)
     for _ in range(pattern.n):
-        log_probs = forward(net, normalize_features(raw))
+        log_probs = forward(net, normalize_features(compute_features(g)))
         if greedy:
             row = int(np.argmax(log_probs))
         else:
             probs = np.exp(log_probs)
             probs /= probs.sum()
             row = int(rng.choice(len(probs), p=probs))
-        node, m = raw.nodes[row], raw.adjacency.edges.shape[1]
-        d = int(raw.adjacency.degree[row])
-        raw = compute_features(raw, row)
-        trace.append(node, raw.adjacency.edges.shape[1] - m + d, m)
+        node, m = g.nodes[row], g.num_edges
+        g, fill = g.eliminate(row)
+        trace.append(node, fill, m)
     return trace, Ordering(trace.nodes)
 
 
@@ -388,9 +453,9 @@ def reference_episode(net, pattern, rng, to_returns):
     Returns (gradients, values, log-probs, ordering).
     """
     tapes, rows, values, nodes = [], [], [], []
-    raw = compute_features(pattern)
+    g = EliminationGraph.of(pattern)
     for _ in range(pattern.n):
-        x = normalize_features(raw)
+        x = normalize_features(compute_features(g))
         log_probs, v, tape = evaluate(net, x)
         probs = np.exp(log_probs)
         probs /= probs.sum()
@@ -398,8 +463,8 @@ def reference_episode(net, pattern, rng, to_returns):
         values.append(v)
         tapes.append(tape)
         rows.append(row)
-        nodes.append(raw.nodes[row])
-        raw = compute_features(raw, row)
+        nodes.append(g.nodes[row])
+        g, _ = g.eliminate(row)
     ordering = Ordering(nodes)
     trace = symbolic_factorize(pattern, ordering)
     returns = to_returns(trace.edges_before, trace.rewards)

@@ -12,11 +12,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (cycle_pattern, evaluate, fill_edges, gradients, path_pattern,
-                      random_pattern, random_tree)
+from conftest import (ReferenceGraph, cycle_pattern, evaluate, fill_edges, fill_steps,
+                      gradients, live_edges, path_pattern, pattern_features, random_pattern,
+                      random_tree)
 from fillreduce import (EliminationGraph, NetConfig, PolicyValueNet,
                         SparsityPattern, TrainerConfig,
-                        adaptive_saturation_return, compute_features,
+                        adaptive_saturation_return,
                         fill_in_ratio, fill_path_oracle,
                         generate_training_set, min_degree_order, natural_order, normalize_features,
                         random_order, rollout, symbolic_factorize, train)
@@ -49,7 +50,10 @@ def test_criterion_1_oracle_equivalence():
             perm = [int(v) for v in rng.permutation(n)]
             fill = fill_edges(p, perm)
             assert fill == fill_path_oracle(p, perm)
-            assert symbolic_factorize(p, perm).total_fill == len(fill)
+            trace = symbolic_factorize(p, perm)
+            assert trace.total_fill == len(fill)
+            # the same steps in the EliminationGraph, by row
+            assert trace.fill == [len(f) for f in fill_steps(p, perm)]
         assert time.monotonic() - start < 60.0
 
 
@@ -60,28 +64,43 @@ def test_criterion_2_exhaustive_c4_and_leaf_peeling():
             fill = fill_edges(c4, perm)
             assert len(fill) == 1
             assert symbolic_factorize(c4, perm).total_fill == 1
+            assert symbolic_factorize(c4, perm).fill == [len(f) for f in fill_steps(c4, perm)]
 
-        # paths: zero fill exactly for the leaf-peeling orderings
+        # paths: zero fill exactly for the leaf-peeling orderings, in the
+        # reference graph and, by row, in the EliminationGraph
         path = path_pattern(6)
         for perm in itertools.permutations(range(6)):
-            g = EliminationGraph(path)
-            peeling = True
-            total = 0
+            g = ReferenceGraph(path)
+            e = EliminationGraph.of(path)
+            peeling = e_peeling = True
+            total = e_total = 0
             for v in perm:
                 peeling &= g.degree(v) <= 1
                 total += len(g.eliminate(v))
+                row = e.nodes.index(v)
+                e_peeling &= e.degree[row] <= 1
+                e, fill = e.eliminate(row)
+                e_total += fill
             assert (total == 0) == peeling
+            assert (e_total == 0) == e_peeling == peeling
 
         # trees: any leaf-peeling order fills nothing
         rng = np.random.default_rng(91)
         for _ in range(50):
             tree = random_tree(rng, int(rng.integers(2, 25)))
-            g = EliminationGraph(tree)
-            total = 0
+            g = ReferenceGraph(tree)
+            e = EliminationGraph.of(tree)
+            total = e_total = 0
             while g.live:
                 leaves = sorted(v for v in g.live if g.degree(v) <= 1)
-                total += len(g.eliminate(int(rng.choice(leaves))))
+                v = int(rng.choice(leaves))
+                total += len(g.eliminate(v))
+                row = e.nodes.index(v)
+                assert e.degree[row] <= 1
+                e, fill = e.eliminate(row)
+                e_total += fill
             assert total == 0
+            assert e_total == 0
 
 
 def test_criterion_3_edge_count_conservation():
@@ -90,7 +109,8 @@ def test_criterion_3_edge_count_conservation():
         for _ in range(200):
             n = int(rng.integers(1, 20))
             p = random_pattern(rng, n, density=float(rng.uniform(0.1, 0.8)))
-            g = EliminationGraph(p)
+            g = ReferenceGraph(p)
+            e = EliminationGraph.of(p)
             for v in rng.permutation(n):
                 # recount independently of the maintained counter
                 before = sum(len(s) for s in g.adj.values()) // 2
@@ -99,6 +119,13 @@ def test_criterion_3_edge_count_conservation():
                 after = sum(len(s) for s in g.adj.values()) // 2
                 assert after == before - deg + len(fill)
                 assert g.num_edges == after
+                # the same step by row: count the distinct edges left
+                row = e.nodes.index(int(v))
+                e_before, e_deg = len(set(live_edges(e))), int(e.degree[row])
+                e, e_fill = e.eliminate(row)
+                e_after = len(set(live_edges(e)))
+                assert e_after == e_before - e_deg + e_fill
+                assert e.num_edges == e_after == after and e_fill == len(fill)
 
 
 def test_criterion_4_asr_range():
@@ -124,7 +151,7 @@ def test_criterion_5_gradient_correctness():
         start = time.monotonic()
         rng = np.random.default_rng(94)
         p = random_pattern(rng, 6, density=0.5)
-        x = normalize_features(compute_features(p))
+        x = normalize_features(pattern_features(p))
         net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(8))
         c_lp = rng.normal(size=6)
         c_v = float(rng.normal())
@@ -160,8 +187,8 @@ def test_criterion_6_equivariance():
             p = random_pattern(rng, n, density=float(rng.uniform(0.2, 0.8)))
             perm = [int(v) for v in rng.permutation(n)]
             relabeled = SparsityPattern(n, [(perm[i], perm[j]) for i, j in p.edges])
-            lp1, v1, _ = evaluate(net, normalize_features(compute_features(p)))
-            lp2, v2, _ = evaluate(net, normalize_features(compute_features(relabeled)))
+            lp1, v1, _ = evaluate(net, normalize_features(pattern_features(p)))
+            lp2, v2, _ = evaluate(net, normalize_features(pattern_features(relabeled)))
             assert max(abs(lp1[v] - lp2[perm[v]]) for v in range(n)) <= 1e-9
             assert abs(v1 - v2) <= 1e-9
 

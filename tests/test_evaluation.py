@@ -188,11 +188,13 @@ def test_scoring_eliminates_nothing(tmp_path, eliminations):
              write_pattern(tmp_path, "grid.mtx", grid_pattern(6))]
     report = run_benchmark(files, ["natural", "random"])
     assert report.num_errors == 0 and eliminations == []
-    # a gpo cell's rollout eliminates on its own snapshot
+    # a gpo cell's rollout eliminates in the EliminationGraph, at most one
+    # step per node of each file, and is scored by count_fill as well
     model = tmp_path / "model.ckpt"
     save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(1)), model)
     report = run_benchmark(files, ["gpo"], model_path=model)
-    assert report.num_errors == 0 and eliminations == []
+    assert report.num_errors == 0 and 0 < len(eliminations) < p.n + 36
+    eliminations.clear()
     # a mindeg cell chooses in its own neighbor sets and scores by count_fill
     report = run_benchmark(files, ["mindeg"])
     assert report.num_errors == 0 and eliminations == []

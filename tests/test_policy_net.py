@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (evaluate, gradients, patched_snapshot, path_pattern, patterns,
+from conftest import (eliminated_graph, evaluate, gradients, path_pattern, patterns,
                       per_hop_towers, random_pattern)
-from fillreduce import (NetConfig, NetworkError, PolicyValueNet,
+from fillreduce import (EliminationGraph, NetConfig, NetworkError, PolicyValueNet,
                         SparsityPattern, TowerStack, backward, build_propagation,
                         compute_features, forward, generate_delaunay,
                         load_checkpoint, normalize_features, save_checkpoint)
@@ -18,11 +18,7 @@ from fillreduce.trainer import AdamState
 
 
 def state(pattern):
-    return normalize_features(compute_features(pattern))
-
-
-def adjacency(pattern):
-    return compute_features(pattern).adjacency
+    return normalize_features(compute_features(EliminationGraph.of(pattern)))
 
 
 def fresh_net(seed=0, **kwargs):
@@ -34,18 +30,18 @@ def fresh_net(seed=0, **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_propagation_isolated_node():
-    prop = build_propagation(adjacency(SparsityPattern(1, [])))
+    prop = build_propagation(EliminationGraph.of(SparsityPattern(1, [])))
     assert prop.tolist() == [[1.0]]
 
 
 def test_propagation_single_edge():
-    prop = build_propagation(adjacency(SparsityPattern(2, [(0, 1)])))
+    prop = build_propagation(EliminationGraph.of(SparsityPattern(2, [(0, 1)])))
     assert np.allclose(prop, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_propagation_singlehop_rows_average():
     cfg = NetConfig(backbone="singlehop")
-    prop = build_propagation(adjacency(path_pattern(3)), cfg)
+    prop = build_propagation(EliminationGraph.of(path_pattern(3)), cfg)
     assert cfg.hops == (1,)
     assert np.allclose(prop.sum(axis=1), 1.0)
     assert np.allclose(prop[0], [0.5, 0.5, 0.0])
@@ -69,7 +65,8 @@ def test_forward_probabilities_normalize_and_value_bounded():
 def test_forward_rejects_empty_graph_and_bad_features():
     net = fresh_net()
     with pytest.raises(NetworkError, match="empty graph"):
-        forward(net, normalize_features(patched_snapshot(SparsityPattern(1, []), [0])))
+        forward(net, normalize_features(compute_features(
+            eliminated_graph(SparsityPattern(1, []), [0]))))
 
     x = state(path_pattern(3))
     with pytest.raises(NetworkError, match="adjacency has 3 live nodes"):
@@ -152,7 +149,7 @@ def test_tape_net_mismatch_rejected():
 
 
 def finite_difference_check(net, x, rng, step=1e-4, tol=1e-3):
-    c_lp = rng.normal(size=len(x.nodes))
+    c_lp = rng.normal(size=len(x.graph.nodes))
     c_v = float(rng.normal())
 
     def scalar_loss():
@@ -205,7 +202,7 @@ def test_finite_difference_gradients_singlehop_deep():
     # the row-normalized operator is not symmetric, so layers 1 and 2 need P^T
     rng = np.random.default_rng(40)
     x = state(random_pattern(rng, 6))
-    prop = build_propagation(x.adjacency, NetConfig(backbone="singlehop"))
+    prop = build_propagation(x.graph, NetConfig(backbone="singlehop"))
     assert not np.array_equal(prop, prop.T)
     net = fresh_net(21, backbone="singlehop", num_layers=3, hidden_per_hop=3)
     assert finite_difference_check(net, x, rng) < 1e-3
@@ -225,8 +222,9 @@ def layout_cases(draw):
     else:
         pattern = generate_delaunay(draw(st.integers(3, 40)), rng)
     eliminated = draw(st.permutations(range(pattern.n)))[:draw(st.integers(0, pattern.n - 1))]
-    x = normalize_features(patched_snapshot(pattern, eliminated))
-    return PolicyValueNet(config, rng=rng), x, rng.normal(size=len(x.nodes)), float(rng.normal())
+    x = normalize_features(compute_features(eliminated_graph(pattern, eliminated)))
+    return (PolicyValueNet(config, rng=rng), x, rng.normal(size=len(x.graph.nodes)),
+            float(rng.normal()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -495,8 +493,8 @@ def test_stacked_towers_match_one_tower_at_a_time(pattern, backbone, hidden, see
     net = PolicyValueNet(NetConfig(backbone=backbone, hidden_per_hop=hidden), rng=rng)
     eliminated = data.draw(st.permutations(range(pattern.n)))[:data.draw(
         st.integers(0, pattern.n - 1))]
-    x = normalize_features(patched_snapshot(pattern, eliminated))
-    c_lp, c_v = rng.normal(size=len(x.nodes)), float(rng.normal())
+    x = normalize_features(compute_features(eliminated_graph(pattern, eliminated)))
+    c_lp, c_v = rng.normal(size=len(x.graph.nodes)), float(rng.normal())
     log_probs, v, tape = evaluate(net, x)      # both towers stacked
     grads = gradients(tape, c_lp, c_v)
     assert np.array_equal(log_probs, forward(net, x))

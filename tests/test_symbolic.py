@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (clique_pattern, cycle_pattern, disjoint_union, fill_edges,
-                      fill_steps, grid_pattern, path_pattern, patterns, random_pattern,
-                      random_tree, reference_min_degree, relabeled, star_pattern,
-                      tie_heavy_patterns, twin_heavy_patterns)
+from conftest import (ReferenceGraph, clique_pattern, cycle_pattern, disjoint_union,
+                      fill_edges, fill_steps, grid_pattern, live_edges, path_pattern,
+                      patterns, random_pattern, random_tree, reference_min_degree, relabeled,
+                      star_pattern, tie_heavy_patterns, twin_heavy_patterns)
 from fillreduce import (EliminationError, EliminationGraph, Ordering,
                         OrderingError, SparsityPattern, count_fill,
                         fill_path_oracle, generate_delaunay, min_degree_order,
@@ -16,57 +16,105 @@ from fillreduce import (EliminationError, EliminationGraph, Ordering,
 
 
 def test_graph_mirrors_pattern():
-    g = EliminationGraph(path_pattern(3))
+    g = ReferenceGraph(path_pattern(3))
     assert g.live == {0, 1, 2}
     assert g.adj[1] == {0, 2}
     assert g.num_edges == 2
+    e = EliminationGraph.of(path_pattern(3))
+    assert e.nodes == [0, 1, 2]
+    assert live_edges(e) == [(0, 1), (1, 2)]
+    assert e.degree.tolist() == [1, 2, 1]
+    assert e.num_edges == 2
 
-    g = EliminationGraph(cycle_pattern(4))
+    g = ReferenceGraph(cycle_pattern(4))
     assert all(g.degree(v) == 2 for v in range(4))
+    assert EliminationGraph.of(cycle_pattern(4)).degree.tolist() == [2, 2, 2, 2]
 
-    g = EliminationGraph(type(path_pattern(2))(2, []))
+    g = ReferenceGraph(type(path_pattern(2))(2, []))
     assert g.live == {0, 1}
     assert g.adj == {0: set(), 1: set()}
+    e = EliminationGraph.of(type(path_pattern(2))(2, []))
+    assert e.nodes == [0, 1] and e.degree.tolist() == [0, 0]
+    assert e.edges.shape == (2, 0) and e.num_edges == 0
 
 
 def test_eliminate_star_center_completes_clique():
-    g = EliminationGraph(star_pattern(3))
+    g = ReferenceGraph(star_pattern(3))
     fill = g.eliminate(0)
     assert fill == [(1, 2), (1, 3), (2, 3)]
     # remaining graph is the triangle on the leaves
     assert g.adj == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+    e, fill = EliminationGraph.of(star_pattern(3)).eliminate(0)
+    assert fill == 3
+    assert e.nodes == [1, 2, 3]
+    assert live_edges(e) == [(1, 2), (1, 3), (2, 3)]
+    assert e.degree.tolist() == [2, 2, 2]
 
 
 def test_eliminate_leaf_adds_nothing():
-    g = EliminationGraph(path_pattern(3))
+    g = ReferenceGraph(path_pattern(3))
     assert g.eliminate(0) == []
     assert g.num_edges == 1
+    e, fill = EliminationGraph.of(path_pattern(3)).eliminate(0)
+    assert fill == 0
+    assert e.num_edges == 1 and live_edges(e) == [(1, 2)]
 
 
 def test_eliminate_c4_matches_oracle():
     c4 = cycle_pattern(4)
     expected = fill_path_oracle(c4, [0, 1, 2, 3])
-    g = EliminationGraph(c4)
+    g = ReferenceGraph(c4)
     assert set(g.eliminate(0)) == expected == {(1, 3)}
+    e, fill = EliminationGraph.of(c4).eliminate(0)
+    assert fill == len(expected)
+    assert live_edges(e) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_eliminate_dead_node_rejected():
-    g = EliminationGraph(path_pattern(3))
+    g = ReferenceGraph(path_pattern(3))
     g.eliminate(0)
     with pytest.raises(EliminationError):
         g.eliminate(0)
+
+
+@pytest.mark.parametrize("row", [-1, 3, np.int64(-1), np.int64(3), np.int32(7)])
+def test_eliminate_rejects_rows_outside_the_graph(row):
+    # a row of -1 would otherwise eliminate the last row
+    g = EliminationGraph.of(path_pattern(3))
+    with pytest.raises(EliminationError, match=f"row {row} is not one of the 3 live rows"):
+        g.eliminate(row)
+    g, _ = EliminationGraph.of(SparsityPattern(1)).eliminate(0)
+    with pytest.raises(EliminationError, match="0 live rows"):
+        g.eliminate(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_eliminate_leaves_graph_and_pattern_unchanged(data):
+    p = data.draw(patterns().filter(lambda p: p.n > 0))
+    g = EliminationGraph.of(p)
+    for v in data.draw(st.permutations(range(p.n))):
+        nodes, degree, edges = list(g.nodes), g.degree.copy(), g.edges.copy()
+        pattern_edges = p.edge_array.copy()
+        after, _ = g.eliminate(g.nodes.index(v))
+        assert g.nodes == nodes
+        assert np.array_equal(g.degree, degree) and np.array_equal(g.edges, edges)
+        assert np.array_equal(p.edge_array, pattern_edges)
+        g = after
 
 
 def test_clique_invariant_after_eliminate():
     rng = np.random.default_rng(11)
     for _ in range(50):
         p = random_pattern(rng, int(rng.integers(2, 12)))
-        g = EliminationGraph(p)
+        g = ReferenceGraph(p)
         v = int(rng.choice(sorted(g.live)))
         nbrs = sorted(g.adj[v])
         g.eliminate(v)
+        e, _ = EliminationGraph.of(p).eliminate(v)   # row v is node v
         for a, b in itertools.combinations(nbrs, 2):
             assert b in g.adj[a] and a in g.adj[b]
+            assert (a, b) in live_edges(e)
 
 
 def test_edge_count_conservation():
@@ -74,7 +122,8 @@ def test_edge_count_conservation():
     for _ in range(50):
         n = int(rng.integers(1, 14))
         p = random_pattern(rng, n)
-        g = EliminationGraph(p)
+        g = ReferenceGraph(p)
+        e = EliminationGraph.of(p)
         order = rng.permutation(n)
         for v in order:
             before = g.num_edges
@@ -83,6 +132,13 @@ def test_edge_count_conservation():
             assert g.num_edges == before - deg + len(fill)
             # spot-check the adjacency symmetry invariant
             assert g.num_edges * 2 == sum(len(s) for s in g.adj.values())
+            # the same step by row, against the reference
+            row = e.nodes.index(int(v))
+            assert e.num_edges == before and e.degree[row] == deg
+            e, e_fill = e.eliminate(row)
+            assert e_fill == len(fill)
+            assert e.num_edges == before - deg + e_fill == g.num_edges
+            assert e.num_edges * 2 == e.degree.sum()
 
 
 def test_factorize_path_natural_order_is_zero_fill():
@@ -202,13 +258,19 @@ def test_leaf_peeling_trees_are_zero_fill():
     for _ in range(30):
         n = int(rng.integers(2, 20))
         tree = random_tree(rng, n)
-        g = EliminationGraph(tree)
-        total = 0
+        g = ReferenceGraph(tree)
+        e = EliminationGraph.of(tree)
+        total = e_total = 0
         while g.live:
             leaves = sorted(v for v in g.live if g.degree(v) <= 1)
             v = int(rng.choice(leaves))
             total += len(g.eliminate(v))
-        assert total == 0
+            row = e.nodes.index(v)
+            assert e.degree[row] <= 1
+            e, fill = e.eliminate(row)
+            e_total += fill
+        assert total == e_total == 0
+        assert e.nodes == [] and e.num_edges == 0
 
 
 def test_symbolic_factorize_trace_matches_filled_graph():

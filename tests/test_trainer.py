@@ -8,12 +8,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (blow_up_actor, clique_pattern, environment_edges, fill_edges,
-                      first_complete_step, path_pattern, patched_snapshot, patterns,
-                      random_pattern, reference_episode, reference_features,
-                      reference_rollout, snapshot_edges, star_pattern, tie_heavy_patterns,
-                      twin_heavy_patterns)
-from fillreduce import (EliminationGraph, EliminationTrace, NetworkError, SparsityPattern,
+from conftest import (ReferenceGraph, blow_up_actor, clique_pattern, eliminated_graph,
+                      environment_edges, fill_edges, fill_steps, first_complete_step,
+                      path_pattern, pattern_features, patterns, random_pattern,
+                      reference_episode, reference_features, reference_rollout,
+                      snapshot_edges, star_pattern, tie_heavy_patterns, twin_heavy_patterns)
+from fillreduce import (EliminationTrace, NetworkError, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return, compute_features,
                         forward, generate_delaunay, policy_net,
                         generate_training_set, losses, normalize_features,
@@ -155,7 +155,8 @@ def rollout_cases(draw):
 @example((SparsityPattern(1), 0, 0))
 @given(rollout_cases())
 def test_rollout_matches_symbolic_factorization(case):
-    # the oracle of the snapshot's fill count m' - m + d
+    # the rollout's fill count m' - m + d, per step, against the reference
+    # graph's fill edges
     p, net_seed, rng_seed = case
     net = fresh_net(net_seed)
     for rng in (None, np.random.default_rng(rng_seed)):
@@ -165,21 +166,7 @@ def test_rollout_matches_symbolic_factorization(case):
         assert got.fill == trace.fill
         assert got.edges_before == trace.edges_before
         assert got.total_fill == len(fill_edges(p, ordering))
-
-
-def test_rollout_builds_no_elimination_graph(monkeypatch):
-    def refuse(self, pattern):
-        raise AssertionError("a rollout or its replay built an EliminationGraph")
-
-    monkeypatch.setattr(EliminationGraph, "__init__", refuse)
-    net = fresh_net(12)
-    p = generate_delaunay(40, np.random.default_rng(55))
-    for rng in (None, np.random.default_rng(56)):
-        trace, _ = rollout(net, p, rng, greedy=rng is None)
-        assert len(trace) == p.n
-        returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
-        _, values, log_probs = episode_gradients(net, p, trace, returns)
-        assert len(values) == len(log_probs) == p.n
+        assert got.fill == [len(f) for f in fill_steps(p, ordering)]
 
 
 def test_rollout_greedy_is_deterministic_and_needs_no_rng():
@@ -324,7 +311,7 @@ def test_fresh_actor_is_uniform_on_complete_graphs(backbone):
     nets = [PolicyValueNet(NetConfig(backbone=backbone), rng=np.random.default_rng(seed))
             for seed in (0, 1, 2)]
     for k in [*range(1, 65), 100, 250, 400]:
-        state = normalize_features(compute_features(clique_pattern(k)))
+        state = normalize_features(pattern_features(clique_pattern(k)))
         for net in nets:
             log_probs = forward(net, state)
             assert np.isfinite(log_probs).all()
@@ -377,17 +364,17 @@ def test_replayed_log_probs_match_each_steps_snapshot(greedy):
     returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
     _, _, replayed = episode_gradients(net, p, trace, returns)
     assert len(replayed) == p.n
-    g = EliminationGraph(p)
+    g = ReferenceGraph(p)
     for t in range(p.n):
-        state = patched_snapshot(p, trace.nodes[:t])
+        state = compute_features(eliminated_graph(p, trace.nodes[:t]))
         k = len(g.live)
-        assert state.nodes == sorted(g.live)
+        assert state.graph.nodes == sorted(g.live)
         assert g.num_edges == trace.edges_before[t]
-        assert np.array_equal(snapshot_edges(state.adjacency, k, g.num_edges),
+        assert np.array_equal(snapshot_edges(state.graph, k, g.num_edges),
                               environment_edges(g))
         assert np.array_equal(state.x, reference_features(g))
         log_probs = forward(net, normalize_features(state))
-        row = state.nodes.index(ordering[t])
+        row = state.graph.nodes.index(ordering[t])
         assert replayed[t] == log_probs[row]
         if greedy:
             # on a complete live graph, the lowest remaining row
