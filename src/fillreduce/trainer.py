@@ -19,7 +19,13 @@ pass replays the episode from the pattern, rebuilding each step's graph by
 the rollout's own eliminations, and runs both towers, stacked once per
 episode in a ``TowerStack``, through one ``evaluate`` and one ``backward``
 per step; so it gets the rollout's floats again and holds one step's
-graph and activations at a time.
+graph and activations at a time. It stops rebuilding at the first complete
+graph: the k rows of K_k are alike, so each step from there on is one node,
+whose features depend only on whether k is 1, 2 or at least 3. The tail is
+replayed as at most three one-node passes, one per such class, each with
+the critic's upstreams of its steps summed and no actor upstream, the
+actor's exact gradient there being zero; every tail step's chosen log-prob
+is exactly -log k.
 
 Where the process may run on two or more CPUs and can fork, ``train`` forks
 one replay worker for the run, pinned to a CPU of its own, and splits each
@@ -27,14 +33,15 @@ long enough episode's replay between the two processes at the step
 ``_split_step`` picks to balance the work: this process replays the steps
 before it, the worker the steps from it on. The floats cannot move:
 ``backward`` adds exactly one array into each gradient array (into each
-hop's own columns of a weight) per step, and nothing it adds reads the sum,
-so the episode's gradient is the sum, in step order, of per-step arrays
-that can be computed anywhere. The worker computes each of its steps' into
-fresh zeros, and adds them one by one, in step order, onto this process's
-sum once that arrives. Besides its copy of this process from the fork, the
-worker holds one episode's pattern and the per-step gradients of its
-share, about 40 KB per step. Elsewhere the whole replay runs here, through
-the same function.
+hop's own columns of a weight) per pass, a step or a class of the tail, and
+nothing it adds reads the sum, so the episode's gradient is the sum, in
+step order, of per-pass arrays that can be computed anywhere. The split
+never falls inside the tail, which goes to the process that replays its
+first step. The worker computes each of its passes' into fresh zeros, and
+adds them one by one, in step order, onto this process's sum once that
+arrives. Besides its copy of this process from the fork, the worker holds
+one episode's pattern and the per-pass gradients of its share, about 40 KB
+per pass. Elsewhere the whole replay runs here, through the same function.
 """
 
 from __future__ import annotations
@@ -43,12 +50,13 @@ import os
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .features import compute_features, normalize_features
+from .features import NodeFeatures, compute_features, normalize_features
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack, backward,
                          check_operator_size, evaluate, forward, save_checkpoint)
 from .sparsity import Ordering, SparsityPattern, _open_text
@@ -216,31 +224,52 @@ class ReplayError(RuntimeError):
 # 2-CPU box): PATCH_US is the elimination that builds the next graph, a + b k,
 # and STEP_US the towers' forward and backward, a + b k + c k^2, whose k^2
 # term is the dense operator's products. HANDOFF_US is the time a message
-# takes to reach the worker or come back, and MERGE_US the worker's cost of
-# adding one step's gradient onto the parent's sum.
+# takes to reach the worker or come back, MERGE_US the worker's cost of
+# adding one pass's gradient onto the parent's sum, and TAIL_US the complete
+# tail's one-node passes, three for most episodes (0.9-1.5 ms measured).
 PATCH_US = (30.0, 0.7)
 STEP_US = (170.0, 0.75, 0.022)
 HANDOFF_US = 600.0
 MERGE_US = 12.0
+TAIL_US = 1200.0
 
 
-def _split_step(n: int) -> int:
-    """The first step of an n-step episode that the replay worker replays.
+def _split_step(n: int, t_c: int) -> int:
+    """The first step of an n-step episode, whose first complete step is
+    ``t_c``, that the replay worker replays.
 
     The parent replays the steps before it. The worker starts a message
-    later, eliminates its way to it and replays the rest; once both are done it
-    adds its steps onto the parent's sum and sends that back. The step with
-    the earliest modelled finish is taken, or n, so nothing goes to the
+    later, eliminates its way to it and replays the rest, the complete tail
+    as one unit of ``TAIL_US``; once both are done it adds its steps onto the
+    parent's sum and sends that back. The step with the earliest modelled
+    finish is taken, never one inside the tail, or n, so nothing goes to the
     worker, where handing the episode over would not finish sooner.
     """
-    k = np.arange(n, 0, -1, dtype=np.float64)          # live nodes at each step
+    k = np.arange(n, n - t_c, -1, dtype=np.float64)   # live nodes at each step before the tail
     patch = PATCH_US[0] + PATCH_US[1] * k
-    step = patch + STEP_US[0] + (STEP_US[1] + STEP_US[2] * k) * k
-    parent = np.concatenate(([0.0], np.cumsum(step)))  # steps [0, t1) for t1 = 0..n
-    worker = HANDOFF_US + np.concatenate(([0.0], np.cumsum(patch))) + parent[-1] - parent
-    finish = (np.maximum(parent, worker) + MERGE_US * np.arange(n, -1, -1)) + HANDOFF_US
+    step = np.append(patch + STEP_US[0] + (STEP_US[1] + STEP_US[2] * k) * k, TAIL_US)
+    parent = np.concatenate(([0.0], np.cumsum(step)))  # steps [0, t1) for t1 = 0..t_c, then all
+    worker = HANDOFF_US + np.concatenate(([0.0], np.cumsum(patch))) + parent[-1] - parent[:-1]
+    finish = np.maximum(parent[:-1], worker) + MERGE_US * np.arange(t_c + 1, 0, -1) + HANDOFF_US
     t1 = int(finish.argmin())
     return t1 if finish[t1] < parent[-1] else n
+
+
+def _first_complete_step(trace: EliminationTrace) -> int:
+    """The first step whose live graph is complete, k nodes and k(k-1)/2
+    edges, where the rollout stops evaluating; n for an empty episode."""
+    n = len(trace)
+    return next((t for t, m in enumerate(trace.edges_before)
+                 if m == (n - t) * (n - t - 1) // 2), n)
+
+
+def _complete_node(k: int) -> NodeFeatures:
+    """One node whose towers are those of each row of the complete graph
+    K_k, all alike: K_k's normalized features, (1, 1) for k >= 3, (1, 0) for
+    k = 2 and (0, 0) for k = 1, on a graph of one node, whose operator [[1]]
+    sums as each of K_k's operator rows does under either backbone."""
+    x = np.array([[min(k - 1, 1), k >= 3]], dtype=np.float64)
+    return NodeFeatures(x, EliminationGraph.of(SparsityPattern(1)))
 
 
 def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: EliminationTrace,
@@ -248,20 +277,32 @@ def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: Eliminati
                   grads: dict[str, np.ndarray] | None = None
                   ) -> tuple[list[float], list[float], list[dict[str, np.ndarray]]]:
     """Replay steps [start, stop) of an episode: the values, the chosen
-    log-probs and, without ``grads``, each step's own gradient.
+    log-probs and, without ``grads``, each pass's own gradient.
 
     Step ``start``'s graph is rebuilt from the pattern by the rollout's
     eliminations, and each step's by one more, so the actor reads the
     rollout's floats again; features are computed from step ``start`` on.
     The advantage is the step's return minus the value, and the step's tape
     is freed before the next graph is built.
+
+    No graph is built from the first complete step t_c on. The k rows of
+    the complete graph K_k are all alike, so they are the towers of one
+    node, ``_complete_node(k)``: each tail step's value is that node's, its
+    chosen log-prob is exactly -log k, and the actor's exact gradient is
+    zero. So the tail is one unit, replayed after step t_c - 1 by whichever
+    call's range holds t_c: per run of steps whose nodes are alike (k >= 3,
+    k = 2, k = 1), one ``evaluate`` of the one node and one ``backward``,
+    with a zero actor upstream and, for the critic, the sum in step order
+    of the run's steps' upstreams.
     """
     n = len(trace)
+    t_c = _first_complete_step(trace)
+    end = min(stop, t_c)
     values: list[float] = []
     chosen: list[float] = []
     kept: list[dict[str, np.ndarray]] = []
     g = EliminationGraph.of(pattern)
-    for t, node in enumerate(trace.nodes[:stop]):
+    for t, node in enumerate(trace.nodes[:end]):
         row = bisect_left(g.nodes, node)
         if t >= start:
             log_probs, v, tape = evaluate(towers, normalize_features(compute_features(g)))
@@ -274,7 +315,19 @@ def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: Eliminati
                 kept.append(step)
             values.append(v)
             chosen.append(float(log_probs[row]))
-        g, _ = g.eliminate(row)
+        if t + 1 < end:
+            g, _ = g.eliminate(row)
+    if start <= t_c < stop:
+        for least, steps in groupby(range(t_c, n), key=lambda t: min(n - t, 3)):
+            _, v, tape = evaluate(towers, _complete_node(least))
+            d_value = 0.0
+            for t in steps:
+                d_value += -2.0 * (returns[t] - v) / n
+                values.append(v)
+                chosen.append(float(0.0 - np.log(n - t)))   # +0.0 at k = 1, as log_softmax gives
+            step = backward(towers, tape, np.zeros(1), d_value, grads)
+            if grads is None:
+                kept.append(step)
     return values, chosen, kept
 
 
@@ -287,11 +340,12 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
     chosen node.
 
     Replays the episode from the pattern, both towers stacked once for the
-    episode, and adds each step's gradient, in step order, into one sum
-    that starts at zero. With ``worker``, a connection from
-    ``replay_worker``, the steps from ``_split_step(n)`` on are replayed
-    there while this process replays the ones before, with the same floats
-    (see the module docstring).
+    episode, and adds each pass's gradient, a step's or a class of the
+    complete tail's (``_replay_steps``), in step order, into one sum that
+    starts at zero. With ``worker``, a connection from ``replay_worker``,
+    the steps from ``_split_step(n, t_c)`` on are replayed there while this
+    process replays the ones before, with the same floats (see the module
+    docstring).
     """
     n = len(trace)
     if pattern.n != n or len(returns) != n:
@@ -299,7 +353,7 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
                          f"returns, got {n} steps and {len(returns)} returns")
     towers = TowerStack(net)
     grads = towers.zero_grads()
-    split = n if worker is None else _split_step(n)
+    split = n if worker is None else _split_step(n, _first_complete_step(trace))
     if split < n:
         _message(worker.send, (net.config, net.params, pattern, trace, returns, split))
     values, chosen, _ = _replay_steps(towers, pattern, trace, returns, 0, split, grads)
@@ -340,12 +394,12 @@ def _replay_share(conn: Connection, config: NetConfig, params: dict[str, np.ndar
                   pattern: SparsityPattern, trace: EliminationTrace, returns: np.ndarray,
                   start: int) -> tuple[dict[str, np.ndarray], list[float], list[float]] | str:
     """The worker's share of one episode: replay the steps from ``start`` on,
-    each step's gradient into fresh zeros (0 + x is x, and a sum that starts
+    each pass's gradient into fresh zeros (0 + x is x, and a sum that starts
     at +0.0 never holds -0.0, so a -0.0 turned +0.0 adds the same), then add
     them one by one, in step order, onto the parent's sum of the steps
     before, which it receives meanwhile. Returns that sum, the values and
     the chosen log-probs, or, if the replay raised, its traceback. The
-    per-step gradients go when it returns, before the next episode."""
+    per-pass gradients go when it returns, before the next episode."""
     try:
         towers = TowerStack(PolicyValueNet(config, params=params))
         values, chosen, steps = _replay_steps(towers, pattern, trace, returns,
@@ -366,7 +420,7 @@ def replay_worker() -> Iterator[Connection | None]:
     """A forked process for ``episode_gradients`` to replay the later steps
     of each episode on, or None where it would have no CPU of its own (the
     process may run on fewer than two) or cannot be forked. It holds one
-    episode's pattern and its per-step gradients, about 40 KB per step. It
+    episode's pattern and its per-pass gradients, about 40 KB per pass. It
     is stopped and joined on exit, and killed first if the body raised."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if len(cpus) < 2:

@@ -12,7 +12,7 @@ from fillreduce import (EliminationError, EliminationGraph, EliminationTrace, Ne
                         Ordering, SparsityPattern, TowerStack, backward, compute_features,
                         forward, normalize_features, policy_net, sparsity, symbolic_factorize)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
-from fillreduce.features import NUM_FEATURES
+from fillreduce.features import NUM_FEATURES, NodeFeatures
 
 
 @pytest.fixture(autouse=True)
@@ -448,11 +448,20 @@ def first_complete_step(trace) -> int:
 def reference_episode(net, pattern, rng, to_returns):
     """One sampled episode and its gradient the way training did it with a
     tape per step: the rollout keeps every step's completed tape, and the
-    gradient pass runs ``backward`` on the kept tapes.
+    gradient pass runs ``backward`` on the kept tapes up to the first
+    complete state.
+
+    From there on, the tail rule: the tail's steps are grouped by the
+    normalized feature row of their complete live graph, whose rows are all
+    alike, in order of first appearance. Each group is one node with that
+    row, evaluated once: its value is each step's value, and its gradient
+    one ``backward`` with no actor upstream and, for the critic, the sum in
+    step order of the group's steps' upstreams, added after the steps before
+    the tail. Each tail step's chosen log-prob is -log k.
 
     Returns (gradients, values, log-probs, ordering).
     """
-    tapes, rows, values, nodes = [], [], [], []
+    tapes, rows, values, nodes, feature_rows = [], [], [], [], []
     g = EliminationGraph.of(pattern)
     for _ in range(pattern.n):
         x = normalize_features(compute_features(g))
@@ -464,20 +473,39 @@ def reference_episode(net, pattern, rng, to_returns):
         tapes.append(tape)
         rows.append(row)
         nodes.append(g.nodes[row])
+        feature_rows.append(x.x[0].tobytes())
         g, _ = g.eliminate(row)
     ordering = Ordering(nodes)
     trace = symbolic_factorize(pattern, ordering)
     returns = to_returns(trace.edges_before, trace.rewards)
+    n, t_c = len(tapes), first_complete_step(trace)
+    log_probs = [float(tape.log_probs[row]) for tape, row in zip(tapes, rows)]
+    groups = {}
+    for t in range(t_c, n):
+        groups.setdefault(feature_rows[t], []).append(t)
+        log_probs[t] = 0.0 - np.log(n - t)
+    one = EliminationGraph.of(SparsityPattern(1))
+    tail = []
+    for key, steps in groups.items():
+        _, v, tape = evaluate(net, NodeFeatures(np.frombuffer(key).reshape(1, -1), one))
+        tail.append((tape, steps))
+        for t in steps:
+            values[t] = v
     adv = returns - np.asarray(values, dtype=np.float64)
-    n = len(tapes)
-    grads = net.zero_grads()
-    for t, tape in enumerate(tapes):
+    passes = []    # (tape, actor upstream, critic upstream), in the order they are added
+    for t, tape in enumerate(tapes[:t_c]):
         d_log_probs = np.zeros_like(tape.log_probs)
         d_log_probs[rows[t]] = -adv[t] / n
-        step = gradients(tape, d_log_probs, -2.0 * adv[t] / n)
-        for name, arr in step.items():
+        passes.append((tape, d_log_probs, -2.0 * adv[t] / n))
+    for tape, steps in tail:
+        d_value = 0.0
+        for t in steps:
+            d_value += -2.0 * adv[t] / n
+        passes.append((tape, np.zeros(1), d_value))
+    grads = net.zero_grads()
+    for tape, d_log_probs, d_value in passes:
+        for name, arr in gradients(tape, d_log_probs, d_value).items():
             grads[name] += arr
-    log_probs = [float(tape.log_probs[row]) for tape, row in zip(tapes, rows)]
     return grads, values, log_probs, ordering
 
 

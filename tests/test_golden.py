@@ -25,9 +25,9 @@ from fillreduce.trainer import write_training_log
 
 # sha256 of the trained arrays in param_shapes order: per tower, each
 # layer's w then b, then head.w and head.b
-PARAMS_SHA256 = "04cfa82e0fa9e783278abffb64f7ddf400c59ef6b8049bdc497c089a05fef1d2"
+PARAMS_SHA256 = "dbde2c089d1d8b2ec25b4bd2e936e20284ca60ea69774ee7bf5541bb145b573b"
 
-CHECKPOINT_SHA256 = "422781215cff316b2e93ea2113a7c6c1fdaae626bee04da9e766d9ae784bef0e"
+CHECKPOINT_SHA256 = "21d1a26ab43bccbd426104a72df0925ccd2332fb65f85a2397aa9158313cbf06"
 
 TRAINING_LOG = (
     "1,0,182,0.501,0.372721\n"

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ReferenceGraph, blow_up_actor, clique_pattern, eliminated_graph,
-                      environment_edges, fill_edges, fill_steps, first_complete_step,
-                      path_pattern, pattern_features, patterns, random_pattern,
+                      environment_edges, evaluate, fill_edges, fill_steps, first_complete_step,
+                      gradients, path_pattern, pattern_features, patterns, random_pattern,
                       reference_episode, reference_features, reference_rollout,
                       snapshot_edges, star_pattern, tie_heavy_patterns, twin_heavy_patterns)
 from fillreduce import (EliminationTrace, NetworkError, SparsityPattern,
@@ -553,6 +553,47 @@ def test_adam_matches_reference_update():
         assert np.allclose(net.params[name] - before[name], expected_delta)
 
 
+def largest(arrays):
+    return {name: np.abs(arr).max() for name, arr in arrays.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 40), st.sampled_from(BACKBONES), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)), st.data())
+def test_complete_graph_is_one_node(k, backbone, seed, upstream, data):
+    # the replay's tail rule against the full k-node pass that it replaces
+    net = PolicyValueNet(NetConfig(backbone=backbone), rng=np.random.default_rng(seed))
+    state = normalize_features(pattern_features(clique_pattern(k)))
+    one = trainer._complete_node(k)
+    assert np.array_equal(state.x, np.repeat(one.x, k, axis=0))
+    log_probs, value, tape = evaluate(net, state)
+    one_log_probs, one_value, one_tape = evaluate(net, one)
+    assert one_log_probs.tobytes() == np.zeros(1).tobytes()
+    assert one_value == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert np.allclose(log_probs, -np.log(k), rtol=1e-12, atol=0)
+    # the critic's gradient for one upstream; neither pass moves the actor
+    full = gradients(tape, np.zeros(k), upstream)
+    single = gradients(one_tape, np.zeros(1), upstream)
+    scale = largest(full)
+    for name, arr in full.items():
+        if name.startswith("actor."):
+            assert not arr.any() and not single[name].any()
+        else:
+            assert np.abs(single[name] - arr).max() <= 1e-12 * scale[name], name
+    # the actor's exact gradient under a one-hot upstream is zero: what the
+    # full pass adds is rounding, against the gradient of the chosen logit
+    row = data.draw(st.integers(0, k - 1))
+    one_hot = np.zeros(k)
+    one_hot[row] = upstream
+    actor = gradients(tape, one_hot, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy_net, "log_softmax_backward", lambda softmax, d: d)
+        logit = largest(gradients(tape, one_hot, 0.0))
+    for name, arr in actor.items():
+        if name.startswith("actor."):
+            assert np.abs(arr).max() <= 1e-13 * logit[name], name
+
+
 @pytest.mark.parametrize("backbone", ["mixhop", "singlehop"])
 @pytest.mark.parametrize("returns", [adaptive_saturation_return, raw_return])
 @pytest.mark.parametrize("graph", ["random", "delaunay"])
@@ -624,10 +665,14 @@ def test_two_process_replay_is_bytes_equal_to_one_process(worker, pattern, backb
     trace, _ = rollout(net, pattern, rng)
     returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
     want, want_values, want_chosen = episode_gradients(net, pattern, trace, returns)
-    n = pattern.n
-    for split in {0, 1, n - 1, n, int(rng.integers(n + 1))} & set(range(n + 1)):
+    n, t_c = pattern.n, first_complete_step(trace)
+    # splits inside the complete tail too: its replay goes, as one unit, to
+    # whichever process replays step t_c
+    splits = {0, 1, t_c, t_c + 1, n - 1, n, int(rng.integers(n + 1)),
+              int(rng.integers(t_c, n + 1))}
+    for split in splits & set(range(n + 1)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trainer, "_split_step", lambda steps: split)
+            mp.setattr(trainer, "_split_step", lambda steps, first_complete: split)
             grads, values, chosen = episode_gradients(net, pattern, trace, returns, worker)
         assert grads.keys() == want.keys()
         assert all(grads[name].tobytes() == want[name].tobytes() for name in want), split
@@ -636,9 +681,14 @@ def test_two_process_replay_is_bytes_equal_to_one_process(worker, pattern, backb
 
 
 def test_split_step_keeps_small_episodes_in_process():
-    assert [trainer._split_step(n) for n in (0, 1, 2, 5)] == [0, 1, 2, 5]
+    assert [trainer._split_step(n, t_c) for n, t_c in
+            [(0, 0), (1, 0), (2, 0), (2, 1), (5, 0), (5, 3)]] == [0, 1, 2, 2, 5, 5]
     for n in (60, 200, 1000):
-        assert 0 < trainer._split_step(n) <= n / 2   # the first steps are the largest
+        for t_c in (n // 2, n - 30, n - 1):
+            split = trainer._split_step(n, t_c)
+            assert 0 < split <= t_c     # never inside the tail
+            if t_c <= n - 30:           # a tail as long as in sampled episodes
+                assert split <= n / 2   # the first steps are the largest
 
 
 def test_train_on_two_processes_matches_one(monkeypatch):
@@ -662,6 +712,42 @@ def test_train_on_two_processes_matches_one(monkeypatch):
     assert [e.format() for e in log] == [e.format() for e in want_log]
     assert all(net.params[name].tobytes() == want_net.params[name].tobytes()
                for name in want_net.params)
+
+
+@pytest.mark.parametrize("pattern, rows", [
+    (SparsityPattern(1), [1]),
+    (clique_pattern(2), [1, 1]),
+    (clique_pattern(5), [1, 1, 1]),
+    (SparsityPattern(2), [2, 1]),
+    (path_pattern(3), [3, 1, 1]),
+], ids=["one_node", "clique2", "clique5", "two_isolated", "path3"])
+def test_train_on_tail_heavy_episodes(monkeypatch, pattern, rows):
+    # `rows` are those of each state the replay evaluates: the live graph of
+    # each step before the first complete one, then one node per class of k.
+    # The first three episodes are all tail; two isolated nodes have only
+    # the k = 1 class
+    cfg = TrainerConfig(epochs=2, seed=6)
+    real = trainer.evaluate
+    seen = []
+
+    def counting(towers, state):
+        seen.append(len(state.x))
+        return real(towers, state)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        mp.setattr(trainer, "evaluate", counting)
+        want_net, want_log = train([pattern], cfg)
+    assert seen == rows * 2
+    assert all(np.isfinite([e.l_actor, e.l_critic]).all() for e in want_log)
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the replay worker needs two CPUs")
+    for split in range(pattern.n + 1):
+        monkeypatch.setattr(trainer, "_split_step", lambda steps, first_complete: split)
+        net, log = train([pattern], cfg)
+        assert [e.format() for e in log] == [e.format() for e in want_log]
+        assert all(net.params[name].tobytes() == want_net.params[name].tobytes()
+                   for name in want_net.params), split
 
 
 def test_train_leaves_no_child_after_non_finite_gradient(monkeypatch):
