@@ -3,12 +3,15 @@
 Only the zero/nonzero structure matters here: numeric values are parsed for
 validation and then dropped, and unsymmetric inputs are symmetrized so the
 pattern always describes an undirected graph. A pattern keeps its edges in
-one sorted int32 array, so loading and scoring make no Python tuple per edge.
+one sorted int32 array and its stored diagonal in another, and the loader
+reads the entries from the file's bytes, so loading and scoring make no
+Python object per entry.
 """
 
 from __future__ import annotations
 
 import operator
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -46,6 +49,31 @@ def _edge_ends(n: int, edges) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the non-negative int array ``a``, sorted
+    (numpy's unique hashes them, several times slower)."""
+    a = np.sort(a)
+    return a[np.flatnonzero(np.diff(a, prepend=-1))]
+
+
+def _diagonal_nodes(n: int, nodes) -> np.ndarray:
+    """``nodes`` as an int64 array; the first non-integer or out-of-range
+    node raises PatternError."""
+    if isinstance(nodes, np.ndarray) and nodes.dtype.kind in "iu" and nodes.ndim == 1:
+        if not (nodes.size and (nodes.min() < 0 or nodes.max() >= n)):
+            return nodes.astype(np.int64)
+    flat = []
+    for d in nodes:
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise PatternError(f"diagonal index {d!r} is not an integer") from None
+        if not 0 <= d < n:
+            raise PatternError(f"diagonal index {d} out of range for n={n}")
+        flat.append(d)
+    return np.array(flat, dtype=np.int64)
+
+
 class SparsityPattern:
     """Symmetric off-diagonal nonzero structure of an n x n matrix, n <= 2^31.
 
@@ -53,41 +81,39 @@ class SparsityPattern:
     i < j of a read-only int32 ``(2, m)`` array, columns sorted; self-loops
     are rejected. The package reads only this array. ``edges`` builds the
     same edges as a frozenset of tuples on each access and keeps nothing, so
-    a pattern holds one form of its edges. ``diagonal`` records which nodes
-    carried an explicitly stored diagonal entry; it is informational only (a
-    structural diagonal is assumed present for every node regardless).
+    a pattern holds one form of its edges. ``diagonal_array`` holds the
+    nodes that carried an explicitly stored diagonal entry, read-only, sorted
+    and int32, and ``diagonal`` builds their frozenset on each access; it is
+    informational only (a structural diagonal is assumed present for every
+    node regardless).
 
     Instances are immutable by convention and safe to share across workers.
     """
 
-    __slots__ = ("n", "edge_array", "diagonal")
+    __slots__ = ("n", "edge_array", "diagonal_array")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  diagonal: Iterable[int] = ()):
         if not 0 <= n <= 2 ** 31:
             raise PatternError(f"node count must be in [0, 2**31], got {n}")
         ends = _edge_ends(n, edges)
-        # sort by one int64 key per edge, below n^2 <= 2^62
-        key = np.sort(np.minimum(ends[:, 0], ends[:, 1]) * n + np.maximum(ends[:, 0], ends[:, 1]))
-        key = key[np.flatnonzero(np.diff(key, prepend=-1))]
-        diag = set()
-        for d in diagonal:
-            try:
-                d = operator.index(d)
-            except TypeError:
-                raise PatternError(f"diagonal index {d!r} is not an integer") from None
-            if not 0 <= d < n:
-                raise PatternError(f"diagonal index {d} out of range for n={n}")
-            diag.add(d)
+        # one int64 key per edge, below n^2 <= 2^62
+        key = _distinct(np.minimum(ends[:, 0], ends[:, 1]) * n + np.maximum(ends[:, 0], ends[:, 1]))
         self.n = n
         self.edge_array = np.stack(np.divmod(key, max(n, 1))).astype(np.int32)
         self.edge_array.flags.writeable = False
-        self.diagonal = frozenset(diag)
+        self.diagonal_array = _distinct(_diagonal_nodes(n, diagonal)).astype(np.int32)
+        self.diagonal_array.flags.writeable = False
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (i, j) tuples, i < j, built on each access."""
         return frozenset(zip(*self.edge_array.tolist()))
+
+    @property
+    def diagonal(self) -> frozenset[int]:
+        """The nodes with a stored diagonal entry, built on each access."""
+        return frozenset(self.diagonal_array.tolist())
 
     @property
     def num_edges(self) -> int:
@@ -96,11 +122,11 @@ class SparsityPattern:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsityPattern):
             return NotImplemented
-        return ((self.n, self.diagonal) == (other.n, other.diagonal)
-                and np.array_equal(self.edge_array, other.edge_array))
+        return (self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+                and np.array_equal(self.diagonal_array, other.diagonal_array))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_array.tobytes(), self.diagonal))
+        return hash((self.n, self.edge_array.tobytes(), self.diagonal_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"SparsityPattern(n={self.n}, edges={self.num_edges})"
@@ -196,9 +222,9 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     Numeric values are discarded; explicitly stored zeros count as nonzeros
     (pattern semantics) and duplicate entries are merged. General files are
     symmetrized as A + A^T; symmetric-family headers expand the stored
-    triangle. The entry lines are parsed together into arrays. Raises
-    PatternError on malformed input, naming the first bad entry line in file
-    order, and on a declared size above ``MAX_NODES``.
+    triangle. The entry lines are tokenized and parsed on the file's bytes
+    into arrays. Raises PatternError on malformed input, naming the first
+    bad entry line in file order, and on a declared size above ``MAX_NODES``.
     """
     with _open_text(source, "r") as fh:
         header = fh.readline()
@@ -241,26 +267,12 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
             raise PatternError(f"matrix declares {rows} nodes, more than the "
                                f"supported {MAX_NODES}")
 
-        width = _ENTRY_WIDTH[field]
-        lines = [s for s in map(str.strip, fh) if s and s[0] != "%"]
-    # "|" after each line never parses as a number, so if every other token
-    # does, each line held exactly ``width`` of them
-    text = " | ".join(lines + [""])
-    tokens = text.split()
-    step = width + 1
-    try:
-        if len(lines) != count or len(tokens) != step * count or _off_spec(text):
-            raise ValueError
-        for c in range(2, width):
-            np.fromiter(map(float, tokens[c::step]), np.float64, count)  # validate, then discard
-        ends = np.stack([np.fromiter(map(int, tokens[c::step]), np.int64, count)
-                         for c in (0, 1)], axis=1) - 1
-        if count and (ends.min() < 0 or ends.max() >= rows):
-            raise ValueError
-    except (ValueError, OverflowError):
-        raise _entry_error(lines, field, rows, count) from None
+        text = fh.read()
+    ends = _entry_ends(text, _ENTRY_WIDTH[field], rows, count)
+    if ends is None:
+        raise _entry_error(text, field, rows, count)
     loop = ends[:, 0] == ends[:, 1]
-    return SparsityPattern(rows, ends[~loop], np.unique(ends[loop, 0]).tolist())
+    return SparsityPattern(rows, ends[~loop], ends[loop, 0])
 
 
 # int() and float() also read "1_0" as 10 and non-ASCII digits, which the format has not
@@ -268,9 +280,107 @@ def _off_spec(text: str) -> bool:
     return not text.isascii() or "_" in text
 
 
-def _entry_error(lines: list[str], field: str, n: int, count: int) -> PatternError:
+# The bytes of a number token (int()'s sign and digits, float()'s point,
+# exponent, inf, infinity and nan) and the whitespace that C's isspace(), and
+# so numpy's text parse, skips: str.split()'s ASCII whitespace but \x1c-\x1f.
+_PARSE_CHARS = b"+-0123456789.eEaAfFiInNtTyY \t\n\v\f\r"
+
+
+def _entry_lines(text: str) -> list[str]:
+    """The entry lines of ``text``: stripped, neither blank nor comments."""
+    return [s for s in map(str.strip, text.split("\n")) if s and s[0] != "%"]
+
+
+def _entry_ends(text: str, width: int, n: int, count: int) -> np.ndarray | None:
+    """The 0-based (i, j) of the entry lines of ``text`` as an int64
+    ``(count, 2)`` array; None if there are not ``count`` of them, or one is
+    malformed or out of range.
+
+    Lines end at "\\n", as iterating the file gives them, and tokens are
+    split at str.split()'s whitespace. The token count of each line is
+    checked on the bytes; then one numpy text parse reads the indices as
+    ints and, for a field with values, one reads the values as floats to
+    validate them and drops them.
+    """
+    if not text.isascii():
+        # strip() drops non-ASCII whitespace at either end of a line
+        text = "\n".join(_entry_lines(text))
+        if not text.isascii():
+            return None
+    raw = text.encode("ascii")
+    b = np.frombuffer(raw, np.uint8)
+    plain = not raw.translate(None, _PARSE_CHARS)        # no comment, no other byte
+    # str.split()'s whitespace; in a plain text, every byte below "!"
+    space = b <= 32 if plain else (b == 32) | (b - 9 <= 4) | (b - 28 <= 3)
+    head = ~space
+    head[1:] &= space[:-1]
+    starts = np.flatnonzero(head)                        # where each token begins
+    del head
+    newline = np.flatnonzero(b == 10)
+    per_line = np.diff(np.searchsorted(starts, newline), prepend=0, append=len(starts))
+    comment = np.zeros(len(per_line), bool)              # first token begins with "%"
+    if not plain:
+        pct = starts[b[starts] == 37]
+        line = np.searchsorted(newline, pct)
+        line_start = np.append(-1, newline)[line]
+        comment[line[np.searchsorted(starts, pct) == np.searchsorted(starts, line_start)]] = True
+    entry = (per_line > 0) & ~comment
+    if np.count_nonzero(entry) != count or (per_line[entry] != width).any():
+        return None
+    if not count:
+        return np.zeros((0, 2), np.int64)
+    if not plain:
+        # the parse's copy: every separator a space, comment lines blanked
+        line_bytes = np.diff(newline, prepend=-1, append=len(b) - 1)
+        b = b.copy()
+        np.copyto(b, np.uint8(32), where=space | np.repeat(comment, line_bytes))
+        raw = b.tobytes()
+        if raw.translate(None, _PARSE_CHARS):
+            return None
+        starts = starts[np.repeat(entry, per_line)]
+    del space
+    index = raw
+    if width > 2:
+        # each entry's values run from its third token to the next entry
+        bounds = np.empty(2 * count + 1, np.int64)
+        bounds[0], bounds[-1] = 0, len(b)
+        bounds[1::2] = starts[2::width]
+        bounds[2:-1:2] = starts[width::width]
+        value = np.repeat(np.tile([False, True], count), np.diff(bounds))
+        del bounds, starts
+        values = _numbers(b[value].tobytes(), np.float64)
+        if values is None or values.size != count * (width - 2):
+            return None
+        index = b[~value].tobytes()
+        del value, values
+    ends = _numbers(index, np.int64)
+    # an index past int64 reads as int64's largest value, so out of range too
+    if ends is None or ends.size != 2 * count or ends.min() < 1 or ends.max() > n:
+        return None
+    ends -= 1
+    return ends.reshape(count, 2)
+
+
+def _numbers(data: bytes, dtype) -> np.ndarray | None:
+    """The numbers of the whitespace-separated ``data``; None if the parse
+    meets a token it cannot read.
+
+    ``data`` is a bytes object: its hidden NUL ends the last number, where
+    the parse of an array's buffer reads on past its end.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.4 warns, and stops, at such a token
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring(data, dtype, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _entry_error(text: str, field: str, n: int, count: int) -> PatternError:
     """The error of the first entry line, in file order, that is malformed,
     out of range or past the declared ``count``; else the count mismatch."""
+    lines = _entry_lines(text)
     width = _ENTRY_WIDTH[field]
     for k, line in enumerate(lines):
         tokens = line.split()
@@ -293,7 +403,7 @@ def _entry_error(lines: list[str], field: str, n: int, count: int) -> PatternErr
 def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> None:
     """Write a pattern as a symmetric coordinate Matrix Market file (lower triangle)."""
     with _open_text(target, "w") as fh:
-        diagonal = np.array(sorted(p.diagonal), dtype=np.int64)
+        diagonal = p.diagonal_array.astype(np.int64)
         rows = np.concatenate((p.edge_array[1], diagonal)) + 1   # row >= col
         cols = np.concatenate((p.edge_array[0], diagonal)) + 1
         order = np.lexsort((cols, rows))
@@ -314,6 +424,8 @@ def load_ordering(source: str | Path | IO[str]) -> Ordering:
             if not stripped:
                 continue
             try:
+                if _off_spec(stripped):
+                    raise ValueError
                 perm.append(int(stripped))
             except ValueError as exc:
                 raise OrderingError(f"malformed ordering line: {stripped!r}") from exc
@@ -322,5 +434,4 @@ def load_ordering(source: str | Path | IO[str]) -> Ordering:
 
 def write_ordering(ordering: Ordering, target: str | Path | IO[str]) -> None:
     with _open_text(target, "w") as fh:
-        for v in ordering:
-            fh.write(f"{v}\n")
+        fh.write("".join(map("{}\n".format, ordering.perm)))

@@ -1,6 +1,9 @@
 import io
+import re
+import tempfile
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,20 +175,28 @@ def test_symmetrization_idempotent(case):
 
 FIELD_WIDTH = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}
 SYMMETRIES = ["general", "symmetric", "skew-symmetric", "hermitian"]
-BAD_INTS = ["1.0", "x", "1__0", "_1", "0x1", "1e2", "1_0", "\u0661", "\uff11"]
-VALUES = ["1.5", "-2", "0", "+3", "nan", "-inf", "1e-300", "2E5", ".5"]
-BAD_VALUES = ["abc", "1,5", "--1", "1e", "1__0", "0x1p3", "1_0", "\u0661.5"]
+BAD_INTS = ["1.0", "x", "1__0", "_1", "0x1", "1e2", "1_0", "\u0661", "\uff11", "+", "1-2", "nan",
+            "inf", "1d5", "%1"]
+VALUES = ["1.5", "-2", "0", "+3", "nan", "-inf", "1e-300", "2E5", ".5", "infinity", "-Infinity",
+          "5.", "1e999"]
+# numpy's text parse also reads "nan(1)"; it stops inside the others
+BAD_VALUES = ["abc", "1,5", "--1", "1e", "1__0", "0x1p3", "1_0", "\u0661.5", "1.5.5", "1d5",
+              "nan(1)", "inf5", "."]
+# str.split()'s whitespace, \x1c-\x1f too, which C's isspace() is not; a
+# non-ASCII one makes its line malformed
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", " \r", "\x1c", "\x1d", "\x1e", "\x1f", "\u2003"]
 
 
 @st.composite
 def matrix_market_texts(draw):
     """Coordinate files of every field and symmetry: entries spelled in the
-    ways int() and float() accept (``+3``, ``07``, ``nan``), on and off the
-    diagonal and repeated, with blank and comment lines between them; the
-    declared count is sometimes off, and some lines are malformed: a wrong
-    token count, a bad int or float (among them ``1_0`` and non-ASCII
-    digits, which int() and float() accept but the format does not), or an
-    index out of range."""
+    ways int() and float() accept (``+3``, ``07``, ``nan``, ``infinity``),
+    on and off the diagonal and repeated, split by any of str.split()'s
+    whitespace, with blank and comment lines between them and sometimes no
+    final newline; the declared count is sometimes off, and some lines are
+    malformed: a wrong token count, a bad int or float (among them ``1_0``
+    and non-ASCII digits, which int() and float() accept but the format does
+    not), or an index out of range."""
     field = draw(st.sampled_from(sorted(FIELD_WIDTH)))
     width = FIELD_WIDTH[field]
     n = draw(st.integers(0, 12))
@@ -214,18 +225,19 @@ def matrix_market_texts(draw):
     lines = []
     entries = 0
     for _ in range(draw(st.integers(0, 3 * n + 2))):
-        filler = draw(st.sampled_from(["", "  ", "\t", "% comment", "  % indented", None, None,
+        filler = draw(st.sampled_from(["", "  ", "\t", "\x0c", "\xa0", "% comment", "  % indented",
+                                       "%1 2", "\x1f%%", "% caf\xe9", None, None, None, None,
                                        None, None]))
         if filler is not None:
             lines.append(filler)
             continue
-        sep = draw(st.sampled_from([" ", "  ", "\t"]))
-        lines.append(draw(st.sampled_from(["", " "])) + sep.join(entry()))
+        sep = draw(st.sampled_from(SEPARATORS))
+        lines.append(draw(st.sampled_from(["", " ", "\x1c", "\xa0"])) + sep.join(entry()))
         entries += 1
     count = max(0, entries + draw(st.sampled_from([0, 0, 0, -1, 1, -2])))
     symmetry = draw(st.sampled_from(SYMMETRIES))
     return "\n".join([f"%%MatrixMarket matrix coordinate {field} {symmetry}",
-                      f"{n} {n} {count}", *lines]) + "\n"
+                      f"{n} {n} {count}", *lines]) + draw(st.sampled_from(["\n", ""]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -250,6 +262,39 @@ def test_loader_matches_reference_loop(text):
         assert load_matrix_market(io.StringIO(text)) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrix_market_texts(), st.sampled_from(["\n", "\r\n", "\r"]))
+@example("%%MatrixMarket matrix coordinate real general\r\n3 3 2\r\n1 2 1.5\r\n3 1 -inf\r\n", "\n")
+@example("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n", "\r")
+@example("%%MatrixMarket matrix coordinate pattern general\n3 3 3\n1\x0b2\n3\x1c1\x1f\n"
+         "\x0c2\x1d\x1e3", "\n")
+@example("%%MatrixMarket matrix coordinate integer general\n3 3 2\n1 2 7\n% 2 3 1\n  %x\n"
+         "\n2 3 +1", "\n")
+@example("%%MatrixMarket matrix coordinate complex general\n2 2 3\n1 2 nan -inf\n"
+         "2 1 infinity .5\n1 1 2E5 -0\n", "\r\n")
+@example("%%MatrixMarket matrix coordinate complex general\n2 2 3\n1 2 nan -inf\n"
+         "2 1 infinity .5\n1 1 2E5 1e\n", "\n")
+@example("%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 1.5\n1 2 1.5.5\n", "\n")
+@example("%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 0x1p3\n1 2 1\n", "\n")
+@example("%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 .5\n1 2 1d5\n", "\r")
+@example("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 nan(1)\n", "\n")
+@example("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n% 1 2\n1 2\n2 %1\n", "\n")
+def test_loader_matches_reference_loop_on_disk(text, line_end):
+    # a file on disk ends lines at "\r\n" and a lone "\r" too; StringIO
+    # keeps both, so there "\r" is a space
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mtx"
+        path.write_bytes(text.replace("\n", line_end).encode("utf-8"))
+        try:
+            expected = reference_load_matrix_market(path)
+        except PatternError as exc:
+            with pytest.raises(PatternError) as info:
+                load_matrix_market(path)
+            assert str(info.value) == str(exc)
+        else:
+            assert load_matrix_market(path) == expected
+
+
 def test_loaded_pattern_keeps_little_memory(tmp_path):
     # a frozenset of tuples kept 13.2 MB here
     path = tmp_path / "grid.mtx"
@@ -261,6 +306,25 @@ def test_loaded_pattern_keeps_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert p.num_edges == 2 * 200 * 199
+    assert kept < 4 * 2 ** 20
+
+
+def test_loaded_diagonal_keeps_little_memory(tmp_path):
+    # the 400x400 grid with all 160000 diagonal entries stored: a loop over
+    # lines and tokens peaked at 144 MiB and kept 15.3 MiB, a frozenset of
+    # ints for the diagonal; parsed from the bytes, 39.2 MiB and 3.0 MiB
+    n = 400 * 400
+    p = SparsityPattern(n, grid_pattern(400).edge_array.T, np.arange(n))
+    path = tmp_path / "grid.mtx"
+    write_matrix_market(p, path)
+    tracemalloc.start()
+    try:
+        loaded = load_matrix_market(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == p
+    assert peak < 48 * 2 ** 20
     assert kept < 4 * 2 ** 20
 
 
@@ -342,6 +406,21 @@ def test_pattern_accepts_numpy_ints_as_python_ints():
     assert list(min_degree_order(p)) == [0, 1, 2]
 
 
+def test_pattern_keeps_the_diagonal_as_an_array():
+    p = SparsityPattern(4, [(0, 1)], [3, 1, 3])
+    assert p.diagonal_array.tolist() == [1, 3] and p.diagonal_array.dtype == np.int32
+    assert not p.diagonal_array.flags.writeable
+    assert p.diagonal == {1, 3}
+    for nodes in (np.array([3, 1, 1]), np.array([1, 3], dtype=np.uint8), iter((3, 1))):
+        q = SparsityPattern(4, [(0, 1)], nodes)
+        assert q == p and hash(q) == hash(p)
+    assert p != SparsityPattern(4, [(0, 1)], [1])
+    with pytest.raises(PatternError, match=r"diagonal index 4 out of range for n=4$"):
+        SparsityPattern(4, [], np.array([1, 4, -1]))
+    with pytest.raises(PatternError, match=r"diagonal index -1 out of range"):
+        SparsityPattern(4, [], np.array([1, -1, 4]))
+
+
 def test_ordering_validation_and_positions():
     o = Ordering([2, 0, 1])
     assert list(o) == [2, 0, 1]
@@ -372,3 +451,11 @@ def test_ordering_file_round_trip(tmp_path):
     assert load_ordering(path) == o
     with pytest.raises(OrderingError):
         load_ordering(io.StringIO("0\nx\n"))
+
+
+@pytest.mark.parametrize("line", ["1.0", "1_0", "\u0661", "\uff11"])
+def test_ordering_file_refuses_what_the_format_has_not(line):
+    # int() reads "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1
+    text = "\n".join(map(str, range(11))).replace("1\n", f"{line}\n", 1)
+    with pytest.raises(OrderingError, match=re.escape(f"malformed ordering line: {line!r}")):
+        load_ordering(io.StringIO(text))
