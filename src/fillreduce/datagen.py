@@ -1,13 +1,18 @@
 """Training graph generation: Delaunay triangulations of random planar points.
 
 Bowyer-Watson incremental insertion (Bowyer 1981, Watson 1981) inside a large
-super-triangle. The live triangles' circumcircles sit in numpy arrays, so
-each insertion finds its cavity, the triangles whose circumcircle holds the
-new point, with one vectorized distance test over all of them; the few
-distances within a relative 1e-12 of a radius are tested again in scalar
-floats, so every decision, and the triangle list, is that of the plain
-scalar loop. The work still grows as n^2, but it runs in numpy rather than
-the interpreter. Uniform random points make exact in-circle ties
+super-triangle. Each live triangle's vertices and creation number sit in
+Python lists, and only the circumcircles (center, squared radius, recheck
+margin) sit in a numpy array. So each insertion finds its cavity, the
+triangles whose circumcircle holds the new point, with one vectorized
+distance test over all circles, and stores the new triangles' circles,
+computed in scalar floats from each point's squared norm, with one write.
+The few distances within a relative 1e-12 of a radius are tested again in
+scalar floats, so every decision, and the triangle list, is that of the
+plain scalar loop. The work still grows as n^2, but its part that grows with
+the number of triangles runs in numpy. ``delaunay_triangles`` takes finite,
+distinct points at any scale and maps them into the unit square, which the
+super-triangle is sized for. Uniform random points make exact in-circle ties
 measure-zero; if one does occur the whole triangulation restarts with a
 deterministic 1e-9-scale jitter so the generator stays total."""
 
@@ -34,20 +39,6 @@ class DegenerateGeometry(RuntimeError):
     """Exact in-circle tie or collinear triangle; caller retries with jitter."""
 
 
-def _circumcircle(a, b, c) -> tuple[float, float, float]:
-    """Circumcenter and squared radius; raises on collinear vertices."""
-    d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    if d == 0.0:
-        raise DegenerateGeometry("collinear triangle vertices")
-    a2 = a[0] * a[0] + a[1] * a[1]
-    b2 = b[0] * b[0] + b[1] * b[1]
-    c2 = c[0] * c[0] + c[1] * c[1]
-    ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
-    return ux, uy, r2
-
-
 # A numpy square is a product, while the scalar ``** 2`` calls libm ``pow``;
 # the two differ by one ulp for about one value in a thousand. A triangle
 # whose squared distance from the new point lies within this margin of its
@@ -55,11 +46,30 @@ def _circumcircle(a, b, c) -> tuple[float, float, float]:
 # tested again with scalar floats, so every decision is the scalar test's.
 _RECHECK_REL = 1e-12
 _RECHECK_ABS = 1e-300
+# The circle of a column whose triangle is gone: every point is clearly outside.
+_NO_CIRCLE = (0.0, 0.0, -np.inf, 0.0)
+
+
+def _lift(p) -> tuple[float, float, float]:
+    return p[0], p[1], p[0] * p[0] + p[1] * p[1]
 
 
 def _circle_row(a, b, c) -> tuple[float, float, float, float]:
-    ux, uy, r2 = _circumcircle(a, b, c)
+    """Circumcenter, squared radius and recheck margin of three points each
+    given lifted, as ``(x, y, x*x + y*y)``; raises on collinear vertices."""
+    (ax, ay, a2), (bx, by, b2), (cx, cy, c2) = a, b, c
+    d = 2.0 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    if d == 0.0:
+        raise DegenerateGeometry("collinear triangle vertices")
+    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    r2 = (ax - ux) ** 2 + (ay - uy) ** 2
     return ux, uy, r2, _RECHECK_REL * r2 + _RECHECK_ABS
+
+
+def _circumcircle(a, b, c) -> tuple[float, float, float]:
+    """Circumcenter and squared radius; raises on collinear vertices."""
+    return _circle_row(_lift(a), _lift(b), _lift(c))[:3]
 
 
 def _triangulate(points) -> np.ndarray:
@@ -67,31 +77,34 @@ def _triangulate(points) -> np.ndarray:
     only, one row of three vertices each, as an int array of shape (t, 3).
 
     Super-triangle vertices take indices n..n+2 and every triangle touching
-    them is dropped at the end. The live triangles are the columns of numpy
-    arrays holding their vertices, their circumcircle (center and squared
-    radius) and their creation number, so each insertion finds its cavity
-    with one vectorized in-circle test over all of them, and the new
-    triangles take the cavity's columns. Removing triangles from a list and
-    appending new ones keeps it sorted by creation number, so visiting the
-    cavity and returning the result in that order gives the triangle list of
-    the same method run on a Python list.
+    them is dropped at the end. Each triangle owns a column: its vertices
+    and creation number sit in Python lists, its circumcircle (center,
+    squared radius, recheck margin) in a numpy array, so each insertion
+    finds its cavity with one vectorized in-circle test over all columns
+    and stores the new circles with one write. New triangles take the
+    cavity's columns, then new ones at the end; a cavity that leaves fewer
+    triangles than it removed (only around points far outside the
+    super-triangle) gives its spare columns a circle that holds nothing.
+    Visiting the cavity and returning the result in creation order gives
+    the triangle list of the same method run on a Python list.
     """
     n = len(points)
-    coords = np.asarray(points, dtype=np.float64).tolist() + list(_SUPER)
-    tris = np.empty((3, 2 * n + 8), dtype=np.int64)
-    circles = np.empty((4, tris.shape[1]))  # center x, center y, r2, recheck margin
-    created = np.empty(tris.shape[1], dtype=np.int64)
-    tris[:, 0] = (n, n + 1, n + 2)
-    circles[:, 0] = _circle_row(*_SUPER)
-    created[0] = 0
-    m = made = 1
+    lifted = [_lift(p) for p in np.asarray(points, dtype=np.float64).tolist()]
+    lifted += [_lift(p) for p in _SUPER]
+    tris: list[tuple[int, int, int] | None] = [(n, n + 1, n + 2)]
+    created = [0]
+    circles = np.empty((4, 2 * n + 8))  # center x, center y, r2, recheck margin
+    circles[:, 0] = _circle_row(*lifted[n:])
+    made = 1
     for idx in range(n):
-        px, py = coords[idx]
+        p = lifted[idx]
+        px, py, _ = p
+        m = len(tris)
         ux, uy, r2, margin = circles[:, :m]
         diff = (px - ux) ** 2 + (py - uy) ** 2 - r2
         bad = []
         # everything not clearly outside its circle, NaN included
-        for t in np.flatnonzero(~(diff > margin)).tolist():
+        for t in (~(diff > margin)).nonzero()[0].tolist():
             if diff[t] < -margin[t]:
                 bad.append(t)
                 continue
@@ -100,33 +113,36 @@ def _triangulate(points) -> np.ndarray:
                 raise DegenerateGeometry("exact in-circle tie")
             if d2 < r2[t]:
                 bad.append(t)
+        if not bad:
+            continue
         bad.sort(key=created.__getitem__)
         # cavity boundary: edges used by exactly one bad triangle
         edge_count: dict[tuple[int, int], int] = {}
-        for u, v, w in zip(*tris[:, bad].tolist()):
-            for e in ((u, v), (v, w), (w, u)):
-                key = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+        for t in bad:
+            u, v, w = tris[t]
+            for a, b in ((u, v), (v, w), (w, u)):
+                key = (a, b) if a < b else (b, a)
                 edge_count[key] = edge_count.get(key, 0) + 1
         new = [(u, w, idx) for (u, w), count in edge_count.items() if count == 1]
         k = len(new)
+        rows = [_circle_row(lifted[u], lifted[w], p) for u, w, _ in new]
+        for col, tri, number in zip(bad, new, range(made, made + k)):
+            tris[col] = tri
+            created[col] = number
         cols = bad[:k] + list(range(m, m + k - len(bad)))
-        if m + k > created.size:
-            tris, circles, created = (
-                np.concatenate([a, np.empty_like(a, shape=a.shape[:-1] + (m + k,))], axis=-1)
-                for a in (tris, circles, created))
-        if new:
-            tris[:, cols] = np.array(new).T
-            circles[:, cols] = np.array([_circle_row(coords[u], coords[w], coords[idx])
-                                         for u, w, _ in new]).T
-            created[cols] = range(made, made + k)
-        m += max(k - len(bad), 0)
+        tris += new[len(bad):]
+        created += range(made + len(bad), made + k)
         made += k
-        for hole in sorted(bad[k:], reverse=True):
-            # the cavity had more triangles than it left: close the gap
-            m -= 1
-            tris[:, hole], circles[:, hole], created[hole] = tris[:, m], circles[:, m], created[m]
-    live = tris[:, np.argsort(created[:m])]
-    return live[:, live.max(axis=0) < n].T
+        for col in bad[k:]:
+            tris[col] = None
+            cols.append(col)
+            rows.append(_NO_CIRCLE)
+        if len(tris) > circles.shape[1]:
+            circles = np.concatenate([circles, np.empty((4, len(tris)))], axis=1)
+        circles.T[cols] = rows
+    order = sorted(range(len(tris)), key=created.__getitem__)
+    live = [tris[col] for col in order if tris[col] is not None and max(tris[col]) < n]
+    return np.array(live, dtype=np.int64).reshape(-1, 3)
 
 
 def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
@@ -135,26 +151,76 @@ def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
     return np.clip(points + attempt * 1e-9 * offset, 0.0, 1.0)
 
 
-def delaunay_triangles(points) -> np.ndarray:
-    """Triangles of the Delaunay triangulation, an int array of shape (t, 3),
-    retrying degenerate inputs with deterministic jitter."""
-    pts = np.asarray(points, dtype=np.float64)
+def _triangulate_jittered(points: np.ndarray) -> np.ndarray:
+    """Triangles of distinct points in the unit square, retrying degenerate
+    inputs with deterministic jitter."""
     last_error = None
     for attempt in range(_MAX_JITTER_ATTEMPTS):
         try:
-            tris = _triangulate(pts if attempt == 0 else _jitter(pts, attempt))
+            tris = _triangulate(points if attempt == 0 else _jitter(points, attempt))
         except DegenerateGeometry as exc:
             last_error = exc
             continue
-        if len(tris) or len(pts) < 3:
+        if len(tris) or len(points) < 3:
             return tris
         last_error = DegenerateGeometry("all points collinear")
     raise DegenerateGeometry(f"could not triangulate the point set: {last_error}")
 
 
-def _delaunay_pattern(points) -> SparsityPattern:
-    tris = delaunay_triangles(points)
-    return SparsityPattern(len(points), tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
+def _duplicate_pair(points: np.ndarray) -> tuple[int, int] | None:
+    """Indices of two points with equal coordinates, or None if all differ."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    ranked = points[order]
+    same = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+    if not len(same):
+        return None
+    i, j = sorted(order[same[0]:same[0] + 2].tolist())
+    return i, j
+
+
+def _into_unit_square(points: np.ndarray) -> np.ndarray:
+    """The points moved by one translation and one uniform scale so that
+    their bounding box's longer side spans [0, 1]. The super-triangle and
+    the jitter are sized for points that fill the unit square, and a
+    similarity keeps the Delaunay triangulation. Points that already lie in
+    the unit square and span at least half of it pass through untouched."""
+    if not len(points):
+        return points
+    (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    span = max(x_hi - x_lo, y_hi - y_lo)
+    if min(x_lo, y_lo) >= 0.0 and max(x_hi, y_hi) <= 1.0 and span >= 0.5:
+        return points
+    if span == np.inf:
+        raise ValueError("the points span a wider range than a float holds")
+    moved = points - (x_lo, y_lo)
+    return moved / span if span > 0.0 else moved
+
+
+def delaunay_triangles(points) -> np.ndarray:
+    """Triangles of the Delaunay triangulation, an int array of shape (t, 3).
+
+    ``points`` is anything ``np.asarray`` makes an (n, 2) float array of,
+    finite and pairwise distinct, at any scale: points outside the unit
+    square are mapped into it first. Degenerate inputs are retried with
+    deterministic jitter; raises ``ValueError`` naming a bad shape, a point
+    that is not finite or two points that coincide."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape == (0,):
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    not_finite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(not_finite):
+        i = int(not_finite[0])
+        raise ValueError(f"point {i} is not finite: {tuple(pts[i].tolist())}")
+    unit = _into_unit_square(pts)
+    pair = _duplicate_pair(unit)
+    if pair is not None:
+        i, j = pair
+        where = "" if unit is pts else " once mapped into the unit square"
+        raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} "
+                         f"{tuple(pts[j].tolist())} coincide{where}")
+    return _triangulate_jittered(unit)
 
 
 def _connected(p: SparsityPattern) -> bool:
@@ -183,9 +249,10 @@ def generate_delaunay(n: int, rng: np.random.Generator) -> SparsityPattern:
     while True:
         points = rng.random((n, 2))
         # pairwise-distinct guard; duplicate draws are measure-zero
-        if len(np.unique(points, axis=0)) != n:
+        if _duplicate_pair(points) is not None:
             continue
-        p = _delaunay_pattern(points)
+        tris = _triangulate_jittered(points)
+        p = SparsityPattern(n, tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
         if _connected(p):
             return p
 

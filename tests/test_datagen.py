@@ -72,13 +72,17 @@ def test_matches_scipy_triangulation():
     from scipy.spatial import Delaunay as SciDelaunay
 
     rng = np.random.default_rng(62)
-    for _ in range(10):
-        pts = rng.random((int(rng.integers(5, 60)), 2))
-        ref = set()
-        for simplex in SciDelaunay(pts).simplices:
-            a, b, c = sorted(int(v) for v in simplex)
-            ref |= {(a, b), (b, c), (a, c)}
-        assert delaunay_edges(pts) == ref
+    # the unit square, then sets far larger or far smaller than it, some
+    # centred on the origin, which a similarity maps into it
+    for scale in (1.0, 10.0, 1e3, 1e4, 1e6, 1e-6, 1e-9):
+        for offset in (0.0, -0.5, 0.4):
+            for _ in range(10 if scale == 1.0 and offset == 0.0 else 4):
+                pts = (rng.random((int(rng.integers(5, 60)), 2)) + offset) * scale
+                ref = set()
+                for simplex in SciDelaunay(pts).simplices:
+                    a, b, c = sorted(int(v) for v in simplex)
+                    ref |= {(a, b), (b, c), (a, c)}
+                assert delaunay_edges(pts) == ref, (scale, offset)
 
 
 def test_collinear_points_resolved_by_jitter():
@@ -90,6 +94,46 @@ def test_collinear_points_resolved_by_jitter():
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     edges = delaunay_edges(square)  # cocircular: tie broken by jitter
     assert len(edges) == 5
+    for side in (1.0, 2.0, 10.0):
+        # a cocircular square and an interior point: four triangles around
+        # it at every size, the jitter acting in the unit square
+        corners = [(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)]
+        tris = delaunay_triangles(corners + [(0.5 * side, 0.3 * side)])
+        assert sorted(map(sorted, tris.tolist())) == [[0, 1, 4], [0, 3, 4], [1, 2, 4], [2, 3, 4]]
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(0, 0), (1, 0), (0, 1), (np.nan, 0.5)], r"point 3 is not finite: \(nan, 0.5\)"),
+    ([(0, 0), (1, 0), (np.inf, 1), (0.2, 0.7)], r"point 2 is not finite"),
+    ([(0, 0), (1, 0), (0, 1), (0, 0)], r"points 0 \(0.0, 0.0\) and 3 \(0.0, 0.0\) coincide$"),
+    ([(-1e20, 0), (1, 0.5), (1 + 2 ** -52, 0.5), (0, 1)],
+     r"points 1 \(1.0, 0.5\) and 2 \(1.0000000000000002, 0.5\) coincide once mapped"),
+    (np.zeros((4, 3)), r"shape \(n, 2\), got \(4, 3\)"),
+    ([0.1, 0.2, 0.3], r"shape \(n, 2\), got \(3,\)"),
+    ([(-1e308, 0), (1e308, 1), (0, 2)], "wider range than a float holds"),
+], ids=["nan", "inf", "duplicate", "duplicate-once-mapped", "three-columns", "flat",
+        "overflowing-span"])
+def test_delaunay_triangles_rejects_bad_points(points, message):
+    with pytest.raises(ValueError, match=message):
+        delaunay_triangles(points)
+
+
+def test_delaunay_triangles_small_inputs():
+    assert delaunay_triangles([]).shape == (0, 3)
+    assert delaunay_triangles([(5.0, -5.0)]).shape == (0, 3)
+    assert delaunay_triangles([(3.0, 4.0), (-2.0, 7.0)]).shape == (0, 3)
+
+
+def test_generate_delaunay_redraws_duplicate_points():
+    # a draw with two equal points is thrown away and the next one used
+    clean = np.random.default_rng(7).random((6, 2))
+    repeated = clean.copy()
+    repeated[4] = repeated[1]
+    rng = mock.Mock()
+    rng.random.side_effect = [repeated, clean]
+    p = generate_delaunay(6, rng)
+    assert rng.random.call_count == 2
+    assert p.edges == delaunay_edges(clean)
 
 
 def test_generate_delaunay_invariants():
@@ -206,6 +250,17 @@ def test_triangulation_matches_scalar_reference(points):
     fast = _outcome(delaunay_triangles, points)
     with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
         assert fast == _outcome(delaunay_triangles, points)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_large_triangulation_matches_scalar_reference(n):
+    # larger than the strategy draws: thousands of cavities, order included
+    points = np.random.default_rng(n).random((n, 2))
+    tris = _triangulate(points)
+    assert tris.tolist() == [list(t) for t in reference_triangulate(points)]
+    # and it is a triangulation: 2n - 2 - h triangles for h hull vertices
+    from scipy.spatial import ConvexHull
+    assert len(tris) == 2 * n - 2 - len(ConvexHull(points).vertices)
 
 
 def _edge_digest(p) -> str:
