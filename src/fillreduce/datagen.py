@@ -19,6 +19,7 @@ deterministic 1e-9-scale jitter so the generator stays total."""
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -179,31 +180,30 @@ def _duplicate_pair(points: np.ndarray) -> tuple[int, int] | None:
 
 
 def _into_unit_square(points: np.ndarray) -> np.ndarray:
-    """The points moved by one translation and one uniform scale so that
-    their bounding box's longer side spans [0, 1]. The super-triangle and
-    the jitter are sized for points that fill the unit square, and a
-    similarity keeps the Delaunay triangulation. Points that already lie in
-    the unit square and span at least half of it pass through untouched."""
+    """The points moved by one translation, taking their bounding box's
+    lower corner to the origin, and one scale by a power of two, taking its
+    longer side into (1/2, 1]. The super-triangle and the jitter are sized
+    for points that fill the unit square, and a similarity keeps the
+    Delaunay triangulation. The scale is exact, so only the translation
+    rounds; a set that spans [0, 1] from the origin maps to itself."""
     if not len(points):
         return points
     (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
     span = max(x_hi - x_lo, y_hi - y_lo)
-    if min(x_lo, y_lo) >= 0.0 and max(x_hi, y_hi) <= 1.0 and span >= 0.5:
-        return points
     if span == np.inf:
         raise ValueError("the points span a wider range than a float holds")
-    moved = points - (x_lo, y_lo)
-    return moved / span if span > 0.0 else moved
+    fraction, exponent = math.frexp(span)
+    return np.ldexp(points - (x_lo, y_lo), -(exponent - (fraction == 0.5)))
 
 
 def delaunay_triangles(points) -> np.ndarray:
     """Triangles of the Delaunay triangulation, an int array of shape (t, 3).
 
     ``points`` is anything ``np.asarray`` makes an (n, 2) float array of,
-    finite and pairwise distinct, at any scale: points outside the unit
-    square are mapped into it first. Degenerate inputs are retried with
-    deterministic jitter; raises ``ValueError`` naming a bad shape, a point
-    that is not finite or two points that coincide."""
+    finite and pairwise distinct, at any scale: they are mapped into the
+    unit square first. Degenerate inputs are retried with deterministic
+    jitter; raises ``ValueError`` naming a bad shape, a point that is not
+    finite or two points that coincide, as given or once mapped."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape == (0,):
         pts = pts.reshape(0, 2)
@@ -214,12 +214,12 @@ def delaunay_triangles(points) -> np.ndarray:
         i = int(not_finite[0])
         raise ValueError(f"point {i} is not finite: {tuple(pts[i].tolist())}")
     unit = _into_unit_square(pts)
-    pair = _duplicate_pair(unit)
-    if pair is not None:
-        i, j = pair
-        where = "" if unit is pts else " once mapped into the unit square"
-        raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} "
-                         f"{tuple(pts[j].tolist())} coincide{where}")
+    for mapped, where in ((pts, ""), (unit, " once mapped into the unit square")):
+        pair = _duplicate_pair(mapped)
+        if pair is not None:
+            i, j = pair
+            raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} "
+                             f"{tuple(pts[j].tolist())} coincide{where}")
     return _triangulate_jittered(unit)
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import in_circle_det, reference_triangulate
 from fillreduce import (generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
-from fillreduce.datagen import DegenerateGeometry, _triangulate, delaunay_triangles
+from fillreduce.datagen import (DegenerateGeometry, _into_unit_square, _triangulate,
+                               delaunay_triangles)
 from fillreduce.sparsity import MAX_NODES
 
 
@@ -85,6 +86,22 @@ def test_matches_scipy_triangulation():
                 assert delaunay_edges(pts) == ref, (scale, offset)
 
 
+@pytest.mark.parametrize("span", [1e-6, 1e-8, 1e-10])
+def test_small_cluster_away_from_the_origin(span):
+    # scipy sees the cluster moved to the origin: on 0.4 + span * u its own
+    # triangles fail the empty-circle test at these spans
+    from scipy.spatial import Delaunay as SciDelaunay
+
+    rng = np.random.default_rng(68)
+    for _ in range(5):
+        pts = 0.4 + rng.random((40, 2)) * span
+        ref = set()
+        for simplex in SciDelaunay(pts - pts.min(axis=0)).simplices:
+            a, b, c = sorted(int(v) for v in simplex)
+            ref |= {(a, b), (b, c), (a, c)}
+        assert delaunay_edges(pts) == ref
+
+
 def test_collinear_points_resolved_by_jitter():
     # exactly cocircular / collinear layouts hit the deterministic jitter path
     pts = [(0.1, 0.1), (0.5, 0.5), (0.9, 0.9), (0.3, 0.3)]
@@ -116,6 +133,23 @@ def test_collinear_points_resolved_by_jitter():
 def test_delaunay_triangles_rejects_bad_points(points, message):
     with pytest.raises(ValueError, match=message):
         delaunay_triangles(points)
+
+
+def test_mapping_keeps_near_adjacent_points_apart():
+    # the scale into the unit square is a power of two, so two adjacent
+    # doubles in a set spanning 0.3 stay apart; dividing by the span
+    # rounded 0.24 and the next double to one value
+    line = [(0.0, 0.25), (0.24, 0.25), (np.nextafter(0.24, 1.0), 0.25), (0.3, 0.25)]
+    for points in (line, line + [(0.1, 0.4)]):
+        tris = delaunay_triangles(points)
+        assert sorted(set(tris.ravel().tolist())) == list(range(len(points)))
+        with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
+            assert _outcome(delaunay_triangles, points) == tris.tolist()
+    # a set spanning [0, 1] from the origin maps to itself
+    pts = np.random.default_rng(67).random((30, 2))
+    pts[:2] = [(0.0, 0.5), (1.0, 0.0)]
+    assert np.array_equal(_into_unit_square(pts), pts)
+    assert np.array_equal(_into_unit_square(pts * 2.0 ** 40 - 3.0), pts)
 
 
 def test_delaunay_triangles_small_inputs():
