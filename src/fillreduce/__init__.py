@@ -12,7 +12,7 @@ from .sparsity import (Ordering, OrderingError, PatternError, SparsityPattern,
 from .symbolic import (EliminationError, EliminationGraph, EliminationTrace,
                        count_fill, fill_path_oracle, symbolic_factorize)
 from .features import NodeFeatures, compute_features, normalize_features
-from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack,
+from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
                          build_propagation, backward, evaluate, forward,
                          load_checkpoint, save_checkpoint)
 from .trainer import (TrainerConfig, adaptive_saturation_return, losses,
@@ -32,7 +32,7 @@ __all__ = [
     "EliminationError", "EliminationGraph", "EliminationTrace",
     "count_fill", "fill_path_oracle", "symbolic_factorize",
     "NodeFeatures", "compute_features", "normalize_features",
-    "NetConfig", "NetworkError", "PolicyValueNet", "TowerStack", "build_propagation",
+    "NetConfig", "NetworkError", "PolicyValueNet", "build_propagation",
     "backward", "evaluate", "forward", "load_checkpoint", "save_checkpoint",
     "TrainerConfig", "adaptive_saturation_return", "losses", "raw_return",
     "rollout", "train",

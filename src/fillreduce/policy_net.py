@@ -8,28 +8,30 @@ node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1).
 
-Each (tower, layer) has one weight ``{tower}.layer{l}.w`` of shape
-(in_width, trunk_width), hop j's map W_j in its j-th column block, and one
-bias ``{tower}.layer{l}.b``, as MixHop writes a layer. A layer is computed
-as one block of shape (k, trunk_width), hops side by side. Layer 0 widens
-its two input features, so it propagates first: its hop j reads P^j X,
-which both towers share. A layer >= 1 narrows its input, so it multiplies
-by the weights first, as GCN and MixHop do: hop j is P^j (H W_j), and the
-operator meets hidden_per_hop columns per power instead of trunk_width.
-Each hop's products are written into its column block; products over
-several hops' columns at once would round each hop differently from the
-same hop computed alone. The layer then adds its bias and applies tanh
-once; the next layer reads that array as it is. The backward pass mirrors
-this: P^T applied j times to hop j's block, one weight-gradient product
-per hop, and one product for the input gradient.
+Each parameter is one array that holds both towers, stacked on a leading
+tower axis, actor first. Layer l has one weight ``layer{l}.w`` of shape
+(2, in_width, trunk_width), hop j's map W_j in its j-th column block, and
+one bias ``layer{l}.b``, as MixHop writes a layer. A layer is computed as
+one block of shape (k, trunk_width) per tower, hops side by side. Layer 0
+widens its two input features, so it propagates first: its hop j reads
+P^j X, which both towers share. A layer >= 1 narrows its input, so it
+multiplies by the weights first, as GCN and MixHop do: hop j is P^j (H W_j),
+and the operator meets hidden_per_hop columns per power instead of
+trunk_width. Each hop's products are written into its column block;
+products over several hops' columns at once would round each hop
+differently from the same hop computed alone. The layer then adds its bias
+and applies tanh once; the next layer reads that array as it is. The
+backward pass mirrors this: P^T applied j times to hop j's block, one
+weight-gradient product per hop, and one product for the input gradient.
 
-The tower kernels index with ``...`` and ``.mT``, so they run one tower's
-2-D arrays or both towers stacked on a leading tower axis (a ``TowerStack``),
-where each stacked ``matmul`` makes, slice by slice, the products of one
-tower alone, so every float is the same; the towers' columns side by side in
-one 2-D product would round differently. ``forward`` runs the actor alone
-on its own arrays, which is all a rollout needs; ``evaluate`` runs both
-towers of a stack in one pass, and ``backward`` pulls both back in one pass.
+The tower kernels index with ``...`` and ``.mT``, so they run the actor's
+2-D slices or both towers' stacked arrays, where each stacked ``matmul``
+makes, slice by slice, the products of one tower alone, so every float is
+the same; the towers' columns side by side in one 2-D product would round
+differently. ``forward`` runs the actor alone on its slices, C-contiguous
+views of the stacked arrays, which is all a rollout needs; ``evaluate``
+runs both towers in one pass, and ``backward`` pulls both back in one pass
+into gradients of the same layout.
 The actor reads nothing but the snapshot, so a training replay on the
 graph rebuilt by the rollout's own eliminations gets the rollout's floats.
 Gradients come from a recorded tape replayed in reverse, not from numeric
@@ -47,14 +49,14 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .features import NUM_FEATURES, NodeFeatures
 from .symbolic import EliminationGraph
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 BACKBONES = ("mixhop", "singlehop")
 
@@ -104,38 +106,50 @@ class NetConfig:
 
 
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape map for every parameter; fixes both naming and layout."""
+    """Name -> shape map for every parameter, both towers stacked on the
+    leading axis, actor first; fixes both naming and layout."""
+    towers, width = len(TOWERS), config.trunk_width
     shapes: dict[str, tuple[int, ...]] = {}
-    for tower in TOWERS:
-        for layer in range(config.num_layers):
-            shapes[f"{tower}.layer{layer}.w"] = (config.layer_in_width(layer), config.trunk_width)
-            shapes[f"{tower}.layer{layer}.b"] = (config.trunk_width,)
-        shapes[f"{tower}.head.w"] = (config.trunk_width,)
-        shapes[f"{tower}.head.b"] = (1,)
+    for layer in range(config.num_layers):
+        shapes[f"layer{layer}.w"] = (towers, config.layer_in_width(layer), width)
+        shapes[f"layer{layer}.b"] = (towers, width)
+    shapes["head.w"] = (towers, width)
+    shapes["head.b"] = (towers, 1)
     return shapes
+
+
+def tower_arrays(params: Mapping[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
+    """Each tower's slice of every array in ``param_shapes`` order, the
+    actor's first, named ``{tower}.{name}`` as an error message shows it."""
+    for i, tower in enumerate(TOWERS):
+        for name, arr in params.items():
+            yield f"{tower}.{name}", arr[i]
 
 
 def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Uniform +-1/sqrt(fan_in), which keeps tanh pre-activations near linear.
 
-    A layer's weight and bias are drawn hop by hop, each hop's weight before
-    its bias, and put side by side, so a seed gives the floats it gave when
-    every hop had its own arrays.
+    The actor's arrays are drawn before the critic's. A layer's weight and
+    bias are drawn hop by hop, each hop's weight before its bias, and put
+    side by side, so a seed gives the floats it gave when every tower and
+    hop had its own arrays.
     """
-    params = {}
-    for tower in TOWERS:
+    towers = []
+    for _ in TOWERS:
+        params = {}
         for layer in range(config.num_layers):
             w_in = config.layer_in_width(layer)
             bound = 1.0 / np.sqrt(w_in)
             draws = [(rng.uniform(-bound, bound, size=(w_in, config.hidden_per_hop)),
                       rng.uniform(-bound, bound, size=config.hidden_per_hop))
                      for _ in config.hops]
-            params[f"{tower}.layer{layer}.w"] = np.concatenate([w for w, _ in draws], axis=1)
-            params[f"{tower}.layer{layer}.b"] = np.concatenate([b for _, b in draws])
+            params[f"layer{layer}.w"] = np.concatenate([w for w, _ in draws], axis=1)
+            params[f"layer{layer}.b"] = np.concatenate([b for _, b in draws])
         bound = 1.0 / np.sqrt(config.trunk_width)
-        params[f"{tower}.head.w"] = rng.uniform(-bound, bound, size=config.trunk_width)
-        params[f"{tower}.head.b"] = rng.uniform(-bound, bound, size=1)
-    return params
+        params["head.w"] = rng.uniform(-bound, bound, size=config.trunk_width)
+        params["head.b"] = rng.uniform(-bound, bound, size=1)
+        towers.append(params)
+    return {name: np.stack([tower[name] for tower in towers]) for name in towers[0]}
 
 
 class PolicyValueNet:
@@ -160,28 +174,6 @@ class PolicyValueNet:
     def zero_grads(self) -> dict[str, np.ndarray]:
         """Zero arrays in the layout of ``params``, for ``backward`` to add into."""
         return {name: np.zeros(shape) for name, shape in param_shapes(self.config).items()}
-
-
-class TowerStack:
-    """The actor's and the critic's parameters stacked on a leading tower
-    axis, actor first, each named without its tower prefix: ``layer0.w`` has
-    shape (2, NUM_FEATURES, trunk_width). A copy of the net's arrays when it
-    is made, so training makes one per episode, while they stay fixed."""
-
-    def __init__(self, net: PolicyValueNet):
-        self.config = net.config
-        names = [name.removeprefix("actor.") for name in net.params if name.startswith("actor.")]
-        self.params = {name: np.stack([net.params[f"{tower}.{name}"] for tower in TOWERS])
-                       for name in names}
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        """Zero arrays in the layout of ``params``, for ``backward`` to add into."""
-        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
-
-    def split(self, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Stacked arrays in the layout of ``net.params``, each tower's slice copied."""
-        return {f"{tower}.{name}": arr[i].copy()
-                for i, tower in enumerate(TOWERS) for name, arr in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +231,7 @@ def build_propagation(g: EliminationGraph, config: NetConfig | None = None) -> n
 class ForwardTape:
     """What ``evaluate`` recorded of one state for ``backward``, both towers stacked."""
 
-    net: TowerStack
+    net: PolicyValueNet
     prop: np.ndarray                      # normalized operator P
     first: list[np.ndarray]               # layer 0's hop inputs P^j X, shared by both towers
     outputs: list[np.ndarray]             # each layer's tanh output, (2, k, trunk_width)
@@ -247,30 +239,30 @@ class ForwardTape:
     critic_tanh: np.ndarray
 
 
-def _tower_forward(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
+def _tower_forward(cfg: NetConfig, params: Mapping[str, np.ndarray],
                    prop: np.ndarray, first: list[np.ndarray]) -> list[np.ndarray]:
-    """Each layer's output of the tower(s) whose arrays are named
-    ``{prefix}layer{l}.*``: (k, trunk_width) for one tower's arrays,
-    (2, k, trunk_width) for a stack. Starts from layer 0's hop inputs, which
-    depend only on the features and the operator, so both towers share them."""
+    """Each layer's output of the tower(s) whose arrays ``params`` holds:
+    (k, trunk_width) for the actor's slices, (2, k, trunk_width) for the
+    stacked arrays. Starts from layer 0's hop inputs, which depend only on
+    the features and the operator, so both towers share them."""
     outputs = []
     for layer in range(cfg.num_layers):
-        w = params[f"{prefix}layer{layer}.w"]
+        w = params[f"layer{layer}.w"]
         h = np.empty(w.shape[:-2] + (len(prop), cfg.trunk_width))
         for hop, m, block in zip(cfg.hops, first, cfg.hop_blocks):
             # layer 0 reads P^j X; a layer >= 1 forms H W_j, then P^j (H W_j)
             np.matmul(outputs[-1] if layer else m, w[..., block], out=h[..., block])
             for _ in range(hop if layer else 0):
                 h[..., block] = prop @ h[..., block]
-        h += params[f"{prefix}layer{layer}.b"][..., None, :]
+        h += params[f"layer{layer}.b"][..., None, :]
         np.tanh(h, out=h)
         outputs.append(h)
     return outputs
 
 
-def _trunk(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
-           features: NodeFeatures) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Check one snapshot and run the towers on it: (P, hop inputs, outputs)."""
+def _trunk(cfg: NetConfig, params: Mapping[str, np.ndarray], features: NodeFeatures
+           ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Check one snapshot and run the tower(s) on it: (P, hop inputs, outputs)."""
     k = len(features.graph.degree)
     if k == 0:
         raise NetworkError("cannot evaluate the network on an empty graph")
@@ -282,7 +274,7 @@ def _trunk(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
     for _ in range(max(cfg.hops)):
         powers.append(prop @ powers[-1])
     first = [powers[hop] for hop in cfg.hops]
-    return prop, first, _tower_forward(cfg, params, prefix, prop, first)
+    return prop, first, _tower_forward(cfg, params, prop, first)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -298,40 +290,41 @@ def forward(net: PolicyValueNet, features: NodeFeatures) -> np.ndarray:
     node ids, matching ``features.graph.nodes``). The result depends on the
     snapshot alone.
     """
-    _, _, outputs = _trunk(net.config, net.params, "actor.", features)
-    return _log_softmax(outputs[-1] @ net.params["actor.head.w"] + net.params["actor.head.b"][0])
+    actor = {name: arr[0] for name, arr in net.params.items()}
+    _, _, outputs = _trunk(net.config, actor, features)
+    return _log_softmax(outputs[-1] @ actor["head.w"] + actor["head.b"][0])
 
 
-def evaluate(net: TowerStack, features: NodeFeatures
+def evaluate(net: PolicyValueNet, features: NodeFeatures
              ) -> tuple[np.ndarray, float, ForwardTape]:
     """Both towers on one snapshot in one stacked pass: the actor's
     log-probabilities, bitwise those of ``forward``; the critic's state value
     in (-1, 1), the mean of tanh of its per-node head; and the tape for
     ``backward``."""
-    prop, first, outputs = _trunk(net.config, net.params, "", features)
+    prop, first, outputs = _trunk(net.config, net.params, features)
     pre = (outputs[-1] @ net.params["head.w"][..., None])[..., 0] + net.params["head.b"]
     log_probs, critic_tanh = _log_softmax(pre[0]), np.tanh(pre[1])
     tape = ForwardTape(net, prop, first, outputs, log_probs, critic_tanh)
     return log_probs, float(critic_tanh.mean()), tape
 
 
-def _tower_backward(cfg: NetConfig, params: Mapping[str, np.ndarray], prefix: str,
+def _tower_backward(cfg: NetConfig, params: Mapping[str, np.ndarray],
                     outputs: list[np.ndarray], first: list[np.ndarray], prop: np.ndarray,
                     d_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Pull ``d_out``, the gradient of the last layer's output, back through
-    the tower(s) of ``_tower_forward`` and add into ``grads``, named alike."""
+    the tower(s) of ``_tower_forward`` and add into ``grads``, laid out alike."""
     for layer in reversed(range(cfg.num_layers)):
         h = outputs[layer]
         d = d_out * (1.0 - h * h)
-        grads[f"{prefix}layer{layer}.b"] += d.sum(axis=-2)
-        g_w = grads[f"{prefix}layer{layer}.w"]
+        grads[f"layer{layer}.b"] += d.sum(axis=-2)
+        g_w = grads[f"layer{layer}.w"]
         for hop, m, block in zip(cfg.hops, first, cfg.hop_blocks):
             # from the gradient of P^j (H W_j) to that of H W_j
             for _ in range(hop if layer else 0):
                 d[..., block] = prop.T @ d[..., block]
             g_w[..., block] += (outputs[layer - 1] if layer else m).mT @ d[..., block]
         if layer:   # nothing reads the gradient of the features
-            d_out = d @ params[f"{prefix}layer{layer}.w"].mT
+            d_out = d @ params[f"layer{layer}.w"].mT
 
 
 def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.ndarray:
@@ -343,15 +336,14 @@ def log_softmax_backward(softmax: np.ndarray, d_log_probs: np.ndarray) -> np.nda
     return d_log_probs - softmax * d_log_probs.sum()
 
 
-def backward(net: TowerStack, tape: ForwardTape, d_log_probs: np.ndarray,
+def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
              d_value: float, grads: dict[str, np.ndarray] | None = None
              ) -> dict[str, np.ndarray]:
     """Exact parameter gradients of sum(d_log_probs * log_probs) + d_value * value,
-    for both towers in one pass, in the stacked layout of ``net.params``.
+    for both towers in one pass, in the layout of ``net.params``.
 
     With ``grads`` (from ``net.zero_grads()``) the gradients are added into
-    it and it is returned, so a sum over steps needs no array per step;
-    ``net.split`` gives them the layout of ``PolicyValueNet.params``.
+    it and it is returned, so a sum over steps needs no array per step.
     """
     if tape.net is not net:
         raise NetworkError("tape was recorded by a different network")
@@ -369,7 +361,7 @@ def backward(net: TowerStack, tape: ForwardTape, d_log_probs: np.ndarray,
     grads["head.w"] += (tape.outputs[-1].mT @ d_heads[..., None])[..., 0]
     grads["head.b"] += d_heads.sum(axis=-1, keepdims=True)
     d_out = d_heads[..., None] * net.params["head.w"][:, None, :]   # each tower's outer product
-    _tower_backward(net.config, net.params, "", tape.outputs, tape.first, tape.prop, d_out, grads)
+    _tower_backward(net.config, net.params, tape.outputs, tape.first, tape.prop, d_out, grads)
     return grads
 
 
@@ -420,7 +412,7 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
                            num_layers=operator.index(meta["num_layers"]),
                            hidden_per_hop=operator.index(meta["hidden_per_hop"]))
         # counted, not named: the metadata may declare far more than the archive holds
-        declared = 2 * (2 + 2 * config.num_layers)
+        declared = 2 + 2 * config.num_layers
     except (ValueError, KeyError, TypeError) as exc:
         raise NetworkError(f"checkpoint {path} has bad metadata "
                            f"({type(exc).__name__}: {exc})") from exc
@@ -444,7 +436,7 @@ def load_checkpoint(path: str | Path) -> PolicyValueNet:
         raise NetworkError(
             f"checkpoint {path} does not match its declared shapes (missing="
             f"{_first(missing)}, extra={_first(extra)}, mismatched={_first(bad)})")
-    for name, arr in arrays.items():
+    for name, arr in tower_arrays(arrays):
         if not np.isfinite(arr).all():
             raise NetworkError(f"checkpoint {path} has non-finite values in {name}")
     return PolicyValueNet(config, params=arrays)

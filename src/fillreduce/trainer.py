@@ -16,16 +16,15 @@ optimizer step is applied per episode.
 An episode keeps nothing but its ``EliminationTrace``: the node, fill and
 edge count of each step. The rollout runs the actor alone. The gradient
 pass replays the episode from the pattern, rebuilding each step's graph by
-the rollout's own eliminations, and runs both towers, stacked once per
-episode in a ``TowerStack``, through one ``evaluate`` and one ``backward``
-per step; so it gets the rollout's floats again and holds one step's
-graph and activations at a time. It stops rebuilding at the first complete
-graph: the k rows of K_k are alike, so each step from there on is one node,
-whose features depend only on whether k is 1, 2 or at least 3. The tail is
-replayed as at most three one-node passes, one per such class, each with
-the critic's upstreams of its steps summed and no actor upstream, the
-actor's exact gradient there being zero; every tail step's chosen log-prob
-is exactly -log k.
+the rollout's own eliminations, and runs both towers through one
+``evaluate`` and one ``backward`` per step; so it gets the rollout's floats
+again and holds one step's graph and activations at a time. It stops
+rebuilding at the first complete graph: the k rows of K_k are alike, so
+each step from there on is one node, whose features depend only on whether
+k is 1, 2 or at least 3. The tail is replayed as at most three one-node
+passes, one per such class, each with the critic's upstreams of its steps
+summed and no actor upstream, the actor's exact gradient there being zero;
+every tail step's chosen log-prob is exactly -log k.
 
 Where the process may run on two or more CPUs and can fork, ``train`` forks
 one replay worker for the run, pinned to a CPU of its own, and splits each
@@ -57,8 +56,9 @@ from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from .features import NodeFeatures, compute_features, normalize_features
-from .policy_net import (NetConfig, NetworkError, PolicyValueNet, TowerStack, backward,
-                         check_operator_size, evaluate, forward, save_checkpoint)
+from .policy_net import (NetConfig, NetworkError, PolicyValueNet, backward,
+                         check_operator_size, evaluate, forward, save_checkpoint,
+                         tower_arrays)
 from .sparsity import Ordering, SparsityPattern, _open_text
 from .symbolic import EliminationGraph, EliminationTrace
 
@@ -272,7 +272,7 @@ def _complete_node(k: int) -> NodeFeatures:
     return NodeFeatures(x, EliminationGraph.of(SparsityPattern(1)))
 
 
-def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: EliminationTrace,
+def _replay_steps(net: PolicyValueNet, pattern: SparsityPattern, trace: EliminationTrace,
                   returns: np.ndarray, start: int, stop: int,
                   grads: dict[str, np.ndarray] | None = None
                   ) -> tuple[list[float], list[float], list[dict[str, np.ndarray]]]:
@@ -305,11 +305,11 @@ def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: Eliminati
     for t, node in enumerate(trace.nodes[:end]):
         row = bisect_left(g.nodes, node)
         if t >= start:
-            log_probs, v, tape = evaluate(towers, normalize_features(compute_features(g)))
+            log_probs, v, tape = evaluate(net, normalize_features(compute_features(g)))
             adv = returns[t] - v
             d_log_probs = np.zeros_like(log_probs)
             d_log_probs[row] = -adv / n
-            step = backward(towers, tape, d_log_probs, -2.0 * adv / n, grads)
+            step = backward(net, tape, d_log_probs, -2.0 * adv / n, grads)
             del tape
             if grads is None:
                 kept.append(step)
@@ -319,13 +319,13 @@ def _replay_steps(towers: TowerStack, pattern: SparsityPattern, trace: Eliminati
             g, _ = g.eliminate(row)
     if start <= t_c < stop:
         for least, steps in groupby(range(t_c, n), key=lambda t: min(n - t, 3)):
-            _, v, tape = evaluate(towers, _complete_node(least))
+            _, v, tape = evaluate(net, _complete_node(least))
             d_value = 0.0
             for t in steps:
                 d_value += -2.0 * (returns[t] - v) / n
                 values.append(v)
                 chosen.append(float(0.0 - np.log(n - t)))   # +0.0 at k = 1, as log_softmax gives
-            step = backward(towers, tape, np.zeros(1), d_value, grads)
+            step = backward(net, tape, np.zeros(1), d_value, grads)
             if grads is None:
                 kept.append(step)
     return values, chosen, kept
@@ -339,8 +339,7 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
     the critic's value of each step, and the log-probability of each step's
     chosen node.
 
-    Replays the episode from the pattern, both towers stacked once for the
-    episode, and adds each pass's gradient, a step's or a class of the
+    Replays the episode from the pattern and adds each pass's gradient, a step's or a class of the
     complete tail's (``_replay_steps``), in step order, into one sum that
     starts at zero. With ``worker``, a connection from ``replay_worker``,
     the steps from ``_split_step(n, t_c)`` on are replayed there while this
@@ -351,12 +350,11 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
     if pattern.n != n or len(returns) != n:
         raise ValueError(f"an episode on {pattern.n} nodes needs {pattern.n} steps and "
                          f"returns, got {n} steps and {len(returns)} returns")
-    towers = TowerStack(net)
-    grads = towers.zero_grads()
+    grads = net.zero_grads()
     split = n if worker is None else _split_step(n, _first_complete_step(trace))
     if split < n:
-        _message(worker.send, (net.config, net.params, pattern, trace, returns, split))
-    values, chosen, _ = _replay_steps(towers, pattern, trace, returns, 0, split, grads)
+        _message(worker.send, (net, pattern, trace, returns, split))
+    values, chosen, _ = _replay_steps(net, pattern, trace, returns, 0, split, grads)
     if split < n:
         _message(worker.send, grads)
         reply = _message(worker.recv)
@@ -366,7 +364,7 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
         grads, later_values, later_chosen = reply
         values += later_values
         chosen += later_chosen
-    return towers.split(grads), values, chosen
+    return grads, values, chosen
 
 
 def _message(transfer: Callable, *args):
@@ -390,9 +388,9 @@ def _serve(conn: Connection, parent_end: Connection, cpu: int) -> None:
             conn.send(_replay_share(conn, *conn.recv()))
 
 
-def _replay_share(conn: Connection, config: NetConfig, params: dict[str, np.ndarray],
-                  pattern: SparsityPattern, trace: EliminationTrace, returns: np.ndarray,
-                  start: int) -> tuple[dict[str, np.ndarray], list[float], list[float]] | str:
+def _replay_share(conn: Connection, net: PolicyValueNet, pattern: SparsityPattern,
+                  trace: EliminationTrace, returns: np.ndarray, start: int
+                  ) -> tuple[dict[str, np.ndarray], list[float], list[float]] | str:
     """The worker's share of one episode: replay the steps from ``start`` on,
     each pass's gradient into fresh zeros (0 + x is x, and a sum that starts
     at +0.0 never holds -0.0, so a -0.0 turned +0.0 adds the same), then add
@@ -401,9 +399,7 @@ def _replay_share(conn: Connection, config: NetConfig, params: dict[str, np.ndar
     the chosen log-probs, or, if the replay raised, its traceback. The
     per-pass gradients go when it returns, before the next episode."""
     try:
-        towers = TowerStack(PolicyValueNet(config, params=params))
-        values, chosen, steps = _replay_steps(towers, pattern, trace, returns,
-                                              start, len(trace))
+        values, chosen, steps = _replay_steps(net, pattern, trace, returns, start, len(trace))
     except Exception:     # reported to the parent, which raises
         import traceback
         conn.recv()
@@ -537,7 +533,7 @@ def train(graphs: Sequence[SparsityPattern], cfg: TrainerConfig
                     except ReplayError as exc:
                         raise ReplayError(f"{exc} in epoch {epoch}, graph {graph_id}") from exc
                     l_a, l_c, _ = losses(log_probs, values, returns)
-                    bad = [name for name, arr in grads.items() if not np.all(np.isfinite(arr))]
+                    bad = [name for name, arr in tower_arrays(grads) if not np.isfinite(arr).all()]
                     if not (np.isfinite(l_a) and np.isfinite(l_c)) or bad:
                         raise ValueError(
                             f"non-finite training values in epoch {epoch}, graph {graph_id} "

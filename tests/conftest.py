@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from fillreduce import (EliminationError, EliminationGraph, EliminationTrace, NetConfig,
-                        Ordering, SparsityPattern, TowerStack, backward, compute_features,
+                        Ordering, SparsityPattern, backward, compute_features, evaluate,
                         forward, normalize_features, policy_net, sparsity, symbolic_factorize)
 from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
 from fillreduce.features import NUM_FEATURES, NodeFeatures
@@ -327,24 +327,18 @@ def tie_heavy_patterns(draw) -> SparsityPattern:
     return relabeled(p, draw(st.permutations(range(p.n))))
 
 
-def evaluate(net, x):
-    """Both heads on one state, the towers stacked from ``net``'s arrays as
-    they are now: (log-probs, value, tape)."""
-    return policy_net.evaluate(TowerStack(net), x)
-
-
 def blow_up_actor(net):
     """Finite parameters under which every actor logit is inf, so every
     log-prob is NaN: the last layer saturates at tanh = 1 and the head's
     weights are 1e308. ``load_checkpoint`` accepts them."""
-    net.params["actor.head.w"][:] = 1e308
-    net.params[f"actor.layer{net.config.num_layers - 1}.b"][:] = 50.0
+    net.params["head.w"][0] = 1e308
+    net.params[f"layer{net.config.num_layers - 1}.b"][0] = 50.0
     return net
 
 
 def gradients(tape, d_log_probs, d_value):
-    """``backward`` of a tape from ``evaluate``, in the layout of ``net.params``."""
-    return tape.net.split(backward(tape.net, tape, d_log_probs, d_value))
+    """``backward`` of a tape from ``evaluate``, by the net that recorded it."""
+    return backward(tape.net, tape, d_log_probs, d_value)
 
 
 def reference_features(g) -> np.ndarray:
@@ -509,12 +503,13 @@ def reference_episode(net, pattern, rng, to_returns):
     return grads, values, log_probs, ordering
 
 
-def _one_tower(arrays, tower):
-    """Tower ``tower``'s slice of every stacked array, by the same names."""
-    return {name: arr[tower] for name, arr in arrays.items()}
+def one_tower(arrays, tower):
+    """Tower ``tower``'s slice of every layer array, by the same names: views,
+    so adding into one adds into the stacked array."""
+    return {name: arr[tower] for name, arr in arrays.items() if name.startswith("layer")}
 
 
-def reference_tower_forward(cfg, params, prefix, prop, first):
+def reference_tower_forward(cfg, params, prop, first):
     """The towers one at a time, and each hop by hop: a product, a bias add
     and a tanh per hop, each hop's weight and bias sliced from its layer's
     arrays, and the hops concatenated into the layer's output, which is the
@@ -522,16 +517,16 @@ def reference_tower_forward(cfg, params, prefix, prop, first):
     is P^j (H W_j), the operator applied j times to its own product.
     ``policy_net._tower_forward`` computes a layer of every tower as one
     block."""
-    if params[f"{prefix}layer0.w"].ndim == 3:
-        towers = [reference_tower_forward(cfg, _one_tower(params, t), prefix, prop, first)
+    if params["layer0.w"].ndim == 3:
+        towers = [reference_tower_forward(cfg, one_tower(params, t), prop, first)
                   for t in range(len(policy_net.TOWERS))]
         return [np.stack(layer) for layer in zip(*towers)]
     outputs, h = [], None
     for layer in range(cfg.num_layers):
         acts = []
         for idx, (hop, block) in enumerate(zip(cfg.hops, cfg.hop_blocks)):
-            w = params[f"{prefix}layer{layer}.w"][:, block]
-            b = params[f"{prefix}layer{layer}.b"][block]
+            w = params[f"layer{layer}.w"][:, block]
+            b = params[f"layer{layer}.b"][block]
             if layer == 0:
                 pre = first[idx] @ w
             else:
@@ -544,7 +539,7 @@ def reference_tower_forward(cfg, params, prefix, prop, first):
     return outputs
 
 
-def reference_tower_backward(cfg, params, prefix, outputs, first, prop, d_out, grads):
+def reference_tower_backward(cfg, params, outputs, first, prop, d_out, grads):
     """The gradient of ``reference_tower_forward``, one tower at a time and
     hop by hop: a tanh derivative, a bias sum, P^T applied j times and a
     weight gradient per hop, gradients added into the hop's slices of its
@@ -555,13 +550,12 @@ def reference_tower_backward(cfg, params, prefix, outputs, first, prop, d_out, g
     it: a sum of one product per hop would round differently."""
     if outputs[0].ndim == 3:
         for t in range(len(outputs[0])):
-            reference_tower_backward(cfg, _one_tower(params, t), prefix,
-                                     [h[t] for h in outputs], first, prop, d_out[t],
-                                     _one_tower(grads, t))
+            reference_tower_backward(cfg, one_tower(params, t), [h[t] for h in outputs],
+                                     first, prop, d_out[t], one_tower(grads, t))
         return
     for layer in reversed(range(cfg.num_layers)):
         d_hops = []
-        name = f"{prefix}layer{layer}"
+        name = f"layer{layer}"
         for idx, (hop, block) in enumerate(zip(cfg.hops, cfg.hop_blocks)):
             act = outputs[layer][:, block]
             d_pre = d_out[:, block] * (1.0 - act * act)

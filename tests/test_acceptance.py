@@ -12,12 +12,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (ReferenceGraph, cycle_pattern, evaluate, fill_edges, fill_steps,
-                      gradients, live_edges, path_pattern, pattern_features, random_pattern,
-                      random_tree)
+from conftest import (ReferenceGraph, cycle_pattern, fill_edges, fill_steps, gradients,
+                      live_edges, path_pattern, pattern_features, random_pattern, random_tree)
 from fillreduce import (EliminationGraph, NetConfig, PolicyValueNet,
                         SparsityPattern, TrainerConfig,
-                        adaptive_saturation_return,
+                        adaptive_saturation_return, evaluate,
                         fill_in_ratio, fill_path_oracle,
                         generate_training_set, min_degree_order, natural_order, normalize_features,
                         random_order, rollout, symbolic_factorize, train)

@@ -336,7 +336,7 @@ def _checkpoint_with_meta(path, meta):
 
 @pytest.mark.parametrize("case", ["malformed_matrix", "missing_model", "bad_meta_model",
                                   "huge_layers_model", "float_width_model", "v1_model",
-                                  "nan_model", "manifest_without_file"])
+                                  "v2_model", "nan_model", "manifest_without_file"])
 def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     matrix = tmp_path / "m.mtx"
     write_matrix_market(path_pattern(4), matrix)
@@ -349,19 +349,19 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
         _checkpoint_with_meta(model, "{not json")
     elif case == "huge_layers_model":
         _checkpoint_with_meta(model, json.dumps({
-            "format_version": 2, "backbone": "mixhop", "num_layers": 20000,
+            "format_version": 3, "backbone": "mixhop", "num_layers": 20000,
             "hidden_per_hop": 16, "in_dim": 2}))
     elif case == "float_width_model":
         _checkpoint_with_meta(model, json.dumps({
-            "format_version": 2, "backbone": "mixhop", "num_layers": 2,
+            "format_version": 3, "backbone": "mixhop", "num_layers": 2,
             "hidden_per_hop": 16.0, "in_dim": 2}))
-    elif case == "v1_model":
+    elif case in ("v1_model", "v2_model"):
         _checkpoint_with_meta(model, json.dumps({
-            "format_version": 1, "backbone": "mixhop", "num_layers": 2,
+            "format_version": int(case[1]), "backbone": "mixhop", "num_layers": 2,
             "hidden_per_hop": 16, "in_dim": 2}))
     elif case == "nan_model":
         net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(0))
-        net.params["actor.head.w"][0] = np.nan
+        net.params["head.w"][0, 0] = np.nan
         save_checkpoint(net, model)
     args = ["order", "--matrix", matrix, "--method", method, "--model", model,
             "--out", tmp_path / "o.txt"]
@@ -374,8 +374,9 @@ def test_bad_inputs_exit_2_with_one_error_line(tmp_path, capsys, case):
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
     assert not (tmp_path / "o.txt").exists()
-    if case == "v1_model":
-        assert "unsupported version 1" in err_lines[0] and "re-run `train`" in err_lines[0]
+    if case in ("v1_model", "v2_model"):
+        version = f"unsupported version {case[1]}"
+        assert version in err_lines[0] and "re-run `train`" in err_lines[0]
 
 
 def test_train_non_finite_gradient_exits_2(tmp_path, capsys, monkeypatch):

@@ -23,11 +23,11 @@ from fillreduce import (TrainerConfig, generate_delaunay, generate_training_set,
 from fillreduce.policy_net import param_shapes
 from fillreduce.trainer import write_training_log
 
-# sha256 of the trained arrays in param_shapes order: per tower, each
-# layer's w then b, then head.w and head.b
+# sha256 of each tower's slice of the trained arrays, the actor's first, in
+# param_shapes order: each layer's w then b, then head.w and head.b
 PARAMS_SHA256 = "dbde2c089d1d8b2ec25b4bd2e936e20284ca60ea69774ee7bf5541bb145b573b"
 
-CHECKPOINT_SHA256 = "21d1a26ab43bccbd426104a72df0925ccd2332fb65f85a2397aa9158313cbf06"
+CHECKPOINT_SHA256 = "0e6a17fa85093f9fc1130e24a6b1378d5e8c4749335691c001c6d761bc6e7386"
 
 TRAINING_LOG = (
     "1,0,182,0.501,0.372721\n"
@@ -86,8 +86,9 @@ def test_golden_parameters(trained):
     net, _, _ = trained
     assert list(net.params) == list(param_shapes(net.config))
     digest = hashlib.sha256()
-    for arr in net.params.values():
-        digest.update(arr.tobytes())
+    for tower in range(2):
+        for arr in net.params.values():
+            digest.update(arr[tower].tobytes())
     assert digest.hexdigest() == PARAMS_SHA256
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (eliminated_graph, evaluate, gradients, path_pattern, patterns,
+from conftest import (eliminated_graph, gradients, one_tower, path_pattern, patterns,
                       per_hop_towers, random_pattern)
 from fillreduce import (EliminationGraph, NetConfig, NetworkError, PolicyValueNet,
-                        SparsityPattern, TowerStack, backward, build_propagation,
-                        compute_features, forward, generate_delaunay,
-                        load_checkpoint, normalize_features, save_checkpoint)
+                        SparsityPattern, backward, build_propagation, compute_features,
+                        evaluate, forward, generate_delaunay, load_checkpoint,
+                        normalize_features, save_checkpoint)
 from fillreduce.policy_net import (_tower_backward, _tower_forward, log_softmax_backward,
                                    param_shapes)
 from fillreduce.trainer import AdamState
@@ -140,10 +140,11 @@ def test_tape_net_mismatch_rejected():
     net1, net2 = fresh_net(1), fresh_net(2)
     x = state(path_pattern(4))
     _, _, tape = evaluate(net1, x)
+    twin = PolicyValueNet(net1.config, params=net1.params)   # equal arrays, another net
     with pytest.raises(NetworkError, match="different network"):
-        backward(TowerStack(net1), tape, np.zeros(4), 0.0)   # another stack of the same net
+        backward(twin, tape, np.zeros(4), 0.0)
     with pytest.raises(NetworkError, match="different network"):
-        backward(TowerStack(net2), tape, np.zeros(4), 0.0)
+        backward(net2, tape, np.zeros(4), 0.0)
     with pytest.raises(NetworkError, match="shape"):
         backward(tape.net, tape, np.zeros(3), 0.0)
 
@@ -267,11 +268,10 @@ def test_config_validation_and_widths():
     assert cfg.layer_in_width(0) == 2
     assert cfg.layer_in_width(1) == 48
     shapes = param_shapes(cfg)
-    assert len(shapes) == 12
-    assert shapes["actor.layer0.w"] == (2, 48)
-    assert shapes["critic.layer1.w"] == (48, 48)
-    assert shapes["critic.layer1.b"] == (48,)
-    assert shapes["actor.head.w"] == (48,)
+    # both towers stacked on the leading axis, actor first
+    assert shapes == {"layer0.w": (2, 2, 48), "layer0.b": (2, 48),
+                      "layer1.w": (2, 48, 48), "layer1.b": (2, 48),
+                      "head.w": (2, 48), "head.b": (2, 1)}
     net = PolicyValueNet(cfg)
     assert type(net.params) is dict and type(net.zero_grads()) is dict
     assert {k: v.shape for k, v in net.params.items()} == shapes
@@ -280,7 +280,7 @@ def test_config_validation_and_widths():
 def test_mismatched_params_rejected_at_construction():
     net = fresh_net(13)
     bad = dict(net.params)
-    bad["actor.head.w"] = np.zeros(7)
+    bad["head.w"] = np.zeros((2, 7))
     with pytest.raises(NetworkError):
         PolicyValueNet(net.config, params=bad)
 
@@ -314,7 +314,7 @@ def test_parameters_are_what_forward_reads(tmp_path, backbone):
     x = state(path_pattern(5))
     net = fresh_net(18, backbone=backbone, num_layers=2, hidden_per_hop=3)
     assert list(net.params) == list(param_shapes(net.config))
-    bias, weight = "actor.layer1.b", "actor.layer1.w"
+    bias, weight = "layer1.b", "layer1.w"
 
     adam = AdamState(net)
     _, _, tape = evaluate(net, x)
@@ -367,7 +367,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
     # shape mismatch
     bad = dict(arrays)
-    bad["actor.head.w"] = np.zeros(3)
+    bad["head.w"] = np.zeros(3)
     with open(tmp_path / "bad_shape.ckpt", "wb") as fh:
         np.savez(fh, **bad)
     with pytest.raises(NetworkError, match="mismatched"):
@@ -375,41 +375,42 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
     # a layer array of one hop's width
     bad = dict(arrays)
-    bad["critic.layer1.w"] = np.zeros((48, 16))
+    bad["layer1.w"] = np.zeros((2, 48, 16))
     with open(tmp_path / "hop_width.ckpt", "wb") as fh:
         np.savez(fh, **bad)
-    with pytest.raises(NetworkError, match=r"mismatched=\[critic.layer1.w\]"):
+    with pytest.raises(NetworkError, match=r"mismatched=\[layer1.w\]"):
         load_checkpoint(tmp_path / "hop_width.ckpt")
 
     # missing parameter
     bad = dict(arrays)
-    del bad["critic.head.b"]
+    del bad["head.b"]
     with open(tmp_path / "missing.ckpt", "wb") as fh:
         np.savez(fh, **bad)
     with pytest.raises(NetworkError, match="missing"):
         load_checkpoint(tmp_path / "missing.ckpt")
 
     # one array per hop, under per-hop names, is not this format
-    bad = {k: v for k, v in arrays.items() if ".layer" not in k}
+    bad = {k: v for k, v in arrays.items() if not k.startswith("layer")}
     for name in param_shapes(net.config):
         stem, kind = name.rsplit(".", 1)
         for hop, block in zip(net.config.hops, net.config.hop_blocks):
-            if ".layer" in stem:
+            if stem.startswith("layer"):
                 bad[f"{stem}.hop{hop}.{kind}"] = arrays[name][..., block]
     with open(tmp_path / "per_hop.ckpt", "wb") as fh:
         np.savez(fh, **bad)
-    with pytest.raises(NetworkError, match="declares 12 parameter arrays and holds 28"):
+    with pytest.raises(NetworkError, match="declares 6 parameter arrays and holds 14"):
         load_checkpoint(tmp_path / "per_hop.ckpt")
 
-    # unknown version
-    bad = dict(arrays)
-    meta = json.loads(str(bad["__meta__"]))
-    meta["format_version"] = 99
-    bad["__meta__"] = np.array(json.dumps(meta))
-    with open(tmp_path / "vers.ckpt", "wb") as fh:
-        np.savez(fh, **bad)
-    with pytest.raises(NetworkError, match="version"):
-        load_checkpoint(tmp_path / "vers.ckpt")
+    # an unknown version, and format 2, which kept each tower's arrays apart
+    for version in (99, 2):
+        bad = dict(arrays)
+        meta = json.loads(str(bad["__meta__"]))
+        meta["format_version"] = version
+        bad["__meta__"] = np.array(json.dumps(meta))
+        with open(tmp_path / "vers.ckpt", "wb") as fh:
+            np.savez(fh, **bad)
+        with pytest.raises(NetworkError, match=f"unsupported version {version}, expected 3"):
+            load_checkpoint(tmp_path / "vers.ckpt")
 
     # metadata that is not JSON, not an object, short of a field, with a
     # non-integer layer count or width, or built for another feature count;
@@ -436,8 +437,8 @@ def test_checkpoint_rejects_corruption(tmp_path):
     # would silently turn into natural order
     for name, poison in (("nan", np.nan), ("inf", -np.inf)):
         bad = dict(arrays)
-        bad["actor.head.w"] = arrays["actor.head.w"].copy()
-        bad["actor.head.w"][0] = poison
+        bad["head.w"] = arrays["head.w"].copy()
+        bad["head.w"][0, 0] = poison
         non_finite = tmp_path / f"{name}.ckpt"
         with open(non_finite, "wb") as fh:
             np.savez(fh, **bad)
@@ -451,7 +452,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     huge_meta = json.dumps({**meta, "num_layers": 20000})
     with open(huge, "wb") as fh:
         np.savez(fh, **{**arrays, "__meta__": np.array(huge_meta)})
-    with pytest.raises(NetworkError, match="declares 80004 parameter arrays") as info:
+    with pytest.raises(NetworkError, match="declares 40002 parameter arrays") as info:
         load_checkpoint(huge)
     assert len(str(info.value)) < 1024
 
@@ -462,26 +463,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 
 def one_tower_at_a_time(net, tape, c_lp, c_v):
-    """Log-probs, value and gradients with each tower's own 2-D arrays run
-    through the kernels one after the other, on the tape's operator and hop
-    inputs: the actor, its head and log-softmax, then the critic and its
-    tanh head, then the backward pass of each alone."""
+    """Log-probs, value and gradients with each tower's slices run through
+    the kernels one after the other, on the tape's operator and hop inputs:
+    the actor, its head and log-softmax, then the critic and its tanh head,
+    then the backward pass of each alone."""
     cfg, p = net.config, net.params
-    towers = {tower: _tower_forward(cfg, p, f"{tower}.", tape.prop, tape.first)
-              for tower in ("actor", "critic")}
-    logits = towers["actor"][-1] @ p["actor.head.w"] + p["actor.head.b"][0]
+    towers = [_tower_forward(cfg, one_tower(p, t), tape.prop, tape.first) for t in (0, 1)]
+    logits = towers[0][-1] @ p["head.w"][0] + p["head.b"][0, 0]
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
-    t = np.tanh(towers["critic"][-1] @ p["critic.head.w"] + p["critic.head.b"][0])
-    d_heads = {"actor": log_softmax_backward(np.exp(log_probs), c_lp),
-               "critic": (c_v / t.size) * (1.0 - t * t)}
+    t = np.tanh(towers[1][-1] @ p["head.w"][1] + p["head.b"][1, 0])
+    d_heads = [log_softmax_backward(np.exp(log_probs), c_lp), (c_v / t.size) * (1.0 - t * t)]
     grads = net.zero_grads()
-    for tower, outputs in towers.items():
-        d = d_heads[tower]
-        grads[f"{tower}.head.w"] += outputs[-1].T @ d
-        grads[f"{tower}.head.b"] += d.sum(keepdims=True)
-        _tower_backward(cfg, p, f"{tower}.", outputs, tape.first, tape.prop,
-                        np.outer(d, p[f"{tower}.head.w"]), grads)
+    for tower, (outputs, d) in enumerate(zip(towers, d_heads)):
+        grads["head.w"][tower] += outputs[-1].T @ d
+        grads["head.b"][tower] += d.sum(keepdims=True)
+        _tower_backward(cfg, one_tower(p, tower), outputs, tape.first, tape.prop,
+                        np.outer(d, p["head.w"][tower]), one_tower(grads, tower))
     return log_probs, float(t.mean()), grads
 
 

@@ -9,16 +9,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ReferenceGraph, blow_up_actor, clique_pattern, eliminated_graph,
-                      environment_edges, evaluate, fill_edges, fill_steps, first_complete_step,
+                      environment_edges, fill_edges, fill_steps, first_complete_step,
                       gradients, path_pattern, pattern_features, patterns, random_pattern,
                       reference_episode, reference_features, reference_rollout,
                       snapshot_edges, star_pattern, tie_heavy_patterns, twin_heavy_patterns)
 from fillreduce import (EliminationTrace, NetworkError, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return, compute_features,
-                        forward, generate_delaunay, policy_net,
+                        evaluate, forward, generate_delaunay, policy_net,
                         generate_training_set, losses, normalize_features,
                         raw_return, rollout, symbolic_factorize, train, trainer)
-from fillreduce.policy_net import BACKBONES, NetConfig, PolicyValueNet, load_checkpoint
+from fillreduce.policy_net import (BACKBONES, NetConfig, PolicyValueNet, load_checkpoint,
+                                   tower_arrays)
 from fillreduce.trainer import (ADAM_EPS, LR_FIRST_EPOCH, LR_REST, AdamState,
                                TrainLogEntry, episode_gradients, learning_rate,
                                write_training_log)
@@ -201,9 +202,10 @@ def test_rollout_never_evaluates_the_critic(greedy, monkeypatch):
 
     monkeypatch.setattr(trainer, "evaluate", no_critic)
     net = fresh_net(9)
-    blind = PolicyValueNet(net.config, params={
-        name: np.full_like(arr, np.nan) if name.startswith("critic.") else arr
-        for name, arr in net.params.items()})
+    blind = PolicyValueNet(net.config, params=net.params)
+    for name, arr in tower_arrays(blind.params):
+        if name.startswith("critic."):
+            arr[...] = np.nan
     p = random_pattern(np.random.default_rng(49), 12)
     rng = lambda: None if greedy else np.random.default_rng(50)
     expected, ordering = rollout(net, p, rng(), greedy=greedy)
@@ -242,7 +244,7 @@ def test_sampled_rollout_draws_as_generator_choice(pattern, seed, sharpness):
     # rng.choice(k, p=probs), and the generator left in the same state. A
     # large head weight makes peaked distributions, and 0 a uniform one.
     net = fresh_net(seed % 7)
-    net.params["actor.head.w"] *= sharpness
+    net.params["head.w"][0] *= sharpness   # the actor's
     drawn = np.random.default_rng(seed)
     _, ordering = rollout(net, pattern, drawn)
     nodes, _, chosen = expected_rollout(net, pattern, seed, greedy=False)
@@ -346,9 +348,9 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
     net = fresh_net()
     for name, arr in net.params.items():
         arr[...] = 0.0
-    net.params["actor.layer0.w"][0, 0] = -10.0
-    net.params["actor.layer1.w"][0, 0] = 1.0
-    net.params["actor.head.w"][0] = 1.0
+    net.params["layer0.w"][0, 0, 0] = -10.0   # the actor's slices
+    net.params["layer1.w"][0, 0, 0] = 1.0
+    net.params["head.w"][0, 0] = 1.0
     path = path_pattern(3)
     trace, ordering = rollout(net, path, rng=None, greedy=True)
     assert trace.total_fill == 0
@@ -491,7 +493,7 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
         grads, values, log_probs = real(net, pattern, trace, returns, worker)
         calls.append(len(trace))
         if len(calls) == 2:
-            grads["critic.head.b"][0] = np.nan
+            dict(tower_arrays(grads))["critic.head.b"][0] = np.nan
         return grads, values, log_probs
 
     monkeypatch.setattr(trainer, "episode_gradients", poisoned)
@@ -572,8 +574,8 @@ def test_complete_graph_is_one_node(k, backbone, seed, upstream, data):
     assert one_value == pytest.approx(value, rel=1e-12, abs=1e-15)
     assert np.allclose(log_probs, -np.log(k), rtol=1e-12, atol=0)
     # the critic's gradient for one upstream; neither pass moves the actor
-    full = gradients(tape, np.zeros(k), upstream)
-    single = gradients(one_tape, np.zeros(1), upstream)
+    full = dict(tower_arrays(gradients(tape, np.zeros(k), upstream)))
+    single = dict(tower_arrays(gradients(one_tape, np.zeros(1), upstream)))
     scale = largest(full)
     for name, arr in full.items():
         if name.startswith("actor."):
@@ -585,10 +587,10 @@ def test_complete_graph_is_one_node(k, backbone, seed, upstream, data):
     row = data.draw(st.integers(0, k - 1))
     one_hot = np.zeros(k)
     one_hot[row] = upstream
-    actor = gradients(tape, one_hot, 0.0)
+    actor = dict(tower_arrays(gradients(tape, one_hot, 0.0)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(policy_net, "log_softmax_backward", lambda softmax, d: d)
-        logit = largest(gradients(tape, one_hot, 0.0))
+        logit = largest(dict(tower_arrays(gradients(tape, one_hot, 0.0))))
     for name, arr in actor.items():
         if name.startswith("actor."):
             assert np.abs(arr).max() <= 1e-13 * logit[name], name
@@ -755,7 +757,7 @@ def test_train_leaves_no_child_after_non_finite_gradient(monkeypatch):
 
     def poisoned(*args):
         grads, values, log_probs = real(*args)
-        grads["actor.head.w"][0] = np.inf
+        dict(tower_arrays(grads))["actor.head.w"][0] = np.inf
         return grads, values, log_probs
 
     monkeypatch.setattr(trainer, "episode_gradients", poisoned)
@@ -774,7 +776,7 @@ def test_train_restores_the_callers_cpu_affinity(monkeypatch):
 
     def poisoned(*args):
         grads, values, log_probs = real(*args)
-        grads["actor.head.b"][0] = np.nan
+        dict(tower_arrays(grads))["actor.head.w"][0] = np.nan
         return grads, values, log_probs
 
     monkeypatch.setattr(trainer, "episode_gradients", poisoned)
