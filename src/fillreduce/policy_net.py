@@ -6,23 +6,25 @@ through powers of a normalized adjacency operator, applies a per-hop linear
 map and tanh, and concatenates the per-hop outputs. The actor head maps each
 node embedding to a logit and log-softmaxes over live nodes; the critic head
 maps node embeddings through linear + tanh and mean-pools to one scalar in
-(-1, 1).
+(-1, 1). The actor's head has no bias: log-softmax cancels a constant
+added to every logit.
 
 Each parameter is one array that holds both towers, stacked on a leading
-tower axis, actor first. Layer l has one weight ``layer{l}.w`` of shape
-(2, in_width, trunk_width), hop j's map W_j in its j-th column block, and
-one bias ``layer{l}.b``, as MixHop writes a layer. A layer is computed as
-one block of shape (k, trunk_width) per tower, hops side by side. Layer 0
-widens its two input features, so it propagates first: its hop j reads
-P^j X, which both towers share. A layer >= 1 narrows its input, so it
-multiplies by the weights first, as GCN and MixHop do: hop j is P^j (H W_j),
-and the operator meets hidden_per_hop columns per power instead of
-trunk_width. Each hop's products are written into its column block;
-products over several hops' columns at once would round each hop
-differently from the same hop computed alone. The layer then adds its bias
-and applies tanh once; the next layer reads that array as it is. The
-backward pass mirrors this: P^T applied j times to hop j's block, one
-weight-gradient product per hop, and one product for the input gradient.
+tower axis, actor first, but for the head bias, which is the critic's
+alone. Layer l has one weight ``layer{l}.w`` of shape (2, in_width,
+trunk_width), hop j's map W_j in its j-th column block, and one bias
+``layer{l}.b``, as MixHop writes a layer. A layer is computed as one block
+of shape (k, trunk_width) per tower, hops side by side. Layer 0 widens its
+two input features, so it propagates first: its hop j reads P^j X, which
+both towers share. A layer >= 1 narrows its input, so it multiplies by the
+weights first, as GCN and MixHop do: hop j is P^j (H W_j), and the operator
+meets hidden_per_hop columns per power instead of trunk_width. Each hop's
+products are written into its column block; products over several hops'
+columns at once would round each hop differently from the same hop
+computed alone. The layer then adds its bias and applies tanh once; the
+next layer reads that array as it is. The backward pass mirrors this: P^T
+applied j times to hop j's block, one weight-gradient product per hop, and
+one product for the input gradient.
 
 The tower kernels index with ``...`` and ``.mT``, so they run the actor's
 2-D slices or both towers' stacked arrays, where each stacked ``matmul``
@@ -107,23 +109,27 @@ class NetConfig:
 
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map for every parameter, both towers stacked on the
-    leading axis, actor first; fixes both naming and layout."""
+    leading axis, actor first, but ``head.b``, the critic's alone; fixes
+    both naming and layout."""
     towers, width = len(TOWERS), config.trunk_width
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(config.num_layers):
         shapes[f"layer{layer}.w"] = (towers, config.layer_in_width(layer), width)
         shapes[f"layer{layer}.b"] = (towers, width)
     shapes["head.w"] = (towers, width)
-    shapes["head.b"] = (towers, 1)
+    shapes["head.b"] = (1,)
     return shapes
 
 
 def tower_arrays(params: Mapping[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
-    """Each tower's slice of every array in ``param_shapes`` order, the
+    """Each tower's part of every array in ``param_shapes`` order, the
     actor's first, named ``{tower}.{name}`` as an error message shows it."""
     for i, tower in enumerate(TOWERS):
         for name, arr in params.items():
-            yield f"{tower}.{name}", arr[i]
+            if name != "head.b":
+                yield f"{tower}.{name}", arr[i]
+            elif tower == "critic":
+                yield "critic.head.b", arr
 
 
 def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -131,8 +137,8 @@ def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.nd
 
     The actor's arrays are drawn before the critic's. A layer's weight and
     bias are drawn hop by hop, each hop's weight before its bias, and put
-    side by side, so a seed gives the floats it gave when every tower and
-    hop had its own arrays.
+    side by side; the actor's head bias is drawn and dropped. So a seed
+    gives the floats it gave when every tower and hop had its own arrays.
     """
     towers = []
     for _ in TOWERS:
@@ -149,7 +155,8 @@ def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.nd
         params["head.w"] = rng.uniform(-bound, bound, size=config.trunk_width)
         params["head.b"] = rng.uniform(-bound, bound, size=1)
         towers.append(params)
-    return {name: np.stack([tower[name] for tower in towers]) for name in towers[0]}
+    stacked = {name: np.stack([tower[name] for tower in towers]) for name in towers[0]}
+    return {**stacked, "head.b": towers[1]["head.b"]}
 
 
 class PolicyValueNet:
@@ -290,9 +297,9 @@ def forward(net: PolicyValueNet, features: NodeFeatures) -> np.ndarray:
     node ids, matching ``features.graph.nodes``). The result depends on the
     snapshot alone.
     """
-    actor = {name: arr[0] for name, arr in net.params.items()}
+    actor = {name: arr[0] for name, arr in net.params.items() if name != "head.b"}
     _, _, outputs = _trunk(net.config, actor, features)
-    return _log_softmax(outputs[-1] @ actor["head.w"] + actor["head.b"][0])
+    return _log_softmax(outputs[-1] @ actor["head.w"])
 
 
 def evaluate(net: PolicyValueNet, features: NodeFeatures
@@ -302,8 +309,8 @@ def evaluate(net: PolicyValueNet, features: NodeFeatures
     in (-1, 1), the mean of tanh of its per-node head; and the tape for
     ``backward``."""
     prop, first, outputs = _trunk(net.config, net.params, features)
-    pre = (outputs[-1] @ net.params["head.w"][..., None])[..., 0] + net.params["head.b"]
-    log_probs, critic_tanh = _log_softmax(pre[0]), np.tanh(pre[1])
+    pre = (outputs[-1] @ net.params["head.w"][..., None])[..., 0]
+    log_probs, critic_tanh = _log_softmax(pre[0]), np.tanh(pre[1] + net.params["head.b"])
     tape = ForwardTape(net, prop, first, outputs, log_probs, critic_tanh)
     return log_probs, float(critic_tanh.mean()), tape
 
@@ -359,7 +366,7 @@ def backward(net: PolicyValueNet, tape: ForwardTape, d_log_probs: np.ndarray,
     d_heads = np.stack((log_softmax_backward(np.exp(tape.log_probs), d_log_probs),
                         (d_value / t.size) * (1.0 - t * t)))
     grads["head.w"] += (tape.outputs[-1].mT @ d_heads[..., None])[..., 0]
-    grads["head.b"] += d_heads.sum(axis=-1, keepdims=True)
+    grads["head.b"] += d_heads[1].sum(keepdims=True)
     d_out = d_heads[..., None] * net.params["head.w"][:, None, :]   # each tower's outer product
     _tower_backward(net.config, net.params, tape.outputs, tape.first, tape.prop, d_out, grads)
     return grads

@@ -24,10 +24,11 @@ from fillreduce.policy_net import param_shapes
 from fillreduce.trainer import write_training_log
 
 # sha256 of each tower's slice of the trained arrays, the actor's first, in
-# param_shapes order: each layer's w then b, then head.w and head.b
-PARAMS_SHA256 = "dbde2c089d1d8b2ec25b4bd2e936e20284ca60ea69774ee7bf5541bb145b573b"
+# param_shapes order: each layer's w then b, then head.w; then the critic's
+# head.b, the last array, which has no tower axis
+PARAMS_SHA256 = "31f119402d6de9e3107c9253da0bb20b0df29f571c7aa54e503292a32a66ba02"
 
-CHECKPOINT_SHA256 = "0e6a17fa85093f9fc1130e24a6b1378d5e8c4749335691c001c6d761bc6e7386"
+CHECKPOINT_SHA256 = "4e0c213aab3abcfe238d1a9f348d5203fe9e139d322c9a4a4a24c899cd9a3257"
 
 TRAINING_LOG = (
     "1,0,182,0.501,0.372721\n"
@@ -87,8 +88,10 @@ def test_golden_parameters(trained):
     assert list(net.params) == list(param_shapes(net.config))
     digest = hashlib.sha256()
     for tower in range(2):
-        for arr in net.params.values():
-            digest.update(arr[tower].tobytes())
+        for name, arr in net.params.items():
+            if name != "head.b":
+                digest.update(arr[tower].tobytes())
+    digest.update(net.params["head.b"].tobytes())
     assert digest.hexdigest() == PARAMS_SHA256
 
 

@@ -268,10 +268,11 @@ def test_config_validation_and_widths():
     assert cfg.layer_in_width(0) == 2
     assert cfg.layer_in_width(1) == 48
     shapes = param_shapes(cfg)
-    # both towers stacked on the leading axis, actor first
+    # both towers stacked on the leading axis, actor first; the head bias
+    # is the critic's alone
     assert shapes == {"layer0.w": (2, 2, 48), "layer0.b": (2, 48),
                       "layer1.w": (2, 48, 48), "layer1.b": (2, 48),
-                      "head.w": (2, 48), "head.b": (2, 1)}
+                      "head.w": (2, 48), "head.b": (1,)}
     net = PolicyValueNet(cfg)
     assert type(net.params) is dict and type(net.zero_grads()) is dict
     assert {k: v.shape for k, v in net.params.items()} == shapes
@@ -469,17 +470,17 @@ def one_tower_at_a_time(net, tape, c_lp, c_v):
     then the backward pass of each alone."""
     cfg, p = net.config, net.params
     towers = [_tower_forward(cfg, one_tower(p, t), tape.prop, tape.first) for t in (0, 1)]
-    logits = towers[0][-1] @ p["head.w"][0] + p["head.b"][0, 0]
+    logits = towers[0][-1] @ p["head.w"][0]
     shifted = logits - logits.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
-    t = np.tanh(towers[1][-1] @ p["head.w"][1] + p["head.b"][1, 0])
+    t = np.tanh(towers[1][-1] @ p["head.w"][1] + p["head.b"][0])
     d_heads = [log_softmax_backward(np.exp(log_probs), c_lp), (c_v / t.size) * (1.0 - t * t)]
     grads = net.zero_grads()
     for tower, (outputs, d) in enumerate(zip(towers, d_heads)):
         grads["head.w"][tower] += outputs[-1].T @ d
-        grads["head.b"][tower] += d.sum(keepdims=True)
         _tower_backward(cfg, one_tower(p, tower), outputs, tape.first, tape.prop,
                         np.outer(d, p["head.w"][tower]), one_tower(grads, tower))
+    grads["head.b"] += d_heads[1].sum(keepdims=True)
     return log_probs, float(t.mean()), grads
 
 
