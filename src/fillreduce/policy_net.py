@@ -9,31 +9,30 @@ maps node embeddings through linear + tanh and mean-pools to one scalar in
 (-1, 1). The actor's head has no bias: log-softmax cancels a constant
 added to every logit.
 
-Each parameter is one array that holds both towers, stacked on a leading
-tower axis, actor first, but for the head bias, which is the critic's
-alone. Layer l has one weight ``layer{l}.w`` of shape (2, in_width,
-trunk_width), hop j's map W_j in its j-th column block, and one bias
-``layer{l}.b``, as MixHop writes a layer. A layer is computed as one block
-of shape (k, trunk_width) per tower, hops side by side. Layer 0 widens its
-two input features, so it propagates first: its hop j reads P^j X, which
-both towers share. A layer >= 1 narrows its input, so it multiplies by the
-weights first, as GCN and MixHop do: hop j is P^j (H W_j), and the operator
-meets hidden_per_hop columns per power instead of trunk_width. Each hop's
-products are written into its column block; products over several hops'
-columns at once would round each hop differently from the same hop
-computed alone. The layer then adds its bias and applies tanh once; the
-next layer reads that array as it is. The backward pass mirrors this: P^T
-applied j times to hop j's block, one weight-gradient product per hop, and
-one product for the input gradient.
+Each parameter is one array holding both towers, stacked on a leading
+tower axis, actor first; the head bias is the critic's alone. Layer l has
+one weight ``layer{l}.w`` of shape (2, in_width, trunk_width), hop j's map
+W_j in its j-th column block, and one bias ``layer{l}.b``, as MixHop writes
+a layer. A layer is computed as one block of shape (k, trunk_width) per
+tower, hops side by side. Layer 0 widens its two input features, so it
+propagates first: its hop j reads P^j X, which both towers share. A layer
+>= 1 narrows its input, so it multiplies by the weights first, as GCN and
+MixHop do: hop j is P^j (H W_j), and the operator meets hidden_per_hop
+columns per power instead of trunk_width. Each hop's products are written
+into its column block; products over several hops' columns at once would
+round each hop differently from the same hop computed alone. The layer
+then adds its bias and applies tanh once; the next layer reads that array
+as it is. The backward pass mirrors this: P^T applied j times to hop j's
+block, one weight-gradient product per hop, and one product for the input
+gradient.
 
 The tower kernels index with ``...`` and ``.mT``, so they run the actor's
-2-D slices or both towers' stacked arrays, where each stacked ``matmul``
+slices, C-contiguous views, or the stacked arrays, where each ``matmul``
 makes, slice by slice, the products of one tower alone, so every float is
 the same; the towers' columns side by side in one 2-D product would round
-differently. ``forward`` runs the actor alone on its slices, C-contiguous
-views of the stacked arrays, which is all a rollout needs; ``evaluate``
-runs both towers in one pass, and ``backward`` pulls both back in one pass
-into gradients of the same layout.
+differently. ``forward`` runs the actor alone, which is all a rollout
+needs; ``evaluate`` runs both towers in one pass, and ``backward`` pulls
+both back in one pass.
 The actor reads nothing but the snapshot, so a training replay on the
 graph rebuilt by the rollout's own eliminations gets the rollout's floats.
 Gradients come from a recorded tape replayed in reverse, not from numeric
@@ -109,8 +108,7 @@ class NetConfig:
 
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map for every parameter, both towers stacked on the
-    leading axis, actor first, but ``head.b``, the critic's alone; fixes
-    both naming and layout."""
+    leading axis, actor first, but the critic's ``head.b``; fixes the layout."""
     towers, width = len(TOWERS), config.trunk_width
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(config.num_layers):
@@ -122,14 +120,12 @@ def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
 
 
 def tower_arrays(params: Mapping[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
-    """Each tower's part of every array in ``param_shapes`` order, the
-    actor's first, named ``{tower}.{name}`` as an error message shows it."""
+    """Each tower's slice of every stacked array in ``param_shapes`` order,
+    the actor's first, then the critic's head bias, each named
+    ``{tower}.{name}`` as an error message shows it."""
     for i, tower in enumerate(TOWERS):
-        for name, arr in params.items():
-            if name != "head.b":
-                yield f"{tower}.{name}", arr[i]
-            elif tower == "critic":
-                yield "critic.head.b", arr
+        yield from ((f"{tower}.{name}", arr[i]) for name, arr in params.items() if name != "head.b")
+    yield "critic.head.b", params["head.b"]
 
 
 def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -155,8 +151,8 @@ def _init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.nd
         params["head.w"] = rng.uniform(-bound, bound, size=config.trunk_width)
         params["head.b"] = rng.uniform(-bound, bound, size=1)
         towers.append(params)
-    stacked = {name: np.stack([tower[name] for tower in towers]) for name in towers[0]}
-    return {**stacked, "head.b": towers[1]["head.b"]}
+    return {name: towers[1][name] if name == "head.b" else np.stack([t[name] for t in towers])
+            for name in towers[0]}
 
 
 class PolicyValueNet:
