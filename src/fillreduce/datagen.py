@@ -14,12 +14,15 @@ the number of triangles runs in numpy. ``delaunay_triangles`` takes finite,
 distinct points at any scale and maps them into the unit square, which the
 super-triangle is sized for. Uniform random points make exact in-circle ties
 measure-zero; if one does occur the whole triangulation restarts with a
-deterministic 1e-9-scale jitter so the generator stays total."""
+deterministic 1e-9-scale jitter so the generator stays total.
+``delaunay_triangles`` refuses a set that needs the jitter but holds two
+points that it would move onto or past each other."""
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ _SUPER = ((-_SUPER_SCALE, -_SUPER_SCALE),
           (2.0 + _SUPER_SCALE, -_SUPER_SCALE),
           (0.5, 1.5 * _SUPER_SCALE))
 _MAX_JITTER_ATTEMPTS = 8
+_JITTER_STEP = 1e-9
 
 MANIFEST_NAME = "manifest.csv"
 
@@ -149,14 +153,15 @@ def _triangulate(points) -> np.ndarray:
 def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
     idx = np.arange(len(points))
     offset = np.stack([np.cos(0.7 + 3.1 * idx), np.sin(1.3 + 2.7 * idx)], axis=1)
-    return np.clip(points + attempt * 1e-9 * offset, 0.0, 1.0)
+    return np.clip(points + attempt * _JITTER_STEP * offset, 0.0, 1.0)
 
 
-def _triangulate_jittered(points: np.ndarray) -> np.ndarray:
+def _triangulate_jittered(points: np.ndarray,
+                          attempts: range = range(_MAX_JITTER_ATTEMPTS)) -> np.ndarray:
     """Triangles of distinct points in the unit square, retrying degenerate
-    inputs with deterministic jitter."""
+    inputs with deterministic jitter; attempt 0 takes the points as they are."""
     last_error = None
-    for attempt in range(_MAX_JITTER_ATTEMPTS):
+    for attempt in attempts:
         try:
             tris = _triangulate(points if attempt == 0 else _jitter(points, attempt))
         except DegenerateGeometry as exc:
@@ -166,6 +171,28 @@ def _triangulate_jittered(points: np.ndarray) -> np.ndarray:
             return tris
         last_error = DegenerateGeometry("all points collinear")
     raise DegenerateGeometry(f"could not triangulate the point set: {last_error}")
+
+
+def _jitter_crossing(points: np.ndarray) -> tuple[int, ...] | None:
+    """Indices of two distinct points that some jitter attempt moves onto or
+    past each other, so that their difference turns by 90 degrees or more,
+    or None. Only points closer than twice the largest jitter step can
+    cross; a sweep over the points in x order finds those pairs."""
+    reach = 2.0 * (_MAX_JITTER_ATTEMPTS - 1) * _JITTER_STEP
+    order = np.argsort(points[:, 0], kind="stable")
+    jittered = [_jitter(points, attempt) for attempt in range(1, _MAX_JITTER_ATTEMPTS)]
+    for shift in range(1, len(points)):
+        i, j = order[:-shift], order[shift:]
+        d = points[j] - points[i]
+        if not (d[:, 0] < reach).any():
+            break
+        near = np.flatnonzero((np.abs(d) < reach).all(axis=1))
+        i, j, d = i[near], j[near], d[near]
+        for q in jittered:
+            crossed = np.flatnonzero(((q[j] - q[i]) * d).sum(axis=1) <= 0.0)
+            if len(crossed):
+                return tuple(sorted((int(i[crossed[0]]), int(j[crossed[0]]))))
+    return None
 
 
 def _duplicate_pair(points: np.ndarray) -> tuple[int, int] | None:
@@ -203,7 +230,8 @@ def delaunay_triangles(points) -> np.ndarray:
     finite and pairwise distinct, at any scale: they are mapped into the
     unit square first. Degenerate inputs are retried with deterministic
     jitter; raises ``ValueError`` naming a bad shape, a point that is not
-    finite or two points that coincide, as given or once mapped."""
+    finite, two points that coincide, as given or once mapped, or two
+    points of a degenerate set that the jitter cannot keep apart."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape == (0,):
         pts = pts.reshape(0, 2)
@@ -220,7 +248,15 @@ def delaunay_triangles(points) -> np.ndarray:
             i, j = pair
             raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} "
                              f"{tuple(pts[j].tolist())} coincide{where}")
-    return _triangulate_jittered(unit)
+    with suppress(DegenerateGeometry):     # the points as they are
+        return _triangulate_jittered(unit, range(1))
+    pair = _jitter_crossing(unit)
+    if pair is not None:
+        i, j = pair
+        raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} {tuple(pts[j].tolist())} "
+                         f"lie too close for the jitter that resolves a degenerate set to "
+                         f"keep them apart")
+    return _triangulate_jittered(unit, range(1, _MAX_JITTER_ATTEMPTS))
 
 
 def _connected(p: SparsityPattern) -> bool:

@@ -128,8 +128,11 @@ def test_collinear_points_resolved_by_jitter():
     (np.zeros((4, 3)), r"shape \(n, 2\), got \(4, 3\)"),
     ([0.1, 0.2, 0.3], r"shape \(n, 2\), got \(3,\)"),
     ([(-1e308, 0), (1e308, 1), (0, 2)], "wider range than a float holds"),
+    # an exact tie, and the jitter would move points 0 and 3 past each other
+    ([(0, 0), (1, 0), (0, 1), (1e-17, 0)],
+     r"points 0 \(0.0, 0.0\) and 3 \(1e-17, 0.0\) lie too close for the jitter"),
 ], ids=["nan", "inf", "duplicate", "duplicate-once-mapped", "three-columns", "flat",
-        "overflowing-span"])
+        "overflowing-span", "closer-than-the-jitter"])
 def test_delaunay_triangles_rejects_bad_points(points, message):
     with pytest.raises(ValueError, match=message):
         delaunay_triangles(points)
@@ -237,11 +240,12 @@ def test_generate_delaunay_rejects_oversized_inputs_before_drawing():
 
 
 def _outcome(triangulate, points):
-    """The triangles as lists of three vertices, or the error raised."""
+    """The triangles as lists of three vertices, or the error raised: a
+    degenerate set, or, from ``delaunay_triangles``, a refused one."""
     try:
         tris = triangulate(points)
-    except DegenerateGeometry as exc:
-        return ("raises", str(exc))
+    except (DegenerateGeometry, ValueError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
     if isinstance(tris, np.ndarray):
         assert tris.dtype.kind == "i" and tris.shape == (len(tris), 3)
         return tris.tolist()
