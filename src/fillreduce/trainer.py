@@ -339,12 +339,12 @@ def episode_gradients(net: PolicyValueNet, pattern: SparsityPattern,
     the critic's value of each step, and the log-probability of each step's
     chosen node.
 
-    Replays the episode from the pattern and adds each pass's gradient, a step's or a class of the
-    complete tail's (``_replay_steps``), in step order, into one sum that
-    starts at zero. With ``worker``, a connection from ``replay_worker``,
-    the steps from ``_split_step(n, t_c)`` on are replayed there while this
-    process replays the ones before, with the same floats (see the module
-    docstring).
+    Replays the episode from the pattern and adds each pass's gradient, a
+    step's or a class of the complete tail's (``_replay_steps``), in step
+    order, into one sum that starts at zero, in the layout of ``net.params``.
+    With ``worker``, a connection from ``replay_worker``, the steps from
+    ``_split_step(n, t_c)`` on are replayed there while this process
+    replays the ones before, with the same floats (see the module docstring).
     """
     n = len(trace)
     if pattern.n != n or len(returns) != n:
