@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import os
 import sys
 
 import numpy as np
@@ -31,6 +32,13 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_out_dirs(**paths: str) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    for option, path in paths.items():
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{option} {path}: directory {os.path.dirname(path)} does not exist")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     rng = _seeded_rng(args.seed)
     patterns = generate_training_set(args.count, args.min, args.max, rng)
@@ -46,10 +54,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                         seed=args.seed, backbone=args.backbone, reward=args.reward,
                         checkpoint_every=args.checkpoint_every,
                         checkpoint_path=args.out)
+    log_path = args.log if args.log else args.out + ".log"
+    _check_out_dirs(out=args.out, log=log_path)
     graphs = load_training_set(args.data)
     net, log = train(graphs, cfg)
     save_checkpoint(net, args.out)
-    log_path = args.log if args.log else args.out + ".log"
     write_training_log(log, log_path)
     per_epoch: dict[int, list[int]] = {}
     for entry in log:
@@ -63,6 +72,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_order(args: argparse.Namespace) -> int:
     rng = _seeded_rng(args.seed)
+    _check_out_dirs(out=args.out)
     pattern = load_matrix_market(args.matrix)
     model = None
     if args.method == "gpo":
@@ -78,6 +88,7 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_out_dirs(out=args.out)
     paths = sorted(glob.glob(args.matrices))
     if not paths:
         print(f"error: no files match {args.matrices!r}", file=sys.stderr)

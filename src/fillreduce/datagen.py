@@ -72,11 +72,6 @@ def _circle_row(a, b, c) -> tuple[float, float, float, float]:
     return ux, uy, r2, _RECHECK_REL * r2 + _RECHECK_ABS
 
 
-def _circumcircle(a, b, c) -> tuple[float, float, float]:
-    """Circumcenter and squared radius; raises on collinear vertices."""
-    return _circle_row(_lift(a), _lift(b), _lift(c))[:3]
-
-
 def _triangulate(points) -> np.ndarray:
     """Bowyer-Watson; returns the triangles over the original point indices
     only, one row of three vertices each, as an int array of shape (t, 3).
@@ -231,7 +226,8 @@ def delaunay_triangles(points) -> np.ndarray:
     unit square first. Degenerate inputs are retried with deterministic
     jitter; raises ``ValueError`` naming a bad shape, a point that is not
     finite, two points that coincide, as given or once mapped, or two
-    points of a degenerate set that the jitter cannot keep apart."""
+    points of a degenerate set that the jitter cannot keep apart, and
+    ``DegenerateGeometry`` for three or more points on one line."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape == (0,):
         pts = pts.reshape(0, 2)
@@ -248,6 +244,11 @@ def delaunay_triangles(points) -> np.ndarray:
             i, j = pair
             raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} "
                              f"{tuple(pts[j].tolist())} coincide{where}")
+    if len(unit) >= 3:     # exactly on one line: the jitter would only make slivers
+        d = unit - unit[0]
+        far = d[int(np.argmax((d * d).sum(axis=1)))]
+        if not (far[0] * d[:, 1] - far[1] * d[:, 0]).any():
+            raise DegenerateGeometry("could not triangulate the point set: all points collinear")
     with suppress(DegenerateGeometry):     # the points as they are
         return _triangulate_jittered(unit, range(1))
     pair = _jitter_crossing(unit)

@@ -83,9 +83,8 @@ class SparsityPattern:
     same edges as a frozenset of tuples on each access and keeps nothing, so
     a pattern holds one form of its edges. ``diagonal_array`` holds the
     nodes that carried an explicitly stored diagonal entry, read-only, sorted
-    and int32, and ``diagonal`` builds their frozenset on each access; it is
-    informational only (a structural diagonal is assumed present for every
-    node regardless).
+    and int32; it is informational only (a structural diagonal is assumed
+    present for every node regardless).
 
     Instances are immutable by convention and safe to share across workers.
     """
@@ -109,11 +108,6 @@ class SparsityPattern:
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (i, j) tuples, i < j, built on each access."""
         return frozenset(zip(*self.edge_array.tolist()))
-
-    @property
-    def diagonal(self) -> frozenset[int]:
-        """The nodes with a stored diagonal entry, built on each access."""
-        return frozenset(self.diagonal_array.tolist())
 
     @property
     def num_edges(self) -> int:

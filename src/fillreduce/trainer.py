@@ -27,10 +27,10 @@ summed and no actor upstream, the actor's exact gradient there being zero;
 every tail step's chosen log-prob is exactly -log k.
 
 Where the process may run on two or more CPUs and can fork, ``train`` forks
-one replay worker for the run, pinned to a CPU of its own, and splits each
-long enough episode's replay between the two processes at the step
-``_split_step`` picks to balance the work: this process replays the steps
-before it, the worker the steps from it on. The floats cannot move:
+one replay worker for the run, scheduled like any other process, and
+splits each long enough episode's replay between the two processes at the
+step ``_split_step`` picks to balance the work: this process replays the
+steps before it, the worker the steps from it on. The floats cannot move:
 ``backward`` adds exactly one array into each gradient array (into each
 hop's own columns of a weight) per pass, a step or a class of the tail, and
 nothing it adds reads the sum, so the episode's gradient is the sum, in
@@ -375,13 +375,12 @@ def _message(transfer: Callable, *args):
         raise ReplayError(f"the replay worker stopped ({type(exc).__name__})") from exc
 
 
-def _serve(conn: Connection, parent_end: Connection, cpu: int) -> None:
+def _serve(conn: Connection, parent_end: Connection) -> None:
     """The replay worker's loop: one ``_replay_share`` per episode, until the
     parent closes its end. The fork's copy of that end is closed first, or
     it would keep the pipe open."""
     import signal   # the worker's imports stay out of `order` and `bench`
     parent_end.close()
-    os.sched_setaffinity(0, {cpu})
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     with conn, suppress(EOFError):
         while True:
@@ -414,33 +413,27 @@ def _replay_share(conn: Connection, net: PolicyValueNet, pattern: SparsityPatter
 @contextmanager
 def replay_worker() -> Iterator[Connection | None]:
     """A forked process for ``episode_gradients`` to replay the later steps
-    of each episode on, or None where it would have no CPU of its own (the
-    process may run on fewer than two) or cannot be forked. It holds one
-    episode's pattern and its per-pass gradients, about 40 KB per pass. It
-    is stopped and joined on exit, and killed first if the body raised."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(cpus) < 2:
-        yield None
-        return
+    of each episode on, or None where the process may run on fewer than two
+    CPUs or cannot fork. No CPU affinity is set: both processes go where the
+    scheduler puts them. The worker holds one episode's pattern and its
+    per-pass gradients, about 40 KB per pass. It is stopped and joined on
+    exit, and killed first if the body raised."""
     import multiprocessing   # here, so that `order` and `bench` never load it
-    if "fork" not in multiprocessing.get_all_start_methods():
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield None
         return
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()
-    process = ctx.Process(target=_serve, args=(child_end, conn, cpus[-1]), daemon=True)
+    process = ctx.Process(target=_serve, args=(child_end, conn), daemon=True)
     process.start()
     child_end.close()
     try:
-        # a worker woken through the pipe starts on the waking process's CPU
-        # and may share it for hundreds of milliseconds, so each gets its own
-        os.sched_setaffinity(0, cpus[:-1])
         yield conn
     except BaseException:
         process.kill()
         raise
     finally:
-        os.sched_setaffinity(0, cpus)
         conn.close()     # ends the worker's loop
         process.join()
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fillreduce import (EliminationError, EliminationGraph, EliminationTrace, NetConfig,
                         Ordering, SparsityPattern, backward, compute_features, evaluate,
                         forward, normalize_features, policy_net, sparsity, symbolic_factorize)
-from fillreduce.datagen import _SUPER, DegenerateGeometry, _circumcircle
+from fillreduce.datagen import _SUPER, DegenerateGeometry, _circle_row, _lift
 from fillreduce.features import NUM_FEATURES, NodeFeatures
 
 
@@ -205,7 +205,7 @@ def reference_triangulate(points) -> list[tuple[int, int, int]]:
     n = len(points)
     coords = [tuple(p) for p in points] + list(_SUPER)
     tris: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
-    circles = [_circumcircle(*_SUPER)]
+    circles = [_circle_row(*map(_lift, _SUPER))[:3]]
     for idx in range(n):
         px, py = coords[idx]
         bad = []
@@ -228,7 +228,7 @@ def reference_triangulate(points) -> list[tuple[int, int, int]]:
         for (u, w), count in edge_count.items():
             if count == 1:
                 tris.append((u, w, idx))
-                circles.append(_circumcircle(coords[u], coords[w], coords[idx]))
+                circles.append(_circle_row(*map(_lift, (coords[u], coords[w], coords[idx])))[:3])
     return [t for t in tris if max(t) < n]
 
 

@@ -272,6 +272,26 @@ def test_order_negative_seed_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option", [
+    ("train", "--out"), ("train", "--log"), ("bench", "--out"), ("order", "--out"),
+])
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, option):
+    # writing into a missing directory used to fail only after the whole run
+    for work in ("load_training_set", "train", "load_matrix_market", "run_benchmark"):
+        monkeypatch.setattr(cli, work, lambda *args, work=work, **kw: pytest.fail(f"{work} ran"))
+    args = {"train": ["train", "--data", tmp_path, "--out", tmp_path / "m.ckpt"],
+            "bench": ["bench", "--matrices", tmp_path / "*.mtx", "--methods", "natural",
+                      "--out", tmp_path / "r.csv"],
+            "order": ["order", "--matrix", tmp_path / "a.mtx", "--method", "natural",
+                      "--out", tmp_path / "p.txt"]}[command]
+    missing = tmp_path / "missing" / "file"
+    assert run(args + [option, missing]) == 2    # the last value of an option holds
+    assert capsys.readouterr().err == (f"error: {option} {missing}: directory "
+                                       f"{missing.parent} does not exist\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def python(args):
     """A new interpreter run with ``args``, with Python's and numpy's default
     warning filters; the package directory on the path is enough, nothing

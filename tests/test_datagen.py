@@ -103,13 +103,15 @@ def test_small_cluster_away_from_the_origin(span):
 
 
 def test_collinear_points_resolved_by_jitter():
-    # exactly cocircular / collinear layouts hit the deterministic jitter path
-    pts = [(0.1, 0.1), (0.5, 0.5), (0.9, 0.9), (0.3, 0.3)]
-    with pytest.raises(DegenerateGeometry):
-        # fully collinear sets have no triangulation at all
-        delaunay_triangles(pts)
+    # fully collinear sets have no triangulation at all, even with two
+    # adjacent doubles, which the jitter would turn into zero-area triangles
+    for pts in ([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9), (0.3, 0.3)],
+                [(0.0, 0.25), (0.1, 0.25), (0.2, 0.25), (0.3, 0.25)],
+                [(0.0, 0.25), (0.24, 0.25), (np.nextafter(0.24, 1.0), 0.25), (0.3, 0.25)]):
+        with pytest.raises(DegenerateGeometry, match="all points collinear$"):
+            delaunay_triangles(pts)
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    edges = delaunay_edges(square)  # cocircular: tie broken by jitter
+    edges = delaunay_edges(square)  # exactly cocircular: tie broken by jitter
     assert len(edges) == 5
     for side in (1.0, 2.0, 10.0):
         # a cocircular square and an interior point: four triangles around
@@ -143,11 +145,14 @@ def test_mapping_keeps_near_adjacent_points_apart():
     # doubles in a set spanning 0.3 stay apart; dividing by the span
     # rounded 0.24 and the next double to one value
     line = [(0.0, 0.25), (0.24, 0.25), (np.nextafter(0.24, 1.0), 0.25), (0.3, 0.25)]
-    for points in (line, line + [(0.1, 0.4)]):
-        tris = delaunay_triangles(points)
-        assert sorted(set(tris.ravel().tolist())) == list(range(len(points)))
-        with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
-            assert _outcome(delaunay_triangles, points) == tris.tolist()
+    # on their own they are refused as collinear, not as coinciding
+    with pytest.raises(DegenerateGeometry, match="all points collinear$"):
+        delaunay_triangles(line)
+    points = line + [(0.1, 0.4)]
+    tris = delaunay_triangles(points)
+    assert sorted(set(tris.ravel().tolist())) == list(range(len(points)))
+    with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
+        assert _outcome(delaunay_triangles, points) == tris.tolist()
     # a set spanning [0, 1] from the origin maps to itself
     pts = np.random.default_rng(67).random((30, 2))
     pts[:2] = [(0.0, 0.5), (1.0, 0.0)]

@@ -768,7 +768,8 @@ def test_train_leaves_no_child_after_non_finite_gradient(monkeypatch):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs two CPUs")
 def test_train_restores_the_callers_cpu_affinity(monkeypatch):
-    # the replay worker pins the caller to all CPUs but the worker's
+    # the caller's affinity is the same after a run with the replay worker,
+    # whether the run returned or raised
     cpus = os.sched_getaffinity(0)
     train([delaunay(40, 8)], TrainerConfig())
     assert os.sched_getaffinity(0) == cpus
@@ -783,6 +784,23 @@ def test_train_restores_the_callers_cpu_affinity(monkeypatch):
     with pytest.raises(ValueError, match="non-finite training values"):
         train([delaunay(40, 8)], TrainerConfig())
     assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs two CPUs")
+def test_train_leaves_the_callers_cpu_affinity_alone_while_it_runs(monkeypatch):
+    # a trainer pinned to some CPUs and its worker to another made two runs
+    # started together queue on one CPU each
+    cpus = os.sched_getaffinity(0)
+    seen = []
+    real = trainer.episode_gradients
+
+    def watching(*args):
+        seen.append(os.sched_getaffinity(0))
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "episode_gradients", watching)
+    train([delaunay(40, 8)], TrainerConfig(epochs=2))
+    assert seen == [cpus] * 2
 
 
 @pytest.mark.parametrize("failure, message", [
