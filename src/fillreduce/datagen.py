@@ -14,15 +14,15 @@ the number of triangles runs in numpy. ``delaunay_triangles`` takes finite,
 distinct points at any scale and maps them into the unit square, which the
 super-triangle is sized for. Uniform random points make exact in-circle ties
 measure-zero; if one does occur the whole triangulation restarts with a
-deterministic 1e-9-scale jitter so the generator stays total.
-``delaunay_triangles`` refuses a set that needs the jitter but holds two
-points that it would move onto or past each other."""
+deterministic 1e-9-scale jitter. ``delaunay_triangles`` refuses a set that
+needs the jitter but holds two points that it would move onto or past each
+other, and ``generate_delaunay``, which triangulates each uniform draw
+through it, draws again when it refuses one."""
 
 from __future__ import annotations
 
 import csv
 import math
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,8 @@ MANIFEST_NAME = "manifest.csv"
 
 
 class DegenerateGeometry(RuntimeError):
-    """Exact in-circle tie or collinear triangle; caller retries with jitter."""
+    """A point set that ``delaunay_triangles`` cannot triangulate; inside it,
+    an exact in-circle tie or collinear triangle, which it retries with jitter."""
 
 
 # A numpy square is a product, while the scalar ``** 2`` calls libm ``pow``;
@@ -151,23 +152,6 @@ def _jitter(points: np.ndarray, attempt: int) -> np.ndarray:
     return np.clip(points + attempt * _JITTER_STEP * offset, 0.0, 1.0)
 
 
-def _triangulate_jittered(points: np.ndarray,
-                          attempts: range = range(_MAX_JITTER_ATTEMPTS)) -> np.ndarray:
-    """Triangles of distinct points in the unit square, retrying degenerate
-    inputs with deterministic jitter; attempt 0 takes the points as they are."""
-    last_error = None
-    for attempt in attempts:
-        try:
-            tris = _triangulate(points if attempt == 0 else _jitter(points, attempt))
-        except DegenerateGeometry as exc:
-            last_error = exc
-            continue
-        if len(tris) or len(points) < 3:
-            return tris
-        last_error = DegenerateGeometry("all points collinear")
-    raise DegenerateGeometry(f"could not triangulate the point set: {last_error}")
-
-
 def _jitter_crossing(points: np.ndarray) -> tuple[int, ...] | None:
     """Indices of two distinct points that some jitter attempt moves onto or
     past each other, so that their difference turns by 90 degrees or more,
@@ -223,11 +207,12 @@ def delaunay_triangles(points) -> np.ndarray:
 
     ``points`` is anything ``np.asarray`` makes an (n, 2) float array of,
     finite and pairwise distinct, at any scale: they are mapped into the
-    unit square first. Degenerate inputs are retried with deterministic
-    jitter; raises ``ValueError`` naming a bad shape, a point that is not
-    finite, two points that coincide, as given or once mapped, or two
-    points of a degenerate set that the jitter cannot keep apart, and
-    ``DegenerateGeometry`` for three or more points on one line."""
+    unit square first. A set that meets an exact tie is retried with
+    deterministic jitter; raises ``ValueError`` naming a bad shape, a point
+    that is not finite, two points that coincide, as given or once mapped,
+    or two points of a degenerate set that the jitter cannot keep apart,
+    and ``DegenerateGeometry`` for three or more points on one line, a set
+    too thin to keep a triangle, or a tie that no attempt resolves."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape == (0,):
         pts = pts.reshape(0, 2)
@@ -249,15 +234,24 @@ def delaunay_triangles(points) -> np.ndarray:
         far = d[int(np.argmax((d * d).sum(axis=1)))]
         if not (far[0] * d[:, 1] - far[1] * d[:, 0]).any():
             raise DegenerateGeometry("could not triangulate the point set: all points collinear")
-    with suppress(DegenerateGeometry):     # the points as they are
-        return _triangulate_jittered(unit, range(1))
-    pair = _jitter_crossing(unit)
-    if pair is not None:
-        i, j = pair
-        raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} {tuple(pts[j].tolist())} "
-                         f"lie too close for the jitter that resolves a degenerate set to "
-                         f"keep them apart")
-    return _triangulate_jittered(unit, range(1, _MAX_JITTER_ATTEMPTS))
+    error = None
+    for attempt in range(_MAX_JITTER_ATTEMPTS):
+        if attempt == 1:    # a degenerate set: refuse one the jitter cannot keep apart
+            pair = _jitter_crossing(unit)
+            if pair is not None:
+                i, j = pair
+                raise ValueError(f"points {i} {tuple(pts[i].tolist())} and {j} "
+                                 f"{tuple(pts[j].tolist())} lie too close for the jitter "
+                                 f"that resolves a degenerate set to keep them apart")
+        try:
+            tris = _triangulate(unit if attempt == 0 else _jitter(unit, attempt))
+        except DegenerateGeometry as exc:
+            error = exc
+            continue
+        if len(tris) or len(unit) < 3:
+            return tris
+        error = "the set is too thin for the super-triangle, which took every triangle"
+    raise DegenerateGeometry(f"could not triangulate the point set: {error}")
 
 
 def _connected(p: SparsityPattern) -> bool:
@@ -277,18 +271,18 @@ def _connected(p: SparsityPattern) -> bool:
 def generate_delaunay(n: int, rng: np.random.Generator) -> SparsityPattern:
     """Pattern of the Delaunay triangulation of n uniform points in the unit square.
 
-    The result is connected and planar (|E| <= 3n - 6).
+    The result is connected and planar (|E| <= 3n - 6). A draw that
+    ``delaunay_triangles`` refuses with a ``ValueError`` is drawn again.
     """
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
     if n > MAX_NODES:
         raise ValueError(f"{n} points exceed the supported {MAX_NODES}")
     while True:
-        points = rng.random((n, 2))
-        # pairwise-distinct guard; duplicate draws are measure-zero
-        if _duplicate_pair(points) is not None:
+        try:    # coinciding points or an unresolvable tie: measure-zero
+            tris = delaunay_triangles(rng.random((n, 2)))
+        except ValueError:
             continue
-        tris = _triangulate_jittered(points)
         p = SparsityPattern(n, tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
         if _connected(p):
             return p

@@ -11,7 +11,7 @@ from fillreduce import (generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
 from fillreduce.datagen import (DegenerateGeometry, _into_unit_square, _triangulate,
                                delaunay_triangles)
-from fillreduce.sparsity import MAX_NODES
+from fillreduce.sparsity import MAX_NODES, SparsityPattern
 
 
 def delaunay_edges(points) -> set[tuple[int, int]]:
@@ -121,6 +121,14 @@ def test_collinear_points_resolved_by_jitter():
         assert sorted(map(sorted, tris.tolist())) == [[0, 1, 4], [0, 3, 4], [1, 2, 4], [2, 3, 4]]
 
 
+def test_thin_set_is_not_called_collinear():
+    # a triangle of area 2.2e-7 that passes the exact collinearity check but
+    # loses every triangle to the super-triangle, at every attempt
+    with pytest.raises(DegenerateGeometry, match="too thin") as info:
+        delaunay_triangles([(0.1, 0.0), (0.5, 7e-7), (0.9, 3e-7)])
+    assert "collinear" not in str(info.value)
+
+
 @pytest.mark.parametrize("points, message", [
     ([(0, 0), (1, 0), (0, 1), (np.nan, 0.5)], r"point 3 is not finite: \(nan, 0.5\)"),
     ([(0, 0), (1, 0), (np.inf, 1), (0.2, 0.7)], r"point 2 is not finite"),
@@ -176,6 +184,32 @@ def test_generate_delaunay_redraws_duplicate_points():
     p = generate_delaunay(6, rng)
     assert rng.random.call_count == 2
     assert p.edges == delaunay_edges(clean)
+
+
+def test_generate_delaunay_draws_again_when_delaunay_triangles_refuses():
+    # a refused draw is thrown away and the graph of the next one returned
+    real, calls = delaunay_triangles, []
+
+    def refuse_first(points):
+        calls.append(points)
+        if len(calls) == 1:
+            raise ValueError("refused")
+        return real(points)
+
+    with mock.patch("fillreduce.datagen.delaunay_triangles", refuse_first):
+        p = generate_delaunay(12, np.random.default_rng(8))
+    draws = np.random.default_rng(8)
+    first, second = draws.random((12, 2)), draws.random((12, 2))
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], first) and np.array_equal(calls[1], second)
+    assert p.edges == delaunay_edges(second)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (20, 1), (60, 2), (150, 3)])
+def test_generate_delaunay_is_delaunay_triangles_of_its_draw(n, seed):
+    tris = delaunay_triangles(np.random.default_rng(seed).random((n, 2)))
+    expected = SparsityPattern(n, tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
+    assert generate_delaunay(n, np.random.default_rng(seed)) == expected
 
 
 def test_generate_delaunay_invariants():
