@@ -32,11 +32,21 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_out_dirs(**paths: str) -> None:
-    """Refuse an output path in a missing directory before any work is done."""
-    for option, path in paths.items():
+def _check_out_dirs(*inputs: tuple[str, str | None], **outputs: str) -> None:
+    """Refuse, before any work is done, an output path in a missing directory
+    or one that names the same file as an input or as another output. Each
+    input pairs an option with its path, or with None if it is not given."""
+    for option, path in outputs.items():
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"--{option} {path}: directory {os.path.dirname(path)} does not exist")
+    named = [(f"--{option}", path) for option, path in outputs.items()]
+    named += [(option, path) for option, path in inputs if path is not None]
+    for i, (option, path) in enumerate(named[:len(outputs)]):
+        for other, other_path in named[i + 1:]:
+            if os.path.realpath(path) == os.path.realpath(other_path) or (
+                    os.path.exists(path) and os.path.exists(other_path)
+                    and os.path.samefile(path, other_path)):
+                raise ValueError(f"{option} {path} and {other} {other_path} name the same file")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -72,14 +82,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_order(args: argparse.Namespace) -> int:
     rng = _seeded_rng(args.seed)
-    _check_out_dirs(out=args.out)
+    if args.method == "gpo" and not args.model:
+        raise ValueError("--method gpo requires --model")
+    _check_out_dirs(("--matrix", args.matrix), ("--model", args.model), out=args.out)
     pattern = load_matrix_market(args.matrix)
-    model = None
-    if args.method == "gpo":
-        if not args.model:
-            print("error: --method gpo requires --model", file=sys.stderr)
-            return 2
-        model = load_checkpoint(args.model)
+    model = load_checkpoint(args.model) if args.method == "gpo" else None
     ordering = compute_ordering(args.method, pattern, model, rng)
     write_ordering(ordering, args.out)
     print(f"{args.matrix}: n={pattern.n}, method={args.method}, "
@@ -88,11 +95,11 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _check_out_dirs(out=args.out)
     paths = sorted(glob.glob(args.matrices))
+    _check_out_dirs(*[("--matrices", path) for path in paths], ("--model", args.model),
+                    out=args.out)
     if not paths:
-        print(f"error: no files match {args.matrices!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no files match {args.matrices!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = run_benchmark(paths, methods, model_path=args.model, seed=args.seed)
     report.write_csv(args.out)

@@ -49,7 +49,7 @@ import os
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -265,10 +265,11 @@ def _first_complete_step(trace: EliminationTrace) -> int:
 
 def _complete_node(k: int) -> NodeFeatures:
     """One node whose towers are those of each row of the complete graph
-    K_k, all alike: K_k's normalized features, (1, 1) for k >= 3, (1, 0) for
-    k = 2 and (0, 0) for k = 1, on a graph of one node, whose operator [[1]]
-    sums as each of K_k's operator rows does under either backbone."""
-    x = np.array([[min(k - 1, 1), k >= 3]], dtype=np.float64)
+    K_k, all alike: a row of K_k's normalized features, which are K_3's for
+    every k >= 3, on a graph of one node, whose operator [[1]] sums as each
+    of K_k's operator rows does under either backbone."""
+    clique = SparsityPattern(min(k, 3), combinations(range(min(k, 3)), 2))
+    x = normalize_features(compute_features(EliminationGraph.of(clique))).x[:1]
     return NodeFeatures(x, EliminationGraph.of(SparsityPattern(1)))
 
 

@@ -62,7 +62,8 @@ def test_train_order_bench_pipeline(tmp_path, capsys):
     assert "mean FIR natural" in out
 
 
-def test_order_gpo_without_model_fails(tmp_path, capsys):
+def test_order_gpo_without_model_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_matrix_market", lambda *a: pytest.fail("matrix loaded"))
     f = tmp_path / "m.mtx"
     write_matrix_market(path_pattern(4), f)
     rc = run(["order", "--matrix", f, "--method", "gpo", "--out", tmp_path / "o.txt"])
@@ -290,6 +291,38 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monk
     assert capsys.readouterr().err == (f"error: {option} {missing}: directory "
                                        f"{missing.parent} does not exist\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["same path", "symlink", "hard link"])
+@pytest.mark.parametrize("args, clash, target", [
+    (["train", "--data", ".", "--log", "m.ckpt"], "--log", "m.ckpt"),
+    (["order", "--matrix", "a.mtx", "--method", "mindeg"], "--matrix", "a.mtx"),
+    (["order", "--matrix", "a.mtx", "--method", "gpo", "--model", "m.ckpt"], "--model", "m.ckpt"),
+    (["bench", "--matrices", "*.mtx", "--methods", "natural"], "--matrices", "a.mtx"),
+    (["bench", "--matrices", "*.mtx", "--methods", "gpo", "--model", "m.ckpt"], "--model", "m.ckpt"),
+], ids=["train-log", "order-matrix", "order-model", "bench-matrices", "bench-model"])
+def test_output_naming_an_input_or_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 args, clash, target, spelling):
+    # train --out m.ckpt --log m.ckpt and order --out a.mtx --matrix a.mtx
+    # used to overwrite the file and exit 0
+    for work in ("load_training_set", "train", "load_matrix_market", "load_checkpoint",
+                 "run_benchmark"):
+        monkeypatch.setattr(cli, work, lambda *args, work=work, **kw: pytest.fail(f"{work} ran"))
+    write_matrix_market(path_pattern(3), tmp_path / "a.mtx")
+    (tmp_path / "m.ckpt").write_bytes(b"a checkpoint")
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    out = tmp_path / target
+    if spelling == "symlink":
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / target)
+    elif spelling == "hard link":
+        out = tmp_path / "link"
+        os.link(tmp_path / target, out)
+    args = [tmp_path / a if a in ("a.mtx", "m.ckpt", "*.mtx", ".") else a for a in args]
+    assert run(args + ["--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: --out {out} and {clash} {tmp_path / target} "
+                                       f"name the same file\n")
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.name != "link"} == before
 
 
 def python(args):
