@@ -84,7 +84,8 @@ def cmd_order(args: argparse.Namespace) -> int:
     rng = _seeded_rng(args.seed)
     if args.method == "gpo" and not args.model:
         raise ValueError("--method gpo requires --model")
-    _check_out_dirs(("--matrix", args.matrix), ("--model", args.model), out=args.out)
+    _check_out_dirs(("--matrix", args.matrix),
+                    ("--model", args.model if args.method == "gpo" else None), out=args.out)
     pattern = load_matrix_market(args.matrix)
     model = load_checkpoint(args.model) if args.method == "gpo" else None
     ordering = compute_ordering(args.method, pattern, model, rng)
@@ -96,11 +97,11 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(glob.glob(args.matrices))
-    _check_out_dirs(*[("--matrices", path) for path in paths], ("--model", args.model),
-                    out=args.out)
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    _check_out_dirs(*[("--matrices", path) for path in paths],
+                    ("--model", args.model if "gpo" in methods else None), out=args.out)
     if not paths:
         raise ValueError(f"no files match {args.matrices!r}")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = run_benchmark(paths, methods, model_path=args.model, seed=args.seed)
     report.write_csv(args.out)
     for method, mean in sorted(report.method_means().items()):

@@ -2,22 +2,22 @@
 
 Bowyer-Watson incremental insertion (Bowyer 1981, Watson 1981) inside a large
 super-triangle. Each live triangle's vertices and creation number sit in
-Python lists, and only the circumcircles (center, squared radius) sit in a
-numpy array. So each insertion finds its cavity, the triangles whose
-circumcircle holds the new point, with one vectorized distance test over all
-circles, and stores the new triangles' circles, computed in scalar floats
-from each point's squared norm, with one write. That numpy test alone
-decides each point: numpy squares a float64 array by the IEEE product, so
-its floats are those of a scalar loop that squares by ``x * x``. The work
-still grows as n^2, but its part that grows with the number of triangles
-runs in numpy. ``delaunay_triangles`` takes finite, distinct points at any
-scale and maps them into the unit square, which the super-triangle is sized
-for. Uniform random points make exact in-circle ties measure-zero; if one
-does occur the whole triangulation restarts with a deterministic 1e-9-scale
-jitter. ``delaunay_triangles`` refuses a set that needs the jitter but holds
-two points that it would move onto or past each other, and
-``generate_delaunay``, which triangulates each uniform draw through it, draws
-again when it refuses one."""
+Python lists, and only the circumcircles (center, squared radius, recheck
+margin) sit in a numpy array. So each insertion finds its cavity, the
+triangles whose circumcircle holds the new point, with one vectorized
+distance test over all circles, and stores the new triangles' circles,
+computed in scalar floats from each point's squared norm, with one write.
+The few distances within a relative 1e-12 of a radius are tested again in
+scalar floats, so every decision, and the triangle list, is that of the
+plain scalar loop. The work still grows as n^2, but its part that grows with
+the number of triangles runs in numpy. ``delaunay_triangles`` takes finite,
+distinct points at any scale and maps them into the unit square, which the
+super-triangle is sized for. Uniform random points make exact in-circle ties
+measure-zero; if one does occur the whole triangulation restarts with a
+deterministic 1e-9-scale jitter. ``delaunay_triangles`` refuses a set that
+needs the jitter but holds two points that it would move onto or past each
+other, and ``generate_delaunay``, which triangulates each uniform draw
+through it, draws again when it refuses one."""
 
 from __future__ import annotations
 
@@ -45,19 +45,24 @@ class DegenerateGeometry(RuntimeError):
     an exact in-circle tie or collinear triangle, which it retries with jitter."""
 
 
+# A numpy square is a product, while the scalar ``** 2`` calls libm ``pow``;
+# the two differ by one ulp for about one value in a thousand. A triangle
+# whose squared distance from the new point lies within this margin of its
+# squared radius (relative, with an absolute floor for subnormal radii) is
+# tested again with scalar floats, so every decision is the scalar test's.
+_RECHECK_REL = 1e-12
+_RECHECK_ABS = 1e-300
 # The circle of a column whose triangle is gone: every point is clearly outside.
-_NO_CIRCLE = (0.0, 0.0, -np.inf)
+_NO_CIRCLE = (0.0, 0.0, -np.inf, 0.0)
 
 
 def _lift(p) -> tuple[float, float, float]:
     return p[0], p[1], p[0] * p[0] + p[1] * p[1]
 
 
-def _circle_row(a, b, c) -> tuple[float, float, float]:
-    """Circumcenter and squared radius of three points each given lifted, as
-    ``(x, y, x*x + y*y)``; raises on collinear vertices. ``_triangulate``'s
-    numpy scan alone tests a point against them, squaring by the IEEE
-    product as a scalar loop of ``x * x`` would."""
+def _circle_row(a, b, c) -> tuple[float, float, float, float]:
+    """Circumcenter, squared radius and recheck margin of three points each
+    given lifted, as ``(x, y, x*x + y*y)``; raises on collinear vertices."""
     (ax, ay, a2), (bx, by, b2), (cx, cy, c2) = a, b, c
     d = 2.0 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
     if d == 0.0:
@@ -65,7 +70,7 @@ def _circle_row(a, b, c) -> tuple[float, float, float]:
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
     r2 = (ax - ux) ** 2 + (ay - uy) ** 2
-    return ux, uy, r2
+    return ux, uy, r2, _RECHECK_REL * r2 + _RECHECK_ABS
 
 
 def _triangulate(points) -> np.ndarray:
@@ -74,38 +79,43 @@ def _triangulate(points) -> np.ndarray:
 
     Super-triangle vertices take indices n..n+2 and every triangle touching
     them is dropped at the end. Each triangle owns a column: its vertices
-    and creation number sit in Python lists, its circumcircle (center and
-    squared radius) in a numpy array, so each insertion finds its cavity
-    with one vectorized in-circle test over all columns and stores the new
-    circles with one write. That test is the only in-circle decision: numpy
-    squares by the IEEE product, so its floats are those of a scalar loop
-    that squares by ``x * x``. New triangles take the cavity's columns, then
-    new ones at the end; a cavity that leaves fewer triangles than it
-    removed (only around points far outside the super-triangle) gives its
-    spare columns a circle that holds nothing. Visiting the cavity and
-    returning the result in creation order gives the triangle list of the
-    same method run on a Python list.
+    and creation number sit in Python lists, its circumcircle (center,
+    squared radius, recheck margin) in a numpy array, so each insertion
+    finds its cavity with one vectorized in-circle test over all columns
+    and stores the new circles with one write. New triangles take the
+    cavity's columns, then new ones at the end; a cavity that leaves fewer
+    triangles than it removed (only around points far outside the
+    super-triangle) gives its spare columns a circle that holds nothing.
+    Visiting the cavity and returning the result in creation order gives
+    the triangle list of the same method run on a Python list.
     """
     n = len(points)
     lifted = [_lift(p) for p in np.asarray(points, dtype=np.float64).tolist()]
     lifted += [_lift(p) for p in _SUPER]
     tris: list[tuple[int, int, int] | None] = [(n, n + 1, n + 2)]
     created = [0]
-    circles = np.empty((3, 2 * n + 8))  # center x, center y, r2
+    circles = np.empty((4, 2 * n + 8))  # center x, center y, r2, recheck margin
     circles[:, 0] = _circle_row(*lifted[n:])
     made = 1
     for idx in range(n):
         p = lifted[idx]
         px, py, _ = p
         m = len(tris)
-        ux, uy, r2 = circles[:, :m]
+        ux, uy, r2, margin = circles[:, :m]
         diff = (px - ux) ** 2 + (py - uy) ** 2 - r2
-        bad = (diff <= 0.0).nonzero()[0].tolist()
+        bad = []
+        # everything not clearly outside its circle, NaN included
+        for t in (~(diff > margin)).nonzero()[0].tolist():
+            if diff[t] < -margin[t]:
+                bad.append(t)
+                continue
+            d2 = (px - float(ux[t])) ** 2 + (py - float(uy[t])) ** 2
+            if d2 == r2[t]:
+                raise DegenerateGeometry("exact in-circle tie")
+            if d2 < r2[t]:
+                bad.append(t)
         if not bad:
             continue
-        for t in bad:
-            if diff[t] == 0.0:
-                raise DegenerateGeometry("exact in-circle tie")
         bad.sort(key=created.__getitem__)
         # cavity boundary: edges used by exactly one bad triangle
         edge_count: dict[tuple[int, int], int] = {}
@@ -129,7 +139,7 @@ def _triangulate(points) -> np.ndarray:
             cols.append(col)
             rows.append(_NO_CIRCLE)
         if len(tris) > circles.shape[1]:
-            circles = np.concatenate([circles, np.empty((3, len(tris)))], axis=1)
+            circles = np.concatenate([circles, np.empty((4, len(tris)))], axis=1)
         circles.T[cols] = rows
     order = sorted(range(len(tris)), key=created.__getitem__)
     live = [tris[col] for col in order if tris[col] is not None and max(tris[col]) < n]

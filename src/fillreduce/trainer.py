@@ -265,10 +265,10 @@ def _first_complete_step(trace: EliminationTrace) -> int:
 
 def _complete_node(k: int) -> NodeFeatures:
     """One node whose towers are those of each row of the complete graph
-    K_k, all alike: a row of K_k's normalized features, which are K_3's for
-    every k >= 3, on a graph of one node, whose operator [[1]] sums as each
-    of K_k's operator rows does under either backbone."""
-    clique = SparsityPattern(min(k, 3), combinations(range(min(k, 3)), 2))
+    K_k, all alike: a row of K_k's normalized features on a graph of one
+    node, whose operator [[1]] sums as each of K_k's operator rows does under
+    either backbone."""
+    clique = SparsityPattern(k, combinations(range(k), 2))
     x = normalize_features(compute_features(EliminationGraph.of(clique))).x[:1]
     return NodeFeatures(x, EliminationGraph.of(SparsityPattern(1)))
 

@@ -200,9 +200,8 @@ def in_circle_det(a, b, c, p) -> float:
 
 
 def reference_triangulate(points) -> list[tuple[int, int, int]]:
-    """Bowyer-Watson with one scalar in-circle test per live triangle, which
-    squares by products, and Python lists: the loop that
-    ``datagen._triangulate`` vectorizes."""
+    """Bowyer-Watson with one scalar in-circle test per live triangle and
+    Python lists, the loop that ``datagen._triangulate`` vectorizes."""
     n = len(points)
     coords = [tuple(p) for p in points] + list(_SUPER)
     tris: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
@@ -211,7 +210,7 @@ def reference_triangulate(points) -> list[tuple[int, int, int]]:
         px, py = coords[idx]
         bad = []
         for t, (ux, uy, r2) in enumerate(circles):
-            d2 = (px - ux) * (px - ux) + (py - uy) * (py - uy)
+            d2 = (px - ux) ** 2 + (py - uy) ** 2
             if d2 == r2:
                 raise DegenerateGeometry("exact in-circle tie")
             if d2 < r2:

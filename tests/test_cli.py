@@ -325,6 +325,20 @@ def test_output_naming_an_input_or_output_exits_2_before_any_work(tmp_path, caps
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.name != "link"} == before
 
 
+@pytest.mark.parametrize("args", [
+    ["order", "--matrix", "a.mtx", "--method", "mindeg"],
+    ["bench", "--matrices", "*.mtx", "--methods", "natural,mindeg"],
+], ids=["order", "bench"])
+def test_model_that_is_not_read_may_share_the_output_path(tmp_path, capsys, args):
+    # only gpo reads --model, so no other method can overwrite it
+    write_matrix_market(path_pattern(3), tmp_path / "a.mtx")
+    out = tmp_path / "o.txt"
+    args = [tmp_path / a if a in ("a.mtx", "*.mtx") else a for a in args]
+    assert run(args + ["--model", out, "--out", out]) == 0
+    assert out.exists()
+    assert capsys.readouterr().err == ""
+
+
 def python(args):
     """A new interpreter run with ``args``, with Python's and numpy's default
     warning filters; the package directory on the path is enough, nothing

