@@ -14,22 +14,24 @@ import argparse
 import glob
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .datagen import generate_training_set, load_training_set, write_training_set
-from .evaluation import METHODS, run_benchmark, compute_ordering, fill_in_ratio
+from .evaluation import (METHODS, _entry_rng, compute_ordering, fill_in_ratio,
+                         run_benchmark)
 from .policy_net import BACKBONES, load_checkpoint, save_checkpoint
 from .sparsity import load_matrix_market, write_ordering
 from .trainer import REWARD_VARIANTS, TrainerConfig, train, write_training_log
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """A generator for a non-negative ``--seed``; numpy's own error for a
-    negative one does not name the option."""
+def _checked_seed(seed: int) -> int:
+    """A non-negative ``--seed``; numpy's own error for a negative one does
+    not name the option."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return seed
 
 
 def _check_out_dirs(*inputs: tuple[str, str | None], **outputs: str) -> None:
@@ -50,7 +52,7 @@ def _check_out_dirs(*inputs: tuple[str, str | None], **outputs: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    rng = _seeded_rng(args.seed)
+    rng = np.random.default_rng(_checked_seed(args.seed))
     patterns = generate_training_set(args.count, args.min, args.max, rng)
     manifest = write_training_set(patterns, args.out)
     sizes = [p.n for p in patterns]
@@ -81,7 +83,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    rng = _seeded_rng(args.seed)
+    # the stream bench draws for this file, so both write the same ordering
+    rng = _entry_rng(_checked_seed(args.seed), Path(args.matrix).name)
     if args.method == "gpo" and not args.model:
         raise ValueError("--method gpo requires --model")
     _check_out_dirs(("--matrix", args.matrix),

@@ -130,6 +130,10 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
 
     Matrices are identified by file name and processed in sorted order, so a
     repeat run over the same inputs reproduces the report byte for byte.
+
+    A mindeg or gpo cell's fill is the count its ordering carries from the
+    elimination that chose it; a natural or random cell is scored by
+    ``count_fill``.
     """
     for m in methods:
         if m not in METHODS:
@@ -167,7 +171,9 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
             try:
                 ordering = compute_ordering(method, pattern, model,
                                             _entry_rng(seed, name))
-                fill = count_fill(pattern, ordering)
+                fill = ordering.fill
+                if fill is None:
+                    fill = count_fill(pattern, ordering)
                 nnz = nnz_sym(pattern)
                 row = EvalRow(name, method, pattern.n, nnz, fill, _fir(fill, nnz))
             except Exception as exc:

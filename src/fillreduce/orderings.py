@@ -37,12 +37,18 @@ def min_degree_order(p: SparsityPattern) -> Ordering:
     remaining twin and other neighbor alike. One-by-one elimination would
     therefore pick them next, in ascending order, with nothing between
     them, and the order stays exact.
+
+    A node's degree when it is eliminated is the off-diagonal count of its
+    factor column, and the columns hold each edge and each fill edge once,
+    so the fill is the sum of those degrees minus |E|; the ordering carries
+    it. A pivot of degree d with t twins adds d + t(d - 1) - t(t - 1)/2.
     """
     adj: list[set[int] | None] = p.adjacency()
     shift = max(p.n, 1).bit_length()
     heap = [len(a) << shift | u for u, a in enumerate(adj)]
     heapq.heapify(heap)
     order = []
+    columns = 0
     while heap:
         key = heapq.heappop(heap)
         v = key & ((1 << shift) - 1)
@@ -60,6 +66,8 @@ def min_degree_order(p: SparsityPattern) -> Ordering:
             a.discard(v)
             if len(a) == twin_degree:
                 twins.add(u)
+        t = len(twins)
+        columns += len(nbrs) + t * twin_degree - t * (t - 1) // 2
         if twins:
             order.extend(sorted(twins))
             nbrs -= twins
@@ -69,4 +77,4 @@ def min_degree_order(p: SparsityPattern) -> Ordering:
                 adj[u] -= twins
         for u in nbrs:
             heapq.heappush(heap, len(adj[u]) << shift | u)
-    return Ordering(order)
+    return Ordering(order, fill=columns - p.num_edges)

@@ -135,11 +135,16 @@ class SparsityPattern:
 
 
 class Ordering:
-    """Elimination order: ``perm[k]`` is the node eliminated at step k."""
+    """Elimination order: ``perm[k]`` is the node eliminated at step k.
 
-    __slots__ = ("perm",)
+    ``fill`` is the fill that the elimination which chose the order counted
+    as it went (minimum degree, a policy rollout), or None. Nothing checks
+    it, and equality, hashing and repr ignore it.
+    """
 
-    def __init__(self, perm: Iterable[int]):
+    __slots__ = ("perm", "fill")
+
+    def __init__(self, perm: Iterable[int], fill: int | None = None):
         try:
             p = tuple(map(operator.index, perm))
         except TypeError as exc:
@@ -148,6 +153,7 @@ class Ordering:
             raise OrderingError(
                 f"sequence of length {len(p)} is not a permutation of 0..{len(p) - 1}")
         self.perm = p
+        self.fill = fill
 
     def __len__(self) -> int:
         return len(self.perm)

@@ -168,7 +168,7 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     for k in range(len(rest), 0, -1):
         row = 0 if greedy else _draw(np.full(k, -np.log(k)), rng)
         trace.append(rest.pop(row), 0, k * (k - 1) // 2)
-    return trace, Ordering(trace.nodes)
+    return trace, Ordering(trace.nodes, fill=trace.total_fill)
 
 
 def adaptive_saturation_return(edge_counts: Sequence[int],

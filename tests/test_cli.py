@@ -10,8 +10,9 @@ import pytest
 
 import fillreduce
 from conftest import blow_up_actor, cycle_pattern, path_pattern
-from fillreduce import (NetConfig, PolicyValueNet, SparsityPattern, cli, load_ordering,
-                        policy_net, save_checkpoint, sparsity, trainer, write_matrix_market)
+from fillreduce import (NetConfig, PolicyValueNet, SparsityPattern, cli, count_fill,
+                        generate_delaunay, load_matrix_market, load_ordering, policy_net,
+                        save_checkpoint, sparsity, trainer, write_matrix_market)
 from fillreduce.cli import main
 
 
@@ -262,6 +263,23 @@ def test_train_negative_seed_exit_2(tmp_path, capsys):
     assert run(["train", "--data", data, "--epochs", 1, "--seed", -1, "--out", model]) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not model.exists()
+
+
+def test_order_random_writes_the_ordering_bench_scores(tmp_path, capsys):
+    # order draws from the same per-file stream as bench's random cell
+    for name, seed in (("a.mtx", 3), ("b.mtx", 11)):
+        write_matrix_market(generate_delaunay(80, np.random.default_rng(seed)), tmp_path / name)
+    report = tmp_path / "r.csv"
+    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", "random",
+                "--seed", 4, "--out", report]) == 0
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:3]]
+    capsys.readouterr()
+    for name, method, n, nnz, fill, fir in rows:
+        assert run(["order", "--matrix", tmp_path / name, "--method", "random",
+                    "--seed", 4, "--out", tmp_path / "perm.txt"]) == 0
+        assert f"fir={float(fir):.6g} ->" in capsys.readouterr().out
+        p = load_matrix_market(tmp_path / name)
+        assert count_fill(p, load_ordering(tmp_path / "perm.txt")) == int(fill)
 
 
 def test_order_negative_seed_exit_2(tmp_path, capsys):

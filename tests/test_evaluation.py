@@ -5,10 +5,11 @@ from hypothesis import example, given, settings
 from conftest import (cycle_pattern, fill_edges, grid_pattern, path_pattern, patterns,
                       star_pattern)
 from fillreduce import (EliminationGraph, Ordering, PolicyValueNet, SparsityPattern,
-                        TrainerConfig, count_fill, fill_in_ratio, generate_delaunay,
-                        load_matrix_market, min_degree_order, run_benchmark, train,
+                        TrainerConfig, count_fill, evaluation, fill_in_ratio,
+                        generate_delaunay, load_checkpoint, load_matrix_market,
+                        min_degree_order, nnz_sym, rollout, run_benchmark, train,
                         write_matrix_market)
-from fillreduce.evaluation import METHODS, compute_ordering, gpo_order
+from fillreduce.evaluation import METHODS, _entry_rng, compute_ordering, gpo_order
 from fillreduce.policy_net import NetConfig, save_checkpoint
 
 
@@ -145,6 +146,10 @@ def test_gpo_order_greedy_matches_compute_ordering():
     p = path_pattern(7)
     net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(1))
     assert gpo_order(net, p) == compute_ordering("gpo", p, model=net)
+    p = generate_delaunay(40, np.random.default_rng(9))
+    trace, _ = rollout(net, p, rng=None, greedy=True)
+    assert trace.total_fill > 0
+    assert gpo_order(net, p).fill == compute_ordering("gpo", p, model=net).fill == trace.total_fill
     with pytest.raises(ValueError):
         compute_ordering("gpo", p)
     with pytest.raises(ValueError):
@@ -189,15 +194,66 @@ def test_scoring_eliminates_nothing(tmp_path, eliminations):
     report = run_benchmark(files, ["natural", "random"])
     assert report.num_errors == 0 and eliminations == []
     # a gpo cell's rollout eliminates in the EliminationGraph, at most one
-    # step per node of each file, and is scored by count_fill as well
+    # step per node of each file, and its ordering carries the fill it counted
     model = tmp_path / "model.ckpt"
     save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(1)), model)
     report = run_benchmark(files, ["gpo"], model_path=model)
     assert report.num_errors == 0 and 0 < len(eliminations) < p.n + 36
     eliminations.clear()
-    # a mindeg cell chooses in its own neighbor sets and scores by count_fill
+    # a mindeg cell chooses in its own neighbor sets and counts its fill there
     report = run_benchmark(files, ["mindeg"])
     assert report.num_errors == 0 and eliminations == []
+
+
+@pytest.fixture
+def count_fill_calls(monkeypatch):
+    """A list that gets the ordering of each ``count_fill`` call from
+    ``evaluation``."""
+    calls = []
+
+    def counted(pattern, ordering):
+        calls.append(ordering)
+        return count_fill(pattern, ordering)
+
+    monkeypatch.setattr(evaluation, "count_fill", counted)
+    return calls
+
+
+def test_each_cell_is_scored_once(tmp_path, count_fill_calls):
+    # natural and random cells by count_fill; mindeg and gpo cells by the
+    # fill their ordering carries
+    delaunay = generate_delaunay(70, np.random.default_rng(4))
+    files = [write_pattern(tmp_path, "delaunay.mtx", delaunay),
+             write_pattern(tmp_path, "grid.mtx", grid_pattern(7)),
+             write_pattern(tmp_path, "path.mtx", path_pattern(5))]
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(1)), model)
+    report = run_benchmark(files, METHODS, model_path=model, seed=5)
+    assert report.num_errors == 0 and len(report.rows) == 12
+    scored = [row for row in report.rows if row.method in ("natural", "random")]
+    assert len(count_fill_calls) == len(scored) == 6
+    assert [o.fill for o in count_fill_calls] == [None] * 6
+
+    net = load_checkpoint(model)
+    for row in report.rows:
+        p = load_matrix_market(tmp_path / row.matrix)
+        perm = compute_ordering(row.method, p, net, _entry_rng(5, row.matrix)).perm
+        assert (row.n, row.nnz, row.fill, row.fir) == (p.n, nnz_sym(p), count_fill(p, perm),
+                                                       fill_in_ratio(p, perm))
+    assert any(row.fill > 0 for row in report.rows if row.method == "mindeg")
+
+
+def test_ordering_identity_ignores_the_carried_fill():
+    p = generate_delaunay(50, np.random.default_rng(6))
+    order = min_degree_order(p)
+    wrong = Ordering(order.perm, fill=order.fill + 7)
+    bare = Ordering(order.perm)
+    assert order == wrong == bare
+    assert hash(order) == hash(wrong) == hash(bare)
+    assert repr(order) == repr(wrong) == repr(bare) == f"Ordering({list(order.perm)})"
+    # the independent scorers never read it
+    assert count_fill(p, wrong) == count_fill(p, bare) == order.fill
+    assert fill_in_ratio(p, wrong) == fill_in_ratio(p, bare)
 
 
 @pytest.fixture

@@ -1,10 +1,16 @@
+import io
 import itertools
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
 
-from conftest import cycle_pattern, path_pattern, random_pattern, star_pattern
-from fillreduce import (Ordering, generate_training_set, min_degree_order,
-                        natural_order, random_order, symbolic_factorize)
+from conftest import (clique_pattern, cycle_pattern, disjoint_union, grid_pattern,
+                      path_pattern, patterns, random_pattern, star_pattern)
+from fillreduce import (Ordering, SparsityPattern, count_fill, fill_path_oracle,
+                        generate_delaunay, generate_training_set, load_ordering,
+                        min_degree_order, natural_order, random_order,
+                        symbolic_factorize)
 
 
 def total_fill(pattern, ordering):
@@ -70,3 +76,41 @@ def test_min_degree_beats_natural_on_most_delaunay_graphs():
         total_fill(p, min_degree_order(p)) <= total_fill(p, natural_order(p))
         for p in graphs)
     assert wins >= 27  # >= 90%
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=patterns(max_n=12))
+@example(p=SparsityPattern(0))
+@example(p=SparsityPattern(1))
+@example(p=path_pattern(7))
+@example(p=star_pattern(5))
+@example(p=clique_pattern(6))   # every node a twin of the first pivot
+@example(p=disjoint_union([clique_pattern(3), SparsityPattern(2), clique_pattern(3),
+                           SparsityPattern(1)]))
+def test_min_degree_carries_the_fill_it_counted(p):
+    order = min_degree_order(p)
+    assert order.fill == count_fill(p, order) == len(fill_path_oracle(p, order))
+
+
+@pytest.mark.parametrize("n", [60, 200, 500, 1000])
+def test_min_degree_fill_on_delaunay_graphs(n):
+    for seed in range(3):
+        p = generate_delaunay(n, np.random.default_rng([n, seed]))
+        order = min_degree_order(p)
+        assert order.fill == count_fill(p, order)
+
+
+def test_min_degree_fill_on_grids():
+    # a grid's elimination graph is full of twins from the first steps on
+    for k in range(5, 55):
+        p = grid_pattern(k)
+        order = min_degree_order(p)
+        assert order.fill == count_fill(p, order), k
+
+
+def test_orders_that_eliminate_nothing_carry_no_fill():
+    p = cycle_pattern(5)
+    assert natural_order(p).fill is None
+    assert random_order(p, np.random.default_rng(0)).fill is None
+    assert load_ordering(io.StringIO("1\n0\n")).fill is None
+    assert Ordering(range(5)).fill is None

@@ -15,6 +15,7 @@ from conftest import (ReferenceGraph, blow_up_actor, clique_pattern, eliminated_
                       snapshot_edges, star_pattern, tie_heavy_patterns, twin_heavy_patterns)
 from fillreduce import (EliminationTrace, NetworkError, SparsityPattern,
                         TrainerConfig, adaptive_saturation_return, compute_features,
+                        count_fill,
                         evaluate, forward, generate_delaunay, policy_net,
                         generate_training_set, losses, normalize_features,
                         raw_return, rollout, symbolic_factorize, train, trainer)
@@ -168,6 +169,19 @@ def test_rollout_matches_symbolic_factorization(case):
         assert got.edges_before == trace.edges_before
         assert got.total_fill == len(fill_edges(p, ordering))
         assert got.fill == [len(f) for f in fill_steps(p, ordering)]
+
+
+@settings(max_examples=30, deadline=None)
+@example((clique_pattern(6), 3, 4))   # complete from the start
+@example((SparsityPattern(0), 0, 0))
+@example((SparsityPattern(1), 0, 0))
+@given(rollout_cases())
+def test_rollout_ordering_carries_the_episode_fill(case):
+    p, net_seed, rng_seed = case
+    net = fresh_net(net_seed)
+    for rng in (None, np.random.default_rng(rng_seed)):
+        trace, ordering = rollout(net, p, rng, greedy=rng is None)
+        assert ordering.fill == trace.total_fill == count_fill(p, ordering)
 
 
 def test_rollout_greedy_is_deterministic_and_needs_no_rng():
