@@ -18,8 +18,8 @@ from .policy_net import (NetConfig, NetworkError, PolicyValueNet,
 from .trainer import (TrainerConfig, adaptive_saturation_return, losses,
                       raw_return, rollout, train)
 from .orderings import min_degree_order, natural_order, random_order
-from .datagen import (delaunay_triangles, generate_delaunay, generate_training_set,
-                      load_training_set, write_training_set)
+from .datagen import (generate_delaunay, generate_training_set, load_training_set,
+                      write_training_set)
 from .evaluation import (EvalReport, EvalRow, compute_ordering, fill_in_ratio,
                          gpo_order, run_benchmark)
 
@@ -37,8 +37,8 @@ __all__ = [
     "TrainerConfig", "adaptive_saturation_return", "losses", "raw_return",
     "rollout", "train",
     "min_degree_order", "natural_order", "random_order",
-    "delaunay_triangles", "generate_delaunay",
-    "generate_training_set", "load_training_set", "write_training_set",
+    "generate_delaunay", "generate_training_set", "load_training_set",
+    "write_training_set",
     "EvalReport", "EvalRow", "compute_ordering", "fill_in_ratio", "gpo_order",
     "run_benchmark",
     "__version__",

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import generate_training_set, load_training_set, write_training_set
-from .evaluation import (METHODS, _entry_rng, compute_ordering, fill_in_ratio,
+from .evaluation import (METHODS, _entry_rng, _fir, _scored_fill, compute_ordering,
                          run_benchmark)
 from .policy_net import BACKBONES, load_checkpoint, save_checkpoint
-from .sparsity import load_matrix_market, write_ordering
+from .sparsity import load_matrix_market, nnz_sym, write_ordering
 from .trainer import REWARD_VARIANTS, TrainerConfig, train, write_training_log
 
 
@@ -93,8 +93,9 @@ def cmd_order(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.model) if args.method == "gpo" else None
     ordering = compute_ordering(args.method, pattern, model, rng)
     write_ordering(ordering, args.out)
+    fir = _fir(_scored_fill(pattern, ordering), nnz_sym(pattern))
     print(f"{args.matrix}: n={pattern.n}, method={args.method}, "
-          f"fir={fill_in_ratio(pattern, ordering):.6g} -> {args.out}")
+          f"fir={fir:.6g} -> {args.out}")
     return 0
 
 

@@ -34,6 +34,12 @@ def _fir(fill: int, nnz: int) -> float:
     return 2.0 * fill / nnz if nnz else 0.0
 
 
+def _scored_fill(p: SparsityPattern, ordering: Ordering) -> int:
+    """The fill the ordering carries from the elimination that chose it, or
+    ``count_fill``'s count when it carries none."""
+    return count_fill(p, ordering) if ordering.fill is None else ordering.fill
+
+
 def fill_in_ratio(p: SparsityPattern, ordering: Ordering | Sequence[int]) -> float:
     """Extra factor nonzeros divided by the original nonzeros; 0.0 for n = 0."""
     return _fir(count_fill(p, ordering), nnz_sym(p))
@@ -171,9 +177,7 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
             try:
                 ordering = compute_ordering(method, pattern, model,
                                             _entry_rng(seed, name))
-                fill = ordering.fill
-                if fill is None:
-                    fill = count_fill(pattern, ordering)
+                fill = _scored_fill(pattern, ordering)
                 nnz = nnz_sym(pattern)
                 row = EvalRow(name, method, pattern.n, nnz, fill, _fir(fill, nnz))
             except Exception as exc:

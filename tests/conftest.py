@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fillreduce import (EliminationError, EliminationGraph, EliminationTrace, NetConfig,
                         Ordering, SparsityPattern, backward, compute_features, evaluate,
                         forward, normalize_features, policy_net, sparsity, symbolic_factorize)
-from fillreduce.datagen import _SUPER, DegenerateGeometry, _circle_row, _lift
 from fillreduce.features import NUM_FEATURES, NodeFeatures
 
 
@@ -199,37 +198,39 @@ def in_circle_det(a, b, c, p) -> float:
             + (cx * cx + cy * cy) * (ax * by - ay * bx))
 
 
-def reference_triangulate(points) -> list[tuple[int, int, int]]:
-    """Bowyer-Watson with one scalar in-circle test per live triangle and
-    Python lists, the loop that ``datagen._triangulate`` vectorizes."""
-    n = len(points)
-    coords = [tuple(p) for p in points] + list(_SUPER)
-    tris: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
-    circles = [_circle_row(*map(_lift, _SUPER))[:3]]
-    for idx in range(n):
-        px, py = coords[idx]
-        bad = []
-        for t, (ux, uy, r2) in enumerate(circles):
-            d2 = (px - ux) ** 2 + (py - uy) ** 2
-            if d2 == r2:
-                raise DegenerateGeometry("exact in-circle tie")
-            if d2 < r2:
-                bad.append(t)
-        # cavity boundary: edges used by exactly one bad triangle
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
-            u, v, w = tris[t]
-            for e in ((u, v), (v, w), (w, u)):
-                key = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-                edge_count[key] = edge_count.get(key, 0) + 1
-        bad_set = set(bad)
-        tris = [t for i, t in enumerate(tris) if i not in bad_set]
-        circles = [c for i, c in enumerate(circles) if i not in bad_set]
-        for (u, w), count in edge_count.items():
-            if count == 1:
-                tris.append((u, w, idx))
-                circles.append(_circle_row(*map(_lift, (coords[u], coords[w], coords[idx])))[:3])
-    return [t for t in tris if max(t) < n]
+def is_delaunay(points, tris) -> bool:
+    """Whether ``tris`` is a Delaunay triangulation of ``points``, decided
+    exactly in integers (coordinates in [0, 1], scaled by 2**60): every point
+    is used, no triangle is flat or holds a point strictly inside its
+    circumcircle, no edge has more than two triangles, and the triangles'
+    areas add up to the convex hull's."""
+    q = [(int(x * 2.0 ** 60), int(y * 2.0 ** 60)) for x, y in np.asarray(points).tolist()]
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def half_hull(ps):
+        chain = []
+        for p in ps:
+            while len(chain) >= 2 and orient(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    area, edge_uses = 0, {}
+    for a, b, c in np.asarray(tris).tolist():
+        for e in ((a, b), (b, c), (a, c)):
+            edge_uses[min(e), max(e)] = edge_uses.get((min(e), max(e)), 0) + 1
+        twice_area = abs(orient(q[a], q[b], q[c]))
+        if twice_area == 0 or any(
+                in_circle_det(q[a], q[b], q[c], q[v]) > 0 for v in range(len(q)) if v not in (a, b, c)):
+            return False
+        area += twice_area
+    ranked = sorted(q)
+    hull = half_hull(ranked) + half_hull(ranked[::-1])
+    hull_area = sum(p[0] * r[1] - r[0] * p[1] for p, r in zip(hull, hull[1:] + hull[:1]))
+    return (sorted({v for t in np.asarray(tris).tolist() for v in t}) == list(range(len(q)))
+            and max(edge_uses.values(), default=0) <= 2 and area == hull_area)
 
 
 def path_pattern(n: int) -> SparsityPattern:

@@ -11,8 +11,9 @@ import pytest
 import fillreduce
 from conftest import blow_up_actor, cycle_pattern, path_pattern
 from fillreduce import (NetConfig, PolicyValueNet, SparsityPattern, cli, count_fill,
-                        generate_delaunay, load_matrix_market, load_ordering, policy_net,
-                        save_checkpoint, sparsity, trainer, write_matrix_market)
+                        evaluation, fill_in_ratio, generate_delaunay, load_matrix_market,
+                        load_ordering, policy_net, save_checkpoint, sparsity, trainer,
+                        write_matrix_market)
 from fillreduce.cli import main
 
 
@@ -280,6 +281,28 @@ def test_order_random_writes_the_ordering_bench_scores(tmp_path, capsys):
         assert f"fir={float(fir):.6g} ->" in capsys.readouterr().out
         p = load_matrix_market(tmp_path / name)
         assert count_fill(p, load_ordering(tmp_path / "perm.txt")) == int(fill)
+
+
+def test_order_prints_the_fill_its_ordering_carries(tmp_path, capsys, monkeypatch):
+    # mindeg and gpo orderings carry the fill their elimination counted, so
+    # only natural and random count it again; every line is the one that
+    # scoring the written ordering with fill_in_ratio gives
+    matrix, model = tmp_path / "g.mtx", tmp_path / "m.ckpt"
+    write_matrix_market(generate_delaunay(70, np.random.default_rng(12)), matrix)
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(0)), model)
+    p = load_matrix_market(matrix)
+    counted = []
+    monkeypatch.setattr(evaluation, "count_fill",
+                        lambda *args: counted.append(1) or count_fill(*args))
+    for method in ("natural", "random", "mindeg", "gpo"):
+        counted.clear()
+        out = tmp_path / f"{method}.txt"
+        assert run(["order", "--matrix", matrix, "--method", method, "--model", model,
+                    "--out", out]) == 0
+        assert len(counted) == (method in ("natural", "random"))
+        fir = fill_in_ratio(p, load_ordering(out))
+        assert capsys.readouterr().out == (f"{matrix}: n=70, method={method}, "
+                                           f"fir={fir:.6g} -> {out}\n")
 
 
 def test_order_negative_seed_exit_2(tmp_path, capsys):

@@ -6,18 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_circle_det, reference_triangulate
+from conftest import in_circle_det, is_delaunay
 from fillreduce import (generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
-from fillreduce.datagen import (DegenerateGeometry, _into_unit_square, _triangulate,
-                               delaunay_triangles)
-from fillreduce.sparsity import MAX_NODES, SparsityPattern
+from fillreduce.datagen import DegenerateGeometry, _triangulate
+from fillreduce.sparsity import MAX_NODES
+
+
+def edge_set(tris) -> set[tuple[int, int]]:
+    """The triangles' edges, each once as (min, max)."""
+    return {(int(min(u, v)), int(max(u, v)))
+            for a, b, c in tris for u, v in ((a, b), (b, c), (a, c))}
 
 
 def delaunay_edges(points) -> set[tuple[int, int]]:
-    """The triangulation's edges, each once as (min, max)."""
-    return {(int(min(u, v)), int(max(u, v)))
-            for a, b, c in delaunay_triangles(points) for u, v in ((a, b), (b, c), (a, c))}
+    return edge_set(_triangulate(points))
+
+
+def scipy_edges(points) -> set[tuple[int, int]]:
+    from scipy.spatial import Delaunay as SciDelaunay
+    return edge_set(SciDelaunay(points).simplices.tolist())
 
 
 def connected(n, edges):
@@ -36,7 +44,7 @@ def connected(n, edges):
 
 def test_three_points_make_one_triangle():
     pts = [(0.1, 0.1), (0.9, 0.2), (0.5, 0.8)]
-    tris = delaunay_triangles(pts)
+    tris = _triangulate(pts)
     assert tris.dtype.kind == "i" and tris.tolist() == [[0, 1, 2]]
     assert delaunay_edges(pts) == {(0, 1), (0, 2), (1, 2)}
 
@@ -62,7 +70,7 @@ def test_empty_circumcircle_property_random_sets():
     for _ in range(15):
         n = int(rng.integers(4, 25))
         pts = rng.random((n, 2))
-        for a, b, c in delaunay_triangles(pts):
+        for a, b, c in _triangulate(pts):
             for v in range(n):
                 if v in (a, b, c):
                     continue
@@ -70,108 +78,49 @@ def test_empty_circumcircle_property_random_sets():
 
 
 def test_matches_scipy_triangulation():
-    from scipy.spatial import Delaunay as SciDelaunay
-
     rng = np.random.default_rng(62)
-    # the unit square, then sets far larger or far smaller than it, some
-    # centred on the origin, which a similarity maps into it
-    for scale in (1.0, 10.0, 1e3, 1e4, 1e6, 1e-6, 1e-9):
-        for offset in (0.0, -0.5, 0.4):
-            for _ in range(10 if scale == 1.0 and offset == 0.0 else 4):
-                pts = (rng.random((int(rng.integers(5, 60)), 2)) + offset) * scale
-                ref = set()
-                for simplex in SciDelaunay(pts).simplices:
-                    a, b, c = sorted(int(v) for v in simplex)
-                    ref |= {(a, b), (b, c), (a, c)}
-                assert delaunay_edges(pts) == ref, (scale, offset)
+    for _ in range(10):
+        pts = rng.random((int(rng.integers(5, 60)), 2))
+        assert delaunay_edges(pts) == scipy_edges(pts)
 
 
-@pytest.mark.parametrize("span", [1e-6, 1e-8, 1e-10])
-def test_small_cluster_away_from_the_origin(span):
-    # scipy sees the cluster moved to the origin: on 0.4 + span * u its own
-    # triangles fail the empty-circle test at these spans
-    from scipy.spatial import Delaunay as SciDelaunay
+def _training_set_draws(seed):
+    """``generate_training_set(200, 60, 200, default_rng(seed))`` and the
+    points of each of its graphs."""
+    draws = []
 
-    rng = np.random.default_rng(68)
-    for _ in range(5):
-        pts = 0.4 + rng.random((40, 2)) * span
-        ref = set()
-        for simplex in SciDelaunay(pts - pts.min(axis=0)).simplices:
-            a, b, c = sorted(int(v) for v in simplex)
-            ref |= {(a, b), (b, c), (a, c)}
-        assert delaunay_edges(pts) == ref
+    def recording(points):
+        tris = _triangulate(points)
+        draws.append(points)
+        return tris
 
-
-def test_collinear_points_resolved_by_jitter():
-    # fully collinear sets have no triangulation at all, even with two
-    # adjacent doubles, which the jitter would turn into zero-area triangles
-    for pts in ([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9), (0.3, 0.3)],
-                [(0.0, 0.25), (0.1, 0.25), (0.2, 0.25), (0.3, 0.25)],
-                [(0.0, 0.25), (0.24, 0.25), (np.nextafter(0.24, 1.0), 0.25), (0.3, 0.25)]):
-        with pytest.raises(DegenerateGeometry, match="all points collinear$"):
-            delaunay_triangles(pts)
-    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    edges = delaunay_edges(square)  # exactly cocircular: tie broken by jitter
-    assert len(edges) == 5
-    for side in (1.0, 2.0, 10.0):
-        # a cocircular square and an interior point: four triangles around
-        # it at every size, the jitter acting in the unit square
-        corners = [(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)]
-        tris = delaunay_triangles(corners + [(0.5 * side, 0.3 * side)])
-        assert sorted(map(sorted, tris.tolist())) == [[0, 1, 4], [0, 3, 4], [1, 2, 4], [2, 3, 4]]
+    with mock.patch("fillreduce.datagen._triangulate", recording):
+        patterns = generate_training_set(200, 60, 200, np.random.default_rng(seed))
+    return patterns, draws
 
 
-def test_thin_set_is_not_called_collinear():
-    # a triangle of area 2.2e-7 that passes the exact collinearity check but
-    # loses every triangle to the super-triangle, at every attempt
-    with pytest.raises(DegenerateGeometry, match="too thin") as info:
-        delaunay_triangles([(0.1, 0.0), (0.5, 7e-7), (0.9, 3e-7)])
-    assert "collinear" not in str(info.value)
+@pytest.mark.parametrize("case", ["rng-13-99", "rng-3552-99", "gen-seed-6", "gen-seed-9"])
+def test_hull_edges_kept(case):
+    # each draw lost one convex-hull edge to a finite super-triangle: the
+    # lost triangle's circumcircle reached one of its vertices
+    if case.startswith("rng"):
+        seed, n = {"rng-13-99": (13, 160), "rng-3552-99": (3552, 60)}[case]
+        points = np.random.default_rng([seed, 99]).random((n, 2))
+        assert delaunay_edges(points) == scipy_edges(points)
+        return
+    seed, graph, n = {"gen-seed-6": (6, 162, 78), "gen-seed-9": (9, 138, 185)}[case]
+    patterns, draws = _training_set_draws(seed)
+    assert patterns[graph].n == n
+    assert patterns[graph].edges == scipy_edges(draws[graph])
 
 
-@pytest.mark.parametrize("points, message", [
-    ([(0, 0), (1, 0), (0, 1), (np.nan, 0.5)], r"point 3 is not finite: \(nan, 0.5\)"),
-    ([(0, 0), (1, 0), (np.inf, 1), (0.2, 0.7)], r"point 2 is not finite"),
-    ([(0, 0), (1, 0), (0, 1), (0, 0)], r"points 0 \(0.0, 0.0\) and 3 \(0.0, 0.0\) coincide$"),
-    ([(-1e20, 0), (1, 0.5), (1 + 2 ** -52, 0.5), (0, 1)],
-     r"points 1 \(1.0, 0.5\) and 2 \(1.0000000000000002, 0.5\) coincide once mapped"),
-    (np.zeros((4, 3)), r"shape \(n, 2\), got \(4, 3\)"),
-    ([0.1, 0.2, 0.3], r"shape \(n, 2\), got \(3,\)"),
-    ([(-1e308, 0), (1e308, 1), (0, 2)], "wider range than a float holds"),
-    # an exact tie, and the jitter would move points 0 and 3 past each other
-    ([(0, 0), (1, 0), (0, 1), (1e-17, 0)],
-     r"points 0 \(0.0, 0.0\) and 3 \(1e-17, 0.0\) lie too close for the jitter"),
-], ids=["nan", "inf", "duplicate", "duplicate-once-mapped", "three-columns", "flat",
-        "overflowing-span", "closer-than-the-jitter"])
-def test_delaunay_triangles_rejects_bad_points(points, message):
-    with pytest.raises(ValueError, match=message):
-        delaunay_triangles(points)
-
-
-def test_mapping_keeps_near_adjacent_points_apart():
-    # the scale into the unit square is a power of two, so two adjacent
-    # doubles in a set spanning 0.3 stay apart; dividing by the span
-    # rounded 0.24 and the next double to one value
-    line = [(0.0, 0.25), (0.24, 0.25), (np.nextafter(0.24, 1.0), 0.25), (0.3, 0.25)]
-    # on their own they are refused as collinear, not as coinciding
-    with pytest.raises(DegenerateGeometry, match="all points collinear$"):
-        delaunay_triangles(line)
-    points = line + [(0.1, 0.4)]
-    tris = delaunay_triangles(points)
-    assert sorted(set(tris.ravel().tolist())) == list(range(len(points)))
-    with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
-        assert _outcome(delaunay_triangles, points) == tris.tolist()
-    # a set spanning [0, 1] from the origin maps to itself
-    pts = np.random.default_rng(67).random((30, 2))
-    pts[:2] = [(0.0, 0.5), (1.0, 0.0)]
-    assert np.array_equal(_into_unit_square(pts), pts)
-    assert np.array_equal(_into_unit_square(pts * 2.0 ** 40 - 3.0), pts)
-
-
-def test_delaunay_triangles_small_inputs():
-    assert delaunay_triangles([]).shape == (0, 3)
-    assert delaunay_triangles([(5.0, -5.0)]).shape == (0, 3)
-    assert delaunay_triangles([(3.0, 4.0), (-2.0, 7.0)]).shape == (0, 3)
+def test_uniform_draws_match_scipy():
+    for s in range(320):
+        points = np.random.default_rng([s, 99]).random((60 + 20 * (s % 8), 2))
+        assert delaunay_edges(points) == scipy_edges(points), s
+    for n in (1000, 2000):
+        points = np.random.default_rng([n, 99]).random((n, 2))
+        assert delaunay_edges(points) == scipy_edges(points), n
 
 
 def test_generate_delaunay_redraws_duplicate_points():
@@ -186,30 +135,41 @@ def test_generate_delaunay_redraws_duplicate_points():
     assert p.edges == delaunay_edges(clean)
 
 
-def test_generate_delaunay_draws_again_when_delaunay_triangles_refuses():
-    # a refused draw is thrown away and the graph of the next one returned
-    real, calls = delaunay_triangles, []
+def test_generate_delaunay_draws_again_when_triangulate_refuses():
+    # a draw it cannot decide is thrown away and the graph of the next one returned
+    real, calls = _triangulate, []
 
     def refuse_first(points):
         calls.append(points)
         if len(calls) == 1:
-            raise ValueError("refused")
+            raise DegenerateGeometry("refused")
         return real(points)
 
-    with mock.patch("fillreduce.datagen.delaunay_triangles", refuse_first):
+    with mock.patch("fillreduce.datagen._triangulate", refuse_first):
         p = generate_delaunay(12, np.random.default_rng(8))
     draws = np.random.default_rng(8)
     first, second = draws.random((12, 2)), draws.random((12, 2))
     assert len(calls) == 2
     assert np.array_equal(calls[0], first) and np.array_equal(calls[1], second)
-    assert p.edges == delaunay_edges(second)
+    assert p.edges == scipy_edges(second)
+
+
+def test_generate_delaunay_draws_again_after_a_cocircular_draw():
+    square = np.array([(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)])
+    with pytest.raises(DegenerateGeometry):
+        _triangulate(square)
+    clean = np.random.default_rng(9).random((4, 2))
+    rng = mock.Mock()
+    rng.random.side_effect = [square, clean]
+    p = generate_delaunay(4, rng)
+    assert rng.random.call_count == 2
+    assert p.edges == scipy_edges(clean)
 
 
 @pytest.mark.parametrize("n, seed", [(3, 0), (20, 1), (60, 2), (150, 3)])
-def test_generate_delaunay_is_delaunay_triangles_of_its_draw(n, seed):
-    tris = delaunay_triangles(np.random.default_rng(seed).random((n, 2)))
-    expected = SparsityPattern(n, tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
-    assert generate_delaunay(n, np.random.default_rng(seed)) == expected
+def test_generate_delaunay_is_the_triangulation_of_its_draw(n, seed):
+    p = generate_delaunay(n, np.random.default_rng(seed))
+    assert p.n == n and p.edges == scipy_edges(np.random.default_rng(seed).random((n, 2)))
 
 
 def test_generate_delaunay_invariants():
@@ -278,63 +238,56 @@ def test_generate_delaunay_rejects_oversized_inputs_before_drawing():
     assert rng.bit_generator.state == state
 
 
-def _outcome(triangulate, points):
-    """The triangles as lists of three vertices, or the error raised: a
-    degenerate set, or, from ``delaunay_triangles``, a refused one."""
-    try:
-        tris = triangulate(points)
-    except (DegenerateGeometry, ValueError) as exc:
-        return ("raises", type(exc).__name__, str(exc))
-    if isinstance(tris, np.ndarray):
-        assert tris.dtype.kind == "i" and tris.shape == (len(tris), 3)
-        return tris.tolist()
-    return [list(t) for t in tris]
-
-
 @st.composite
-def point_sets(draw) -> np.ndarray:
-    """Random, cocircular (exact grid subsets), collinear and nearly
-    coincident point sets, and points far outside the super-triangle, where
-    a cavity can leave fewer or many more triangles than it removed."""
-    kind = draw(st.sampled_from(["random", "grid", "collinear", "close", "far"]))
-    if kind == "random":
+def point_sets(draw) -> tuple[str, np.ndarray]:
+    """Uniform draws, subsets of a grid with power-of-two spacing (exactly
+    cocircular and collinear points, exactly representable) and collinear sets."""
+    kind = draw(st.sampled_from(["uniform", "grid", "collinear"]))
+    if kind == "uniform":
         seed, n = draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, 80))
-        return np.random.default_rng(seed).random((n, 2))
-    if kind == "far":
-        seed, n = draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, 30))
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(n, 2)) * 10.0 ** rng.integers(3, 10)
+        return kind, np.random.default_rng(seed).random((n, 2))
     if kind == "grid":
-        k = draw(st.integers(2, 9))
+        k = draw(st.sampled_from([2, 3, 5, 9]))
         cells = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
                               min_size=3, max_size=k * k, unique=True))
-        return np.array(cells, dtype=np.float64) / (k - 1)
-    if kind == "collinear":
-        xs = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=20, unique=True))
-        diagonal = draw(st.booleans())
-        return np.array([(x, x if diagonal else 0.25) for x in xs])
-    base = draw(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)))
-    steps = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                          min_size=3, max_size=12, unique=True))
-    return np.array([(base[0] + i * 1e-12, base[1] + j * 1e-12) for i, j in steps])
+        return kind, np.array(cells, dtype=np.float64) / (k - 1)
+    xs = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=20, unique=True))
+    diagonal = draw(st.booleans())
+    return kind, np.array([(x, x if diagonal else 0.25) for x in xs])
 
 
 @settings(max_examples=500, deadline=None)
 @given(point_sets())
-def test_triangulation_matches_scalar_reference(points):
-    # the same triangle list, in the same order, or the same exception
-    assert _outcome(_triangulate, points) == _outcome(reference_triangulate, points)
-    fast = _outcome(delaunay_triangles, points)
-    with mock.patch("fillreduce.datagen._triangulate", reference_triangulate):
-        assert fast == _outcome(delaunay_triangles, points)
+def test_triangulation_matches_scipy(case):
+    # a uniform draw gets scipy's triangulation; a collinear set has none; a
+    # grid subset raises on a tie or gets a triangulation that is exactly
+    # Delaunay (one without a tie has only one)
+    kind, points = case
+    if kind == "uniform":
+        assert delaunay_edges(points) == scipy_edges(points)
+    elif kind == "collinear":
+        with pytest.raises(DegenerateGeometry):
+            _triangulate(points)
+    else:
+        try:
+            tris = _triangulate(points)
+        except DegenerateGeometry:
+            return
+        assert is_delaunay(points, tris)
+
+
+def test_cavity_that_is_not_a_disk_is_refused():
+    # rounding could leave one; here no triangle holds the second point
+    with mock.patch("fillreduce.datagen._column", lambda *args: (0.0, 0.0, 1.0, 0.0)):
+        with pytest.raises(DegenerateGeometry, match="not a disk"):
+            _triangulate([(0.2, 0.3), (0.6, 0.7)])
 
 
 @pytest.mark.parametrize("n", [300, 1000])
-def test_large_triangulation_matches_scalar_reference(n):
-    # larger than the strategy draws: thousands of cavities, order included
+def test_large_triangulation_matches_scipy(n):
     points = np.random.default_rng(n).random((n, 2))
     tris = _triangulate(points)
-    assert tris.tolist() == [list(t) for t in reference_triangulate(points)]
+    assert edge_set(tris.tolist()) == scipy_edges(points)
     # and it is a triangulation: 2n - 2 - h triangles for h hull vertices
     from scipy.spatial import ConvexHull
     assert len(tris) == 2 * n - 2 - len(ConvexHull(points).vertices)
