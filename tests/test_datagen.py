@@ -84,9 +84,9 @@ def test_matches_scipy_triangulation():
         assert delaunay_edges(pts) == scipy_edges(pts)
 
 
-def _training_set_draws(seed):
-    """``generate_training_set(200, 60, 200, default_rng(seed))`` and the
-    points of each of its graphs."""
+def _training_set_draws(seed, count=200, n_min=60, n_max=200):
+    """``generate_training_set(count, n_min, n_max, default_rng(seed))`` and
+    the points of each of its graphs."""
     draws = []
 
     def recording(points):
@@ -95,23 +95,55 @@ def _training_set_draws(seed):
         return tris
 
     with mock.patch("fillreduce.datagen._triangulate", recording):
-        patterns = generate_training_set(200, 60, 200, np.random.default_rng(seed))
+        patterns = generate_training_set(count, n_min, n_max, np.random.default_rng(seed))
     return patterns, draws
 
 
-@pytest.mark.parametrize("case", ["rng-13-99", "rng-3552-99", "gen-seed-6", "gen-seed-9"])
+# every draw of the sweep default_rng([s, 99]).random((60 + 20 * (s % 8), 2)),
+# s < 4000, on which a finite super-triangle loses a hull edge
+HULL_SWEEP_SEEDS = (13, 405, 1387, 1412, 1571, 2773, 2780, 3398, 3552)
+
+
+@pytest.mark.parametrize("case", [f"rng-{s}-99" for s in HULL_SWEEP_SEEDS]
+                         + ["gen-seed-6", "gen-seed-9", "gen-1000-2000-seed-0"])
 def test_hull_edges_kept(case):
     # each draw lost one convex-hull edge to a finite super-triangle: the
     # lost triangle's circumcircle reached one of its vertices
     if case.startswith("rng"):
-        seed, n = {"rng-13-99": (13, 160), "rng-3552-99": (3552, 60)}[case]
-        points = np.random.default_rng([seed, 99]).random((n, 2))
+        seed = int(case.split("-")[1])
+        points = np.random.default_rng([seed, 99]).random((60 + 20 * (seed % 8), 2))
         assert delaunay_edges(points) == scipy_edges(points)
         return
-    seed, graph, n = {"gen-seed-6": (6, 162, 78), "gen-seed-9": (9, 138, 185)}[case]
-    patterns, draws = _training_set_draws(seed)
+    seed, graph, n, sizes = {"gen-seed-6": (6, 162, 78, (200, 60, 200)),
+                             "gen-seed-9": (9, 138, 185, (200, 60, 200)),
+                             "gen-1000-2000-seed-0": (0, 7, 1016, (10, 1000, 2000))}[case]
+    patterns, draws = _training_set_draws(seed, *sizes)
     assert patterns[graph].n == n
     assert patterns[graph].edges == scipy_edges(draws[graph])
+
+
+def test_thin_set_keeps_its_triangle():
+    # a triangle of area 2.2e-7 whose circumcircle (radius 1.1e5) reaches
+    # past any finite super-triangle of the unit square
+    assert _triangulate([(0.1, 0.0), (0.5, 7e-7), (0.9, 3e-7)]).tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("points", [
+    [(0.1, 0.1), (0.5, 0.5), (0.9, 0.9), (0.3, 0.3)],
+    [(0.0, 0.25), (0.1, 0.25), (0.2, 0.25), (0.3, 0.25)],
+    [(0.0, 0.25), (0.24, 0.25), (np.nextafter(0.24, 1.0), 0.25), (0.3, 0.25)],
+], ids=["diagonal", "horizontal", "adjacent-doubles"])
+def test_collinear_sets_are_refused(points):
+    # no triangulation at all: the third point on the line is an exact tie
+    with pytest.raises(DegenerateGeometry):
+        _triangulate(points)
+
+
+def test_triangulate_small_inputs():
+    # fewer than three points: only triangles with a super vertex, none kept
+    for points in ([], [(0.5, 0.5)], [(0.3, 0.4), (0.7, 0.2)]):
+        tris = _triangulate(points)
+        assert tris.dtype.kind == "i" and tris.shape == (0, 3)
 
 
 def test_uniform_draws_match_scipy():
