@@ -4,7 +4,8 @@
 returns the pattern of their Delaunay triangulation, which the tests check
 against ``scipy.spatial.Delaunay``. It draws again when two points coincide,
 or when the triangulation meets an exact tie (a point on a circle or on a
-half-plane's edge) or a zero-area triangle; each is measure-zero.
+half-plane's edge) or a triangle of (nearly) zero area; for uniform points
+each is rare or measure-zero.
 
 The triangulation is Bowyer-Watson incremental insertion (Bowyer 1981,
 Watson 1981) inside a super-triangle whose three vertices lie infinitely far
@@ -16,12 +17,15 @@ A triangle of three points holds its lifted circumcircle (``s = 1``); one
 that touches a super vertex holds the half-plane its circle tends to as the
 super vertices go to infinity (``s = 0``). So each insertion finds its
 cavity with one vectorized test over all columns and stores the new
-triangles' columns with one write. The work grows as n^2, but its part that
-grows with the number of triangles runs in numpy."""
+triangles' columns with one write. Each decision is exact: a fifth row
+bounds the rounding error of each column's value, and a value within its
+bound of 0 is computed again in rational arithmetic. The work grows as n^2,
+but its part that grows with the number of triangles runs in numpy."""
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,72 +34,112 @@ from .sparsity import (MAX_NODES, PatternError, SparsityPattern, load_matrix_mar
                        write_matrix_market)
 
 # The super vertices n, n + 1 and n + 2 lie at M times these, for M -> infinity.
-_SUPER_DIRECTIONS = ((-1.0, -1.0), (1.0, -1.0), (0.0, 1.0))
+_SUPER_DIRECTIONS = ((-1, -1), (1, -1), (0, 1))
 # Keyed by the sum of two super vertices' offsets from n: a direction from
 # the origin to the circumcenter of the origin and those two directions. A
 # triangle of a point p and those two super vertices holds the points q with
 # (q - p) . center > 0.
-_PAIR_CENTERS = {1: (0.0, -1.0), 2: (-3.0, 1.0), 3: (3.0, 1.0)}
+_PAIR_CENTERS = {1: (0, -1), 2: (-3, 1), 3: (3, 1)}
+# A test value computed in floating point for a point of the unit square is
+# within _ROUNDING times its column's size of the exact one (see _column), by
+# a margin of about 64; a value that close to 0 is decided again exactly.
+_ROUNDING = 2.0 ** -40
 
 MANIFEST_NAME = "manifest.csv"
 
 
 class DegenerateGeometry(RuntimeError):
     """A point set that ``_triangulate`` cannot decide: an exact tie (a point
-    on a circle or on a half-plane's edge), a zero-area triangle, an edge
-    parallel to a super vertex's direction, or a cavity that is not a disk."""
+    on a circle or on a half-plane's edge), a triangle of area below about
+    2e-13, an edge parallel to a super vertex's direction, or a cavity that
+    is not a disk."""
 
 
-def _column(lifted, n, u, w, p) -> tuple[float, float, float, float]:
-    """The test column ``(a, b, c, s)`` of the new triangle ``(u, w, p)``,
-    where p is a point and u, w are points or super vertices (index >= n);
-    ``lifted[i]`` is point i as ``(x, y, x*x + y*y)``."""
+def _column(lifted, n, u, w, p):
+    """The column ``(a, b, c, s, e)`` of the new triangle ``(u, w, p)``:
+    its test and a bound e on the test value's rounding error at any point
+    of the unit square. p is a point, u and w are points or super vertices
+    (index >= n), and ``lifted[i]`` is point i as ``(x, y, x*x + y*y)``, in
+    floats or, for an exact column, in Fractions.
+
+    The bound of a circle, for the unit roundoff u = 2**-53: each coordinate
+    of its center U is a quotient by d (|d| <= 4) of three terms whose
+    absolute values add up to at most 4, so it is off by at most
+    2 * (32u * (1 + |U|) / |d| + u|U|) once |d| > 64u. The value at q is
+    the power |q - U|^2 - r2, which moves by 2 (q - v) . dU with the center,
+    for the vertex v that r2 is measured from; rounding c and the sum adds
+    at most 13u(|U|^2 + r2) + 10u(|ux| + |uy|) + 14u. The returned bound
+    exceeds that sum 64 times over. A half-plane's value is off by less
+    than 32u."""
     px, py, p2 = lifted[p]
     if u >= n and w >= n:   # the side of the line through p that faces their circumcenter
         cx, cy = _PAIR_CENTERS[u + w - 2 * n]
-        return -cx, -cy, cx * px + cy * py, 0.0
+        return -cx, -cy, cx * px + cy * py, 0, _ROUNDING
     if u >= n or w >= n:    # the side of the edge's line that faces the super vertex
         k, r = (u - n, w) if u >= n else (w - n, u)
         rx, ry, _ = lifted[r]
         nx, ny = py - ry, rx - px
         dx, dy = _SUPER_DIRECTIONS[k]
-        side = nx * dx + ny * dy
+        side = math.fsum((dx * py, -dx * ry, dy * rx, -dy * px))    # its sign is exact
         if side == 0.0:
             raise DegenerateGeometry("an edge parallel to a super vertex's direction")
         if side < 0.0:
             nx, ny = -nx, -ny
-        return -nx, -ny, nx * px + ny * py, 0.0
+        return -nx, -ny, nx * px + ny * py, 0, _ROUNDING
     (ax, ay, a2), (bx, by, b2) = lifted[u], lifted[w]
-    d = 2.0 * ((bx - ax) * (py - ay) - (by - ay) * (px - ax))
-    if d == 0.0:
-        raise DegenerateGeometry("a zero-area triangle")
+    d = 2 * ((bx - ax) * (py - ay) - (by - ay) * (px - ax))
+    if abs(d) <= _ROUNDING:
+        raise DegenerateGeometry("a triangle of (nearly) zero area")
     ux = (a2 * (by - py) + b2 * (py - ay) + p2 * (ay - by)) / d
     uy = (a2 * (px - bx) + b2 * (ax - px) + p2 * (bx - ax)) / d
     dx, dy = ax - ux, ay - uy
-    return -2.0 * ux, -2.0 * uy, ux * ux + uy * uy - (dx * dx + dy * dy), 1.0
+    r2 = dx * dx + dy * dy
+    size = 2 + abs(ux) + abs(uy)
+    return -2 * ux, -2 * uy, ux * ux + uy * uy - r2, 1, _ROUNDING * (size * size + r2 + size / abs(d))
+
+
+def _exact_value(points, n, tri, q):
+    """Triangle ``tri``'s test value at point q, as a Fraction."""
+    from fractions import Fraction  # here: it loads decimal, which most draws never need
+    lifted = {}
+    for i in (*tri, q):
+        if i < n:
+            x, y = map(Fraction, points[i])
+            lifted[i] = (x, y, x * x + y * y)
+    a, b, c, s, _ = _column(lifted, n, *tri)
+    x, y, q2 = lifted[q]
+    return a * x + b * y + c + s * q2
 
 
 def _triangulate(points) -> np.ndarray:
-    """Bowyer-Watson; returns the Delaunay triangles of the points, one row
-    of three point indices each, as an int array of shape (t, 3). Raises
-    ``DegenerateGeometry`` where an exact decision needs more than the test.
+    """Bowyer-Watson over points of the unit square; returns their Delaunay
+    triangles, one row of three point indices each, as an int array of shape
+    (t, 3). Every in-circle decision is exact: a value within its rounding
+    bound of 0 is computed again in Fractions. Raises ``DegenerateGeometry``
+    on an exact tie or a triangle it cannot decide.
 
     Each triangle owns a column: its vertices sit in a Python list, its test
-    column in a numpy array. A cavity of b triangles has b + 2 boundary
-    edges, so its new triangles take the cavity's columns and two new ones.
+    column and bound in a numpy array. A cavity of b triangles has b + 2
+    boundary edges, so its new triangles take the cavity's columns and two
+    new ones.
     """
     n = len(points)
-    lifted = [(x, y, x * x + y * y) for x, y in np.asarray(points, dtype=np.float64).tolist()]
+    coords = np.asarray(points, dtype=np.float64).tolist()
+    lifted = [(x, y, x * x + y * y) for x, y in coords]
     tris = [(n, n + 1, n + 2)]
-    columns = np.empty((4, 2 * n + 1))
-    columns[:, 0] = (0.0, 0.0, -1.0, 0.0)    # the all-super triangle holds every point
+    columns = np.empty((5, 2 * n + 1))
+    columns[:, 0] = (0.0, 0.0, -1.0, 0.0, 0.0)    # the all-super triangle holds every point
     for idx, (x, y, q2) in enumerate(lifted):
         m = len(tris)
-        a, b, c, s = columns[:, :m]
+        a, b, c, s, err = columns[:, :m]
         value = a * x + b * y + c + s * q2
-        bad = (value <= 0.0).nonzero()[0]
-        if not value[bad].all():
-            raise DegenerateGeometry("an exact tie")
+        bad = (value <= err).nonzero()[0]   # inside, or too close to tell
+        for t in bad[value[bad] >= -err[bad]].tolist():
+            exact = _exact_value(coords, n, tris[t], idx)
+            if exact == 0:
+                raise DegenerateGeometry("an exact tie")
+            if exact > 0:
+                bad = bad[bad != t]
         bad = bad.tolist()
         # cavity boundary: edges used by exactly one bad triangle
         edge_count: dict[tuple[int, int], int] = {}
@@ -116,8 +160,8 @@ def _triangulate(points) -> np.ndarray:
 
 def generate_delaunay(n: int, rng: np.random.Generator) -> SparsityPattern:
     """Pattern of the Delaunay triangulation of n uniform points in the unit
-    square: connected and planar (|E| <= 3n - 6). A draw with two equal
-    points, or one that ``_triangulate`` cannot decide, is drawn again."""
+    square, so connected and planar (|E| <= 3n - 6). A draw with two equal
+    points, or one that ``_triangulate`` refuses, is drawn again."""
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
     if n > MAX_NODES:
