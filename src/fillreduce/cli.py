@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import generate_training_set, load_training_set, write_training_set
+from .datagen import (MANIFEST_NAME, generate_training_set, load_training_set,
+                      training_set_files, write_training_set)
 from .evaluation import (METHODS, _entry_rng, _fir, _scored_fill, compute_ordering,
                          run_benchmark)
 from .policy_net import BACKBONES, load_checkpoint, save_checkpoint
@@ -68,6 +69,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                         checkpoint_path=args.out)
     log_path = args.log if args.log else args.out + ".log"
     _check_out_dirs(out=args.out, log=log_path)
+    # the set's files, listed without reading them: an output must not overwrite one
+    _check_out_dirs(*[("--data", f) for f in training_set_files(args.data)],
+                    ("--data", Path(args.data) / MANIFEST_NAME), out=args.out, log=log_path)
     graphs = load_training_set(args.data)
     net, log = train(graphs, cfg)
     save_checkpoint(net, args.out)

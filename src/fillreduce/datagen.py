@@ -211,8 +211,9 @@ def write_training_set(patterns: list[SparsityPattern], out_dir: str | Path) -> 
     return manifest
 
 
-def load_training_set(data_dir: str | Path) -> list[SparsityPattern]:
-    """Load a generated set via its manifest, or every .mtx in sorted order."""
+def training_set_files(data_dir: str | Path) -> list[Path]:
+    """The graph files of a training set in load order: those its manifest
+    names, or every .mtx in sorted order. Reads no graph file."""
     data = Path(data_dir)
     manifest = data / MANIFEST_NAME
     if manifest.exists():
@@ -221,8 +222,19 @@ def load_training_set(data_dir: str | Path) -> list[SparsityPattern]:
             files = [row.get("file") for row in reader]
         if "file" not in (reader.fieldnames or ()) or None in files:
             raise PatternError(f"manifest {manifest} needs a 'file' entry in every row")
-        return [load_matrix_market(data / name) for name in files]
+        return [data / name for name in files]
     files = sorted(data.glob("*.mtx"))
     if not files:
         raise FileNotFoundError(f"no manifest and no .mtx files in {data}")
-    return [load_matrix_market(f) for f in files]
+    return files
+
+
+def load_training_set(data_dir: str | Path) -> list[SparsityPattern]:
+    """The graphs of ``training_set_files``; a bad one raises a PatternError that names it."""
+    patterns = []
+    for path in training_set_files(data_dir):
+        try:
+            patterns.append(load_matrix_market(path))
+        except (PatternError, UnicodeDecodeError) as exc:
+            raise PatternError(f"{path}: {exc}") from None
+    return patterns

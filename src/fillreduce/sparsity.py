@@ -3,9 +3,10 @@
 Only the zero/nonzero structure matters here: numeric values are parsed for
 validation and then dropped, and unsymmetric inputs are symmetrized so the
 pattern always describes an undirected graph. A pattern keeps its edges in
-one sorted int32 array and its stored diagonal in another, and the loader
-reads the entries from the file's bytes, so loading and scoring make no
-Python object per entry.
+one sorted int32 array and its stored diagonal in another. The loader parses
+plain entry text, as every file this package writes, with numpy and makes no
+Python object per entry; other text goes through a slower line loop that
+keeps a tuple per entry.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     Numeric values are discarded; explicitly stored zeros count as nonzeros
     (pattern semantics) and duplicate entries are merged. General files are
     symmetrized as A + A^T; symmetric-family headers expand the stored
-    triangle. The entry lines are tokenized and parsed on the file's bytes
-    into arrays. Raises PatternError on malformed input, naming the first
+    triangle. Plain entry text is parsed by numpy, other text by a loop
+    over its lines. Raises PatternError on malformed input, naming the first
     bad entry line in file order, and on a declared size above ``MAX_NODES``.
     """
     with _open_text(source, "r") as fh:
@@ -270,7 +271,7 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
         text = fh.read()
     ends = _entry_ends(text, _ENTRY_WIDTH[field], rows, count)
     if ends is None:
-        raise _entry_error(text, field, rows, count)
+        ends = _entry_loop(text, field, rows, count)
     loop = ends[:, 0] == ends[:, 1]
     return SparsityPattern(rows, ends[~loop], ends[loop, 0])
 
@@ -286,59 +287,33 @@ def _off_spec(text: str) -> bool:
 _PARSE_CHARS = b"+-0123456789.eEaAfFiInNtTyY \t\n\v\f\r"
 
 
-def _entry_lines(text: str) -> list[str]:
-    """The entry lines of ``text``: stripped, neither blank nor comments."""
-    return [s for s in map(str.strip, text.split("\n")) if s and s[0] != "%"]
-
-
 def _entry_ends(text: str, width: int, n: int, count: int) -> np.ndarray | None:
-    """The 0-based (i, j) of the entry lines of ``text`` as an int64
-    ``(count, 2)`` array; None if there are not ``count`` of them, or one is
-    malformed or out of range.
+    """The 0-based (i, j) of the entry lines of a plain ``text``, one of
+    ``_PARSE_CHARS`` alone, as an int64 ``(count, 2)`` array; None if the
+    text is not plain, has not ``count`` entry lines, or one is malformed or
+    out of range.
 
-    Lines end at "\\n", as iterating the file gives them, and tokens are
-    split at str.split()'s whitespace. The token count of each line is
-    checked on the bytes; then one numpy text parse reads the indices as
-    ints and, for a field with values, one reads the values as floats to
-    validate them and drops them.
+    Lines end at "\\n", as iterating the file gives them, and every byte
+    below "!" separates tokens, as str.split() does in such a text. The
+    token count of each line is checked on the bytes; then one numpy text
+    parse reads the indices as ints and, for a field with values, one reads
+    the values as floats to validate them and drops them.
     """
-    if not text.isascii():
-        # strip() drops non-ASCII whitespace at either end of a line
-        text = "\n".join(_entry_lines(text))
-        if not text.isascii():
-            return None
-    raw = text.encode("ascii")
+    raw = text.encode("ascii", "replace")                # a non-ASCII character reads "?"
+    if raw.translate(None, _PARSE_CHARS):                # a comment, or another byte
+        return None
     b = np.frombuffer(raw, np.uint8)
-    plain = not raw.translate(None, _PARSE_CHARS)        # no comment, no other byte
-    # str.split()'s whitespace; in a plain text, every byte below "!"
-    space = b <= 32 if plain else (b == 32) | (b - 9 <= 4) | (b - 28 <= 3)
-    head = ~space
-    head[1:] &= space[:-1]
+    head = b > 32
+    head[1:] &= b[:-1] <= 32
     starts = np.flatnonzero(head)                        # where each token begins
     del head
     newline = np.flatnonzero(b == 10)
     per_line = np.diff(np.searchsorted(starts, newline), prepend=0, append=len(starts))
-    comment = np.zeros(len(per_line), bool)              # first token begins with "%"
-    if not plain:
-        pct = starts[b[starts] == 37]
-        line = np.searchsorted(newline, pct)
-        line_start = np.append(-1, newline)[line]
-        comment[line[np.searchsorted(starts, pct) == np.searchsorted(starts, line_start)]] = True
-    entry = (per_line > 0) & ~comment
+    entry = per_line > 0
     if np.count_nonzero(entry) != count or (per_line[entry] != width).any():
         return None
     if not count:
         return np.zeros((0, 2), np.int64)
-    if not plain:
-        # the parse's copy: every separator a space, comment lines blanked
-        line_bytes = np.diff(newline, prepend=-1, append=len(b) - 1)
-        b = b.copy()
-        np.copyto(b, np.uint8(32), where=space | np.repeat(comment, line_bytes))
-        raw = b.tobytes()
-        if raw.translate(None, _PARSE_CHARS):
-            return None
-        starts = starts[np.repeat(entry, per_line)]
-    del space
     index = raw
     if width > 2:
         # each entry's values run from its third token to the next entry
@@ -377,27 +352,35 @@ def _numbers(data: bytes, dtype) -> np.ndarray | None:
         return None
 
 
-def _entry_error(text: str, field: str, n: int, count: int) -> PatternError:
-    """The error of the first entry line, in file order, that is malformed,
-    out of range or past the declared ``count``; else the count mismatch."""
-    lines = _entry_lines(text)
+def _entry_loop(text: str, field: str, n: int, count: int) -> np.ndarray:
+    """The 0-based (i, j) of the entry lines of ``text`` as an int64
+    ``(count, 2)`` array, read by a loop over its stripped lines that skips
+    blank and comment ones. The first entry line, in file order, that is
+    malformed, out of range or past the declared ``count`` raises
+    PatternError, and so does a count mismatch."""
     width = _ENTRY_WIDTH[field]
-    for k, line in enumerate(lines):
+    ends = []
+    for line in map(str.strip, text.split("\n")):
+        if not line or line[0] == "%":
+            continue
         tokens = line.split()
         if len(tokens) != width:
-            return PatternError(f"expected {width} tokens for field {field!r}, got: {line!r}")
+            raise PatternError(f"expected {width} tokens for field {field!r}, got: {line!r}")
         try:
             if _off_spec(line):
                 raise ValueError
             i, j = map(int, tokens[:2])
             list(map(float, tokens[2:]))
         except ValueError:
-            return PatternError(f"malformed entry line: {line!r}")
+            raise PatternError(f"malformed entry line: {line!r}") from None
         if not (1 <= i <= n and 1 <= j <= n):
-            return PatternError(f"entry ({i}, {j}) out of range for a {n} x {n} matrix")
-        if k == count:
-            return PatternError(f"more than the declared {count} entries")
-    return PatternError(f"declared {count} entries but found {len(lines)}")
+            raise PatternError(f"entry ({i}, {j}) out of range for a {n} x {n} matrix")
+        if len(ends) == count:
+            raise PatternError(f"more than the declared {count} entries")
+        ends.append((i - 1, j - 1))
+    if len(ends) != count:
+        raise PatternError(f"declared {count} entries but found {len(ends)}")
+    return np.array(ends, np.int64).reshape(count, 2)
 
 
 def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> None:

@@ -341,7 +341,8 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monk
     (["order", "--matrix", "a.mtx", "--method", "gpo", "--model", "m.ckpt"], "--model", "m.ckpt"),
     (["bench", "--matrices", "*.mtx", "--methods", "natural"], "--matrices", "a.mtx"),
     (["bench", "--matrices", "*.mtx", "--methods", "gpo", "--model", "m.ckpt"], "--model", "m.ckpt"),
-], ids=["train-log", "order-matrix", "order-model", "bench-matrices", "bench-model"])
+    (["train", "--data", "."], "--data", "a.mtx"),
+], ids=["train-log", "order-matrix", "order-model", "bench-matrices", "bench-model", "train-data"])
 def test_output_naming_an_input_or_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                                  args, clash, target, spelling):
     # train --out m.ckpt --log m.ckpt and order --out a.mtx --matrix a.mtx
@@ -364,6 +365,40 @@ def test_output_naming_an_input_or_output_exits_2_before_any_work(tmp_path, caps
     assert capsys.readouterr().err == (f"error: --out {out} and {clash} {tmp_path / target} "
                                        f"name the same file\n")
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.name != "link"} == before
+
+
+@pytest.mark.parametrize("option, name", [
+    ("--out", "manifest.csv"), ("--log", "manifest.csv"), ("--out", "delaunay_00000.mtx"),
+    ("--log", "g.txt"),
+])
+def test_train_output_naming_a_file_of_its_set_exits_2_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch, option, name):
+    # train --out d/delaunay_00000.mtx used to write the checkpoint over that
+    # graph, and the next train over d failed to decode it
+    data = tmp_path / "d"
+    run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
+    (data / "delaunay_00001.mtx").rename(data / "g.txt")     # named by the manifest alone
+    manifest = data / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace("delaunay_00001.mtx", "g.txt"))
+    before = {f.name: f.read_bytes() for f in data.iterdir()}
+    for work in ("load_training_set", "train"):
+        monkeypatch.setattr(cli, work, lambda *args, work=work, **kw: pytest.fail(f"{work} ran"))
+    capsys.readouterr()
+    outputs = {"--out": tmp_path / "m.ckpt", option: data / name}
+    assert run(["train", "--data", data, *[a for kv in outputs.items() for a in kv]]) == 2
+    assert capsys.readouterr().err == (f"error: {option} {data / name} and --data "
+                                       f"{data / name} name the same file\n")
+    assert {f.name: f.read_bytes() for f in data.iterdir()} == before
+
+
+def test_train_names_the_graph_file_that_fails_to_load(tmp_path, capsys):
+    data = tmp_path / "d"
+    run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
+    bad = data / "delaunay_00001.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 x\n")
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", tmp_path / "m.ckpt"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: malformed entry line: '2 x'\n"
 
 
 @pytest.mark.parametrize("args", [

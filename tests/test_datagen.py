@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_circle_det, is_delaunay
-from fillreduce import (generate_delaunay, generate_training_set,
+from fillreduce import (PatternError, generate_delaunay, generate_training_set,
                         load_training_set, write_training_set)
 from fillreduce.datagen import DegenerateGeometry, _triangulate
 from fillreduce.sparsity import MAX_NODES
@@ -267,6 +267,22 @@ def test_load_without_manifest_globs_sorted(tmp_path):
     assert [p.edges for p in loaded] == [p.edges for p in patterns]
     with pytest.raises(FileNotFoundError):
         load_training_set(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("text, error", [
+    (b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 x\n",
+     "malformed entry line: '2 x'"),
+    (b"%%MatrixMarket matrix coordinate pattern general\n% caf\xd1\n2 2 1\n2 1\n",
+     "'utf-8' codec can't decode byte 0xd1"),
+], ids=["entry", "utf-8"])
+def test_load_names_the_file_that_fails(tmp_path, text, error):
+    # both used to come without the file's name, the second as a UnicodeDecodeError
+    write_training_set(generate_training_set(3, 10, 12, np.random.default_rng(66)), tmp_path)
+    bad = tmp_path / "delaunay_00001.mtx"
+    bad.write_bytes(text)
+    with pytest.raises(PatternError) as info:
+        load_training_set(tmp_path)
+    assert str(info.value).startswith(f"{bad}: {error}")
 
 
 def test_generate_delaunay_rejects_oversized_inputs_before_drawing():

@@ -16,6 +16,7 @@ from fillreduce import (Ordering, OrderingError, PatternError, SparsityPattern,
                         count_fill, load_matrix_market, load_ordering,
                         min_degree_order, nnz_sym, write_matrix_market,
                         write_ordering)
+from fillreduce import sparsity
 from fillreduce.sparsity import MAX_NODES
 
 
@@ -293,6 +294,37 @@ def test_loader_matches_reference_loop_on_disk(text, line_end):
             assert str(info.value) == str(exc)
         else:
             assert load_matrix_market(path) == expected
+
+
+def test_plain_text_never_takes_the_loop(tmp_path, monkeypatch):
+    # every file this package writes is plain; comments before the size line
+    # are read with the header, so they leave the entries plain too
+    monkeypatch.setattr(sparsity, "_entry_loop", lambda *args: pytest.fail("the loop ran"))
+    p = grid_pattern(6)
+    write_matrix_market(p, tmp_path / "written.mtx")
+    assert load_matrix_market(tmp_path / "written.mtx") == p
+    expected = SparsityPattern(3, [(0, 1), (0, 2)])
+    for name, data in {
+        "real.mtx": b"%%MatrixMarket matrix coordinate real general\n% a comment\n3 3 2\n"
+                    b"1 2 0.12345678901234567\n3 1 -1.2345678901234567e-300\n",
+        "crlf.mtx": b"%%MatrixMarket matrix coordinate pattern general\r\n3 3 2\r\n1 2\r\n3 1\r\n",
+        "vf.mtx": b"%%MatrixMarket matrix coordinate pattern general\n3 3 2\n"
+                  b"1\x0b2\n\x0c3\x0c1\x0b\n",
+    }.items():
+        (tmp_path / name).write_bytes(data)
+        assert load_matrix_market(tmp_path / name) == expected
+
+
+def test_comment_among_entries_takes_the_loop_to_the_same_pattern(monkeypatch):
+    plain = "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.5\n3 1 -2\n2 2 7\n"
+    commented = plain.replace("-2\n", "-2\n% between entries\n")
+    loop, calls = sparsity._entry_loop, []
+    monkeypatch.setattr(sparsity, "_entry_loop", lambda *args: calls.append(args) or loop(*args))
+    expected = load_matrix_market(io.StringIO(plain))
+    assert not calls
+    assert load_matrix_market(io.StringIO(commented)) == expected
+    assert len(calls) == 1
+    assert expected == SparsityPattern(3, [(0, 1), (0, 2)], [1])
 
 
 def test_loaded_pattern_keeps_little_memory(tmp_path):
