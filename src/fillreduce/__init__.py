@@ -20,8 +20,8 @@ from .trainer import (TrainerConfig, adaptive_saturation_return, losses,
 from .orderings import min_degree_order, natural_order, random_order
 from .datagen import (generate_delaunay, generate_training_set, load_training_set,
                       write_training_set)
-from .evaluation import (EvalReport, EvalRow, compute_ordering, fill_in_ratio,
-                         gpo_order, run_benchmark)
+from .evaluation import (EvalReport, EvalRow, compute_ordering, evaluate_cell,
+                         fill_in_ratio, gpo_order, run_benchmark)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "min_degree_order", "natural_order", "random_order",
     "generate_delaunay", "generate_training_set", "load_training_set",
     "write_training_set",
-    "EvalReport", "EvalRow", "compute_ordering", "fill_in_ratio", "gpo_order",
-    "run_benchmark",
+    "EvalReport", "EvalRow", "compute_ordering", "evaluate_cell", "fill_in_ratio",
+    "gpo_order", "run_benchmark",
     "__version__",
 ]

@@ -20,10 +20,9 @@ import numpy as np
 
 from .datagen import (MANIFEST_NAME, generate_training_set, load_training_set,
                       training_set_files, write_training_set)
-from .evaluation import (METHODS, _entry_rng, _fir, _scored_fill, compute_ordering,
-                         run_benchmark)
+from .evaluation import METHODS, evaluate_cell, run_benchmark
 from .policy_net import BACKBONES, load_checkpoint, save_checkpoint
-from .sparsity import load_matrix_market, nnz_sym, write_ordering
+from .sparsity import load_matrix_market, write_ordering
 from .trainer import REWARD_VARIANTS, TrainerConfig, train, write_training_log
 
 
@@ -72,6 +71,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     # the set's files, listed without reading them: an output must not overwrite one
     _check_out_dirs(*[("--data", f) for f in training_set_files(args.data)],
                     ("--data", Path(args.data) / MANIFEST_NAME), out=args.out, log=log_path)
+    # nor, in a set without a manifest, add a file that the next run globs as a graph
+    if not (Path(args.data) / MANIFEST_NAME).exists():
+        for option, path in (("--out", args.out), ("--log", log_path)):
+            real = Path(os.path.realpath(path))
+            if real.name.endswith(".mtx") and real.parent == Path(os.path.realpath(args.data)):
+                raise ValueError(f"{option} {path}: --data {args.data} has no manifest, "
+                                 f"so a .mtx file there is read as a graph of the set")
     graphs = load_training_set(args.data)
     net, log = train(graphs, cfg)
     save_checkpoint(net, args.out)
@@ -87,19 +93,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    # the stream bench draws for this file, so both write the same ordering
-    rng = _entry_rng(_checked_seed(args.seed), Path(args.matrix).name)
+    seed = _checked_seed(args.seed)
     if args.method == "gpo" and not args.model:
         raise ValueError("--method gpo requires --model")
     _check_out_dirs(("--matrix", args.matrix),
                     ("--model", args.model if args.method == "gpo" else None), out=args.out)
     pattern = load_matrix_market(args.matrix)
     model = load_checkpoint(args.model) if args.method == "gpo" else None
-    ordering = compute_ordering(args.method, pattern, model, rng)
+    # bench's cell for this file, so both write the same ordering and FIR
+    ordering, row = evaluate_cell(Path(args.matrix).name, args.method, pattern, model, seed)
     write_ordering(ordering, args.out)
-    fir = _fir(_scored_fill(pattern, ordering), nnz_sym(pattern))
     print(f"{args.matrix}: n={pattern.n}, method={args.method}, "
-          f"fir={fir:.6g} -> {args.out}")
+          f"fir={row.fir:.6g} -> {args.out}")
     return 0
 
 

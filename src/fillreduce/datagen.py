@@ -217,9 +217,12 @@ def training_set_files(data_dir: str | Path) -> list[Path]:
     data = Path(data_dir)
     manifest = data / MANIFEST_NAME
     if manifest.exists():
-        with open(manifest, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            files = [row.get("file") for row in reader]
+        try:
+            with open(manifest, encoding="utf-8", newline="") as fh:
+                reader = csv.DictReader(fh)
+                files = [row.get("file") for row in reader]
+        except UnicodeDecodeError as exc:
+            raise PatternError(f"{manifest}: {exc}") from None
         if "file" not in (reader.fieldnames or ()) or None in files:
             raise PatternError(f"manifest {manifest} needs a 'file' entry in every row")
         return [data / name for name in files]

@@ -4,7 +4,8 @@ The measurement model is symbolic: orderings are scored by the Cholesky
 pattern of the symmetrized matrix, so the factor nonzero count is
 nnz(L + L^T off-diagonal) + n = nnz_sym(A) + 2 * fill, and
 FIR = 2 * fill / nnz_sym(A). FIR is 0.0 when nnz_sym(A) = 0, which happens
-only for n = 0: there is no fill and there are no entries.
+only for n = 0: there is no fill and there are no entries. ``bench`` and
+``order`` build each cell, one matrix by one method, by ``evaluate_cell``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .orderings import min_degree_order, natural_order, random_order
 from .policy_net import PolicyValueNet, load_checkpoint
-from .sparsity import Ordering, SparsityPattern, _open_text, load_matrix_market, nnz_sym
+from .sparsity import Ordering, SparsityPattern, load_matrix_market, nnz_sym, open_text
 # benchmarks/spans.py times symbolic_factorize by its name in this module
 from .symbolic import count_fill, symbolic_factorize  # noqa: F401
 from .trainer import rollout
@@ -34,12 +35,6 @@ def _fir(fill: int, nnz: int) -> float:
     return 2.0 * fill / nnz if nnz else 0.0
 
 
-def _scored_fill(p: SparsityPattern, ordering: Ordering) -> int:
-    """The fill the ordering carries from the elimination that chose it, or
-    ``count_fill``'s count when it carries none."""
-    return count_fill(p, ordering) if ordering.fill is None else ordering.fill
-
-
 def fill_in_ratio(p: SparsityPattern, ordering: Ordering | Sequence[int]) -> float:
     """Extra factor nonzeros divided by the original nonzeros; 0.0 for n = 0."""
     return _fir(count_fill(p, ordering), nnz_sym(p))
@@ -48,7 +43,7 @@ def fill_in_ratio(p: SparsityPattern, ordering: Ordering | Sequence[int]) -> flo
 def gpo_order(net: PolicyValueNet, p: SparsityPattern) -> Ordering:
     """Greedy inference: argmax of the policy at every step, lowest index on
     ties, until the live graph is complete; then its nodes in ascending order."""
-    _, ordering = rollout(net, p, rng=None, greedy=True)
+    _, ordering = rollout(net, p)
     return ordering
 
 
@@ -118,13 +113,25 @@ class EvalReport:
         return buf.getvalue()
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
-        with _open_text(target, "w") as fh:
+        with open_text(target, "w") as fh:
             fh.write(self.to_csv())
 
 
 def _entry_rng(seed: int, matrix_name: str) -> np.random.Generator:
     # keyed per matrix so a row does not depend on which other files ran
     return np.random.default_rng([seed, zlib.crc32(matrix_name.encode())])
+
+
+def evaluate_cell(name: str, method: str, pattern: SparsityPattern,
+                  model: PolicyValueNet | None = None, seed: int = 0
+                  ) -> tuple[Ordering, EvalRow]:
+    """One matrix ordered by one method: the ordering and its report row.
+    Random draws from a stream keyed by ``seed`` and ``name``; the fill is
+    the one the ordering carries, or ``count_fill``'s when it carries none."""
+    ordering = compute_ordering(method, pattern, model, _entry_rng(seed, name))
+    fill = count_fill(pattern, ordering) if ordering.fill is None else ordering.fill
+    nnz = nnz_sym(pattern)
+    return ordering, EvalRow(name, method, pattern.n, nnz, fill, _fir(fill, nnz))
 
 
 def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
@@ -136,10 +143,6 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
 
     Matrices are identified by file name and processed in sorted order, so a
     repeat run over the same inputs reproduces the report byte for byte.
-
-    A mindeg or gpo cell's fill is the count its ordering carries from the
-    elimination that chose it; a natural or random cell is scored by
-    ``count_fill``.
     """
     for m in methods:
         if m not in METHODS:
@@ -175,11 +178,7 @@ def run_benchmark(matrix_paths: Sequence[str | Path], methods: Sequence[str],
                 rows.append(EvalRow(name, method, error=model_error or "no model"))
                 continue
             try:
-                ordering = compute_ordering(method, pattern, model,
-                                            _entry_rng(seed, name))
-                fill = _scored_fill(pattern, ordering)
-                nnz = nnz_sym(pattern)
-                row = EvalRow(name, method, pattern.n, nnz, fill, _fir(fill, nnz))
+                _, row = evaluate_cell(name, method, pattern, model, seed)
             except Exception as exc:
                 row = EvalRow(name, method, error=str(exc))
             rows.append(row)

@@ -207,7 +207,7 @@ _ENTRY_WIDTH = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}
 
 
 @contextmanager
-def _open_text(source: str | Path | IO[str], mode: str) -> Iterator[IO[str]]:
+def open_text(source: str | Path | IO[str], mode: str) -> Iterator[IO[str]]:
     """Open a path for the block and close it after; pass a file object
     through and leave it open."""
     if isinstance(source, (str, Path)):
@@ -227,7 +227,7 @@ def load_matrix_market(source: str | Path | IO[str]) -> SparsityPattern:
     over its lines. Raises PatternError on malformed input, naming the first
     bad entry line in file order, and on a declared size above ``MAX_NODES``.
     """
-    with _open_text(source, "r") as fh:
+    with open_text(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise PatternError("empty file: missing MatrixMarket header")
@@ -385,7 +385,7 @@ def _entry_loop(text: str, field: str, n: int, count: int) -> np.ndarray:
 
 def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> None:
     """Write a pattern as a symmetric coordinate Matrix Market file (lower triangle)."""
-    with _open_text(target, "w") as fh:
+    with open_text(target, "w") as fh:
         diagonal = p.diagonal_array.astype(np.int64)
         rows = np.concatenate((p.edge_array[1], diagonal)) + 1   # row >= col
         cols = np.concatenate((p.edge_array[0], diagonal)) + 1
@@ -400,7 +400,7 @@ def write_matrix_market(p: SparsityPattern, target: str | Path | IO[str]) -> Non
 # ---------------------------------------------------------------------------
 
 def load_ordering(source: str | Path | IO[str]) -> Ordering:
-    with _open_text(source, "r") as fh:
+    with open_text(source, "r") as fh:
         perm = []
         for line in fh:
             stripped = line.strip()
@@ -416,5 +416,5 @@ def load_ordering(source: str | Path | IO[str]) -> Ordering:
 
 
 def write_ordering(ordering: Ordering, target: str | Path | IO[str]) -> None:
-    with _open_text(target, "w") as fh:
+    with open_text(target, "w") as fh:
         fh.write("".join(map("{}\n".format, ordering.perm)))

@@ -49,7 +49,7 @@ import os
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -59,7 +59,7 @@ from .features import NodeFeatures, compute_features, normalize_features
 from .policy_net import (NetConfig, NetworkError, PolicyValueNet, backward,
                          check_operator_size, evaluate, forward, save_checkpoint,
                          tower_arrays)
-from .sparsity import Ordering, SparsityPattern, _open_text
+from .sparsity import Ordering, SparsityPattern, open_text
 from .symbolic import EliminationGraph, EliminationTrace
 
 if TYPE_CHECKING:
@@ -118,20 +118,19 @@ def _not_finite(step: int) -> NetworkError:
 
 
 def rollout(net: PolicyValueNet, pattern: SparsityPattern,
-            rng: np.random.Generator | None, greedy: bool = False
-            ) -> tuple[EliminationTrace, Ordering]:
+            rng: np.random.Generator | None = None) -> tuple[EliminationTrace, Ordering]:
     """Run one full elimination episode in the ``EliminationGraph`` of the
     pattern, the actor choosing the row that each step eliminates.
 
     Only the actor is evaluated, and the episode keeps only its trace.
-    Sampling draws from the policy distribution by one ``rng.random()``, as
-    ``rng.choice(k, p=probs)`` does; greedy mode takes the argmax with
-    lowest-index tie-break (row order is sorted node ids) and needs no rng.
+    With an rng it samples, by one ``rng.random()`` per step as
+    ``rng.choice(k, p=probs)`` draws; without one it is greedy: the argmax,
+    lowest index on ties (row order is sorted node ids).
 
     Once the live graph is complete (k nodes, k(k-1)/2 edges), its nodes are
     all twins, so the exact policy is uniform and every step left adds no
     fill. The actor is evaluated on that state once and not again: greedy
-    mode takes the remaining nodes in ascending order, the lowest-index
+    takes the remaining nodes in ascending order, the lowest-index
     tie-break decided by structure rather than by rounding, and sampling
     draws each step's row from exactly uniform probabilities, one
     ``rng.random()`` per step as before.
@@ -142,8 +141,6 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     large for the dense operator (``check_operator_size``), before anything
     is built.
     """
-    if not greedy and rng is None:
-        raise ValueError("sampling rollout needs an rng")
     check_operator_size(pattern.n)
     trace = EliminationTrace()
     g = EliminationGraph.of(pattern)
@@ -157,7 +154,7 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
                 if not np.isfinite(log_probs).all():
                     raise _not_finite(step)
                 break
-            row = int(np.argmax(log_probs)) if greedy else _draw(log_probs, rng)
+            row = int(np.argmax(log_probs)) if rng is None else _draw(log_probs, rng)
             if not np.isfinite(log_probs[row]):
                 raise _not_finite(step)
             node = g.nodes[row]
@@ -166,7 +163,7 @@ def rollout(net: PolicyValueNet, pattern: SparsityPattern,
     # the complete tail: no fill, and each step leaves a complete graph
     rest = list(g.nodes)
     for k in range(len(rest), 0, -1):
-        row = 0 if greedy else _draw(np.full(k, -np.log(k)), rng)
+        row = 0 if rng is None else _draw(np.full(k, -np.log(k)), rng)
         trace.append(rest.pop(row), 0, k * (k - 1) // 2)
     return trace, Ordering(trace.nodes, fill=trace.total_fill)
 
@@ -267,9 +264,9 @@ def _complete_node(k: int) -> NodeFeatures:
     """One node whose towers are those of each row of the complete graph
     K_k, all alike: a row of K_k's normalized features on a graph of one
     node, whose operator [[1]] sums as each of K_k's operator rows does under
-    either backbone."""
-    clique = SparsityPattern(k, combinations(range(k), 2))
-    x = normalize_features(compute_features(EliminationGraph.of(clique))).x[:1]
+    either backbone. Both of K_k's feature columns are constant, so each
+    normalizes to 1 where positive: (0, 0) at k = 1, (1, 0) at 2, (1, 1) from 3."""
+    x = np.array([[k > 1, k > 2]], dtype=np.float64)
     return NodeFeatures(x, EliminationGraph.of(SparsityPattern(1)))
 
 
@@ -479,7 +476,7 @@ class TrainLogEntry:
 def write_training_log(entries: Sequence[TrainLogEntry],
                        target: str | Path | IO[str]) -> None:
     """Line-delimited records: ``epoch,graph_id,total_fill,L_a,L_c``."""
-    with _open_text(target, "w") as fh:
+    with open_text(target, "w") as fh:
         for entry in entries:
             fh.write(entry.format() + "\n")
 

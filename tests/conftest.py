@@ -106,7 +106,7 @@ def reference_load_matrix_market(source) -> SparsityPattern:
     each line checked in turn, the loop that ``load_matrix_market`` does in
     numpy. Raises the same PatternError for the same first bad line."""
     PatternError = sparsity.PatternError
-    with sparsity._open_text(source, "r") as fh:
+    with sparsity.open_text(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise PatternError("empty file: missing MatrixMarket header")

@@ -251,5 +251,5 @@ def test_criterion_9_path_graph_convergence():
         path = path_pattern(20)
         net, _ = train([path], TrainerConfig(epochs=1, episodes_per_graph=200,
                                              seed=TRAIN_SEED))
-        trace, _ = rollout(net, path, rng=None, greedy=True)
+        trace, _ = rollout(net, path, rng=None)
         assert trace.total_fill == 0

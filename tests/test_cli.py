@@ -139,7 +139,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message,
     def allocate(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "compute_ordering", allocate)
+    monkeypatch.setattr(evaluation, "compute_ordering", allocate)
     write_matrix_market(path_pattern(4), tmp_path / "m.mtx")
     assert run(["order", "--matrix", tmp_path / "m.mtx", "--method", "mindeg",
                 "--out", tmp_path / "o.txt"]) == 2
@@ -266,18 +266,22 @@ def test_train_negative_seed_exit_2(tmp_path, capsys):
     assert not model.exists()
 
 
-def test_order_random_writes_the_ordering_bench_scores(tmp_path, capsys):
-    # order draws from the same per-file stream as bench's random cell
+@pytest.mark.parametrize("method", evaluation.METHODS)
+def test_order_random_writes_the_ordering_bench_scores(tmp_path, capsys, method):
+    # order scores its ordering by bench's cell, and for random draws from
+    # the same per-file stream
     for name, seed in (("a.mtx", 3), ("b.mtx", 11)):
         write_matrix_market(generate_delaunay(80, np.random.default_rng(seed)), tmp_path / name)
+    model = tmp_path / "m.ckpt"
+    save_checkpoint(PolicyValueNet(NetConfig(), rng=np.random.default_rng(5)), model)
     report = tmp_path / "r.csv"
-    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", "random",
-                "--seed", 4, "--out", report]) == 0
+    assert run(["bench", "--matrices", tmp_path / "*.mtx", "--methods", method,
+                "--model", model, "--seed", 4, "--out", report]) == 0
     rows = [line.split(",") for line in report.read_text().splitlines()[1:3]]
     capsys.readouterr()
-    for name, method, n, nnz, fill, fir in rows:
-        assert run(["order", "--matrix", tmp_path / name, "--method", "random",
-                    "--seed", 4, "--out", tmp_path / "perm.txt"]) == 0
+    for name, _, n, nnz, fill, fir in rows:
+        assert run(["order", "--matrix", tmp_path / name, "--method", method,
+                    "--model", model, "--seed", 4, "--out", tmp_path / "perm.txt"]) == 0
         assert f"fir={float(fir):.6g} ->" in capsys.readouterr().out
         p = load_matrix_market(tmp_path / name)
         assert count_fill(p, load_ordering(tmp_path / "perm.txt")) == int(fill)
@@ -391,6 +395,31 @@ def test_train_output_naming_a_file_of_its_set_exits_2_before_any_work(tmp_path,
     assert {f.name: f.read_bytes() for f in data.iterdir()} == before
 
 
+@pytest.mark.parametrize("option", ["--out", "--log"])
+@pytest.mark.parametrize("spelling", ["same path", "symlinked directory"])
+def test_train_output_joining_a_set_without_manifest_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, option, spelling):
+    # train --out d/new.mtx over a set without a manifest used to exit 0, and
+    # the next train over d globbed the checkpoint and failed to decode it
+    data = tmp_path / "d"
+    run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
+    (data / "manifest.csv").unlink()
+    before = {f.name: f.read_bytes() for f in data.iterdir()}
+    for work in ("load_training_set", "train"):
+        monkeypatch.setattr(cli, work, lambda *args, work=work, **kw: pytest.fail(f"{work} ran"))
+    folder = data
+    if spelling == "symlinked directory":
+        folder = tmp_path / "link"
+        folder.symlink_to(data)
+    capsys.readouterr()
+    outputs = {"--out": tmp_path / "m.ckpt", option: folder / "new.mtx"}
+    assert run(["train", "--data", data, *[a for kv in outputs.items() for a in kv]]) == 2
+    assert capsys.readouterr().err == (f"error: {option} {folder / 'new.mtx'}: --data {data} "
+                                       f"has no manifest, so a .mtx file there is read as "
+                                       f"a graph of the set\n")
+    assert {f.name: f.read_bytes() for f in data.iterdir()} == before
+
+
 def test_train_names_the_graph_file_that_fails_to_load(tmp_path, capsys):
     data = tmp_path / "d"
     run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
@@ -399,6 +428,19 @@ def test_train_names_the_graph_file_that_fails_to_load(tmp_path, capsys):
     capsys.readouterr()
     assert run(["train", "--data", data, "--out", tmp_path / "m.ckpt"]) == 2
     assert capsys.readouterr().err == f"error: {bad}: malformed entry line: '2 x'\n"
+
+
+def test_train_names_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    # the codec's message alone used to end train, naming no file
+    data = tmp_path / "d"
+    run(["gen", "--count", 2, "--min", 8, "--max", 10, "--seed", 3, "--out", data])
+    manifest = data / "manifest.csv"
+    manifest.write_bytes(b"id,file\n0,caf\xd1.mtx\n")
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--out", tmp_path / "m.ckpt"]) == 2
+    assert capsys.readouterr().err == (f"error: {manifest}: 'utf-8' codec can't decode byte "
+                                       f"0xd1 in position 13: invalid continuation byte\n")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -147,7 +147,7 @@ def test_gpo_order_greedy_matches_compute_ordering():
     net = PolicyValueNet(NetConfig(), rng=np.random.default_rng(1))
     assert gpo_order(net, p) == compute_ordering("gpo", p, model=net)
     p = generate_delaunay(40, np.random.default_rng(9))
-    trace, _ = rollout(net, p, rng=None, greedy=True)
+    trace, _ = rollout(net, p, rng=None)
     assert trace.total_fill > 0
     assert gpo_order(net, p).fill == compute_ordering("gpo", p, model=net).fill == trace.total_fill
     with pytest.raises(ValueError):

@@ -162,7 +162,7 @@ def test_rollout_matches_symbolic_factorization(case):
     p, net_seed, rng_seed = case
     net = fresh_net(net_seed)
     for rng in (None, np.random.default_rng(rng_seed)):
-        got, ordering = rollout(net, p, rng, greedy=rng is None)
+        got, ordering = rollout(net, p, rng)
         trace = symbolic_factorize(p, ordering)
         assert got.nodes == trace.nodes == list(ordering)
         assert got.fill == trace.fill
@@ -180,18 +180,16 @@ def test_rollout_ordering_carries_the_episode_fill(case):
     p, net_seed, rng_seed = case
     net = fresh_net(net_seed)
     for rng in (None, np.random.default_rng(rng_seed)):
-        trace, ordering = rollout(net, p, rng, greedy=rng is None)
+        trace, ordering = rollout(net, p, rng)
         assert ordering.fill == trace.total_fill == count_fill(p, ordering)
 
 
 def test_rollout_greedy_is_deterministic_and_needs_no_rng():
     net = fresh_net(6)
     p = random_pattern(np.random.default_rng(45), 10)
-    _, first = rollout(net, p, rng=None, greedy=True)
-    _, second = rollout(net, p, rng=None, greedy=True)
+    _, first = rollout(net, p, rng=None)
+    _, second = rollout(net, p, rng=None)
     assert first == second
-    with pytest.raises(ValueError):
-        rollout(net, p, rng=None)
     trace, empty = rollout(net, SparsityPattern(0, []), np.random.default_rng(0))
     assert len(trace) == 0
     assert list(empty) == []
@@ -201,7 +199,7 @@ def test_rollout_keeps_only_its_trace():
     net = fresh_net(8)
     p = random_pattern(np.random.default_rng(47), 10)
     for rng in (None, np.random.default_rng(48)):
-        trace, _ = rollout(net, p, rng, greedy=rng is None)
+        trace, _ = rollout(net, p, rng)
         assert type(trace) is EliminationTrace
         # three ints per step: no tape, no snapshot, no array
         for f in dataclasses.fields(trace):
@@ -222,8 +220,8 @@ def test_rollout_never_evaluates_the_critic(greedy, monkeypatch):
             arr[...] = np.nan
     p = random_pattern(np.random.default_rng(49), 12)
     rng = lambda: None if greedy else np.random.default_rng(50)
-    expected, ordering = rollout(net, p, rng(), greedy=greedy)
-    trace, blind_ordering = rollout(blind, p, rng(), greedy=greedy)
+    expected, ordering = rollout(net, p, rng())
+    trace, blind_ordering = rollout(blind, p, rng())
     assert blind_ordering == ordering
     assert trace == expected
 
@@ -290,7 +288,7 @@ def test_rollout_ends_at_the_first_complete_state(case, greedy):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "forward", lambda *args: calls.append(1) or forward(*args))
-        trace, ordering = rollout(net, p, drawn, greedy=greedy)
+        trace, ordering = rollout(net, p, drawn)
     nodes, reference, rng = expected_rollout(net, p, seed, greedy)
     t_c = first_complete_step(reference)
     assert trace.nodes[:t_c] == reference.nodes[:t_c]
@@ -314,8 +312,7 @@ def test_rollout_evaluates_the_actor_up_to_the_first_complete_step(greedy, monke
     net = fresh_net(11)
     for p, want in [(clique_pattern(6), 1), *((path_pattern(n), n - 1) for n in (2, 5, 12))]:
         calls.clear()
-        trace, _ = rollout(net, p, None if greedy else np.random.default_rng(p.n),
-                           greedy=greedy)
+        trace, _ = rollout(net, p, None if greedy else np.random.default_rng(p.n))
         assert len(calls) == want == first_complete_step(trace) + 1
 
 
@@ -344,7 +341,7 @@ def test_rollout_refuses_non_finite_log_probs(greedy, pattern):
     assert all(np.isfinite(arr).all() for arr in net.params.values())
     rng = None if greedy else np.random.default_rng(0)
     with pytest.raises(NetworkError, match="not finite at step 0"):
-        rollout(net, pattern, rng, greedy=greedy)
+        rollout(net, pattern, rng)
 
 
 def test_train_stops_on_non_finite_log_probs(monkeypatch):
@@ -366,7 +363,7 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
     net.params["layer1.w"][0, 0, 0] = 1.0
     net.params["head.w"][0, 0] = 1.0
     path = path_pattern(3)
-    trace, ordering = rollout(net, path, rng=None, greedy=True)
+    trace, ordering = rollout(net, path, rng=None)
     assert trace.total_fill == 0
     assert ordering[0] in (0, 2)  # starts at a leaf, never the middle
 
@@ -375,8 +372,7 @@ def test_rollout_greedy_leaf_preferring_net_peels_path():
 def test_replayed_log_probs_match_each_steps_snapshot(greedy):
     net = fresh_net(7)
     p = random_pattern(np.random.default_rng(46), 9)
-    trace, ordering = rollout(net, p, None if greedy else np.random.default_rng(46),
-                              greedy=greedy)
+    trace, ordering = rollout(net, p, None if greedy else np.random.default_rng(46))
     returns = adaptive_saturation_return(trace.edges_before, trace.rewards)
     _, _, replayed = episode_gradients(net, p, trace, returns)
     assert len(replayed) == p.n
@@ -406,7 +402,7 @@ def test_rollout_greedy_ties_break_to_lowest_index():
         arr[...] = 0.0
     from conftest import cycle_pattern
 
-    _, ordering = rollout(net, cycle_pattern(4), rng=None, greedy=True)
+    _, ordering = rollout(net, cycle_pattern(4), rng=None)
     assert list(ordering) == [0, 1, 2, 3]
 
 
@@ -636,7 +632,7 @@ def test_episode_gradients_match_tape_reference(backbone, returns, graph):
 def test_episode_gradients_replays_greedy_traces_and_checks_lengths():
     net = fresh_net(10)
     p = path_pattern(4)
-    greedy, _ = rollout(net, p, rng=None, greedy=True)
+    greedy, _ = rollout(net, p, rng=None)
     grads, values, log_probs = episode_gradients(net, p, greedy, np.zeros(4))
     assert len(values) == len(log_probs) == 4
     assert all(np.all(np.isfinite(arr)) for arr in grads.values())
